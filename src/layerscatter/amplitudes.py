@@ -29,9 +29,6 @@ from .structure import (
     WaveNumberSet,
 )
 
-_DEGENERACY_TOL = 0.0  # exact-zero check; callers nudge energy instead
-
-
 def _check_nonzero(value: complex, what: str):
     if value == 0:
         raise DegenerateWavenumberError(f"{what} vanishes; nudge the energy")
@@ -39,14 +36,12 @@ def _check_nonzero(value: complex, what: str):
 
 @dataclass(frozen=True)
 class InterfaceAmplitudes:
-    """Step amplitudes at the outer edges and at each barrier's left edge."""
+    """Step amplitudes at the two outer edges of the structure."""
 
     t_left: complex       # medium 1 -> gap, interface at x=0
     r_left: complex
     t_right: complex      # gap -> medium 2, interface at x=span
     r_right: complex
-    t_gap_to_barrier: tuple
-    r_gap_to_barrier: tuple
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,6 @@ class BarrierAmplitudes:
 
     t: tuple
     r: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -86,15 +77,10 @@ def _step(p: complex, q: complex, x0: float):
 
 
 def interface_amplitudes(w: WaveNumberSet, s: LayeredStructure) -> InterfaceAmplitudes:
-    """All single-interface amplitudes needed by the coefficient formulas."""
+    """The outer-step amplitudes read by the embedding and the coefficients."""
     t_left, r_left = _step(w.k_left, w.k_gap, 0.0)
     t_right, r_right = _step(w.k_gap, w.k_right, s.span)
-    tg, rg = [], []
-    for b, kn in zip(s.barriers, w.k_barrier):
-        t, r = _step(w.k_gap, kn, b.left_edge)
-        tg.append(t)
-        rg.append(r)
-    return InterfaceAmplitudes(t_left, r_left, t_right, r_right, tuple(tg), tuple(rg))
+    return InterfaceAmplitudes(t_left, r_left, t_right, r_right)
 
 
 def _factored_trig(z: complex):
@@ -189,32 +175,27 @@ def prefix_by_matrix(amps: BarrierAmplitudes) -> PrefixAmplitudes:
     return PrefixAmplitudes(t=tuple(ts), r=tuple(rs))
 
 
-def _forward_matrix(t: complex, r: complex) -> np.ndarray:
-    """2x2 matrix [[1/t, r*/t*], [r/t, 1/t*]] mapping right-region to
-    left-region coefficients (inverse of :func:`_inverse_matrix` up to
-    the interface flux determinant)."""
-    tc = t.conjugate()
-    rc = r.conjugate()
-    return np.array([[1.0 / t, rc / tc], [r / t, 1.0 / tc]], dtype=complex)
-
-
 def embed_in_media(prefix: PrefixAmplitudes, iface: InterfaceAmplitudes) -> EmbeddedAmplitudes:
     """(T, R) of the full structure between the two outer media.
 
-    Composes outer-step matrices with the zero-background structure
-    matrix.  Only the first column of the right-interface matrix enters
-    (no leftward wave exists in medium 2), so an evanescent right
-    medium needs no special casing.
+    Maps the medium-2 coefficients back to medium 1 through the right
+    step, the zero-background structure and the left step.  Medium 2
+    carries no leftward wave, so only the first column of the
+    right-step matrix enters and an evanescent right medium needs no
+    special casing.
     """
-    t_n = prefix.t[-1]
-    r_n = prefix.r[-1]
-    col = np.array([1.0 / iface.t_right, iface.r_right / iface.t_right], dtype=complex)
-    col = _forward_matrix(t_n, r_n) @ col
-    col = _forward_matrix(iface.t_left, iface.r_left) @ col
-    if col[0] == 0:
+    x = 1.0 / iface.t_right
+    y = iface.r_right / iface.t_right
+    # [[1/t, r*/t*], [r/t, 1/t*]] maps right-region to left-region
+    # coefficients across one scatterer: first the structure, then the
+    # left step.
+    for t, r in ((prefix.t[-1], prefix.r[-1]), (iface.t_left, iface.r_left)):
+        tc = t.conjugate()
+        x, y = (1.0 / t) * x + (r.conjugate() / tc) * y, (r / t) * x + (1.0 / tc) * y
+    if x == 0:
         raise ArithmeticError("embedding produced 1/T = 0; inconsistent inputs")
-    t_full = 1.0 / col[0]
-    return EmbeddedAmplitudes(t_full=t_full, r_full=col[1] * t_full)
+    t_full = 1.0 / x
+    return EmbeddedAmplitudes(t_full=t_full, r_full=y * t_full)
 
 
 def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet) -> float:

@@ -1,9 +1,10 @@
 """Command-line surface: structure files, energy sweeps, spatial sampling,
 band scans, scenario generators, and CSV emission.
 
-Exit codes: 0 success, 2 parse/validation error, 3 numerical degeneracy
-(k = 0 in some region, band edge), 4 oracle-check discrepancy above
-tolerance.
+Exit codes: 0 success; 2 parse/validation error, including malformed or
+non-finite structure documents; 3 numerical failure (k = 0 in some
+region, band edge, overflow or underflow on long chains); 4 oracle-check
+discrepancy above tolerance.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .amplitudes import reflection_probability, transmission_probability
 from .oracle import compare_with_pipeline
-from .periodic import BandEdgeError, PeriodicLattice, band_scan
+from .periodic import PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
 from .structure import (
     Barrier,
@@ -33,13 +34,12 @@ EXIT_DEGENERATE = 3
 EXIT_ORACLE = 4
 
 
-def serialize_structure(s: LayeredStructure, unit_label: str = "s") -> str:
+def serialize_structure(s: LayeredStructure) -> str:
     """JSON text that :func:`parse_structure` restores bit-exactly."""
     doc = {
         "v_left": s.v_left,
         "v_right": s.v_right,
         "span": s.span,
-        "unit_label": unit_label,
         "barriers": [
             {"height": b.height, "width": b.width, "center": b.center}
             for b in s.barriers
@@ -56,7 +56,7 @@ def parse_structure(text: str) -> LayeredStructure:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # JSONDecodeError, or an over-long integer literal
         raise StructureError([f"not valid JSON: {ex}"]) from ex
     if not isinstance(doc, dict):
         raise StructureError(["top level must be an object"])
@@ -72,16 +72,22 @@ def parse_structure(text: str) -> LayeredStructure:
     missing = [k for k in ("v_left", "v_right", "span", "barriers") if k not in doc]
     if missing:
         raise StructureError([f"missing key: {k}" for k in missing])
-    barriers = []
-    for i, b in enumerate(doc["barriers"], start=1):
-        try:
-            barriers.append(Barrier(float(b["height"]), float(b["width"]), float(b["center"])))
-        except (TypeError, KeyError, ValueError) as ex:
-            raise StructureError([f"barrier {i}: {ex}"]) from ex
-    s = LayeredStructure(
-        float(doc["v_left"]), float(doc["v_right"]), float(doc["span"]), tuple(barriers)
+    if not isinstance(doc["barriers"], list):
+        raise StructureError(["barriers must be a list"])
+    barriers = tuple(
+        Barrier(*(_number(b, k, f"barrier {i}") for k in ("height", "width", "center")))
+        for i, b in enumerate(doc["barriers"], start=1)
     )
+    s = LayeredStructure(*(_number(doc, k, k) for k in ("v_left", "v_right", "span")), barriers)
     return validate_structure(s)
+
+
+def _number(entry, key: str, where: str) -> float:
+    """``float(entry[key])``, or a StructureError naming ``where``."""
+    try:
+        return float(entry[key])
+    except (TypeError, KeyError, ValueError, OverflowError) as ex:
+        raise StructureError([f"{where}: {ex}"]) from ex
 
 
 def _fmt(x: float) -> str:
@@ -123,13 +129,14 @@ def _open_out(path):
 
 
 def _energy_range(spec: str):
+    """(MIN, MAX, STEPS) from an ``--energy-range`` value."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("--energy-range must be MIN:MAX:STEPS")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
-    return np.linspace(lo, hi, steps)
+    return lo, hi, steps
 
 
 def cmd_validate(args) -> int:
@@ -171,7 +178,7 @@ def cmd_wavefunction(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
-    energies = _energy_range(args.energy_range)
+    energies = np.linspace(*_energy_range(args.energy_range))
     if energies[0] <= s.v_left:
         print(
             f"error: sweep must start above the left medium potential V1 = {s.v_left}",
@@ -198,9 +205,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
-    lo, hi, steps = args.energy_range.split(":")
-    lo, hi, steps = float(lo), float(hi), int(steps)
-    table = band_scan(lat, lo, hi, (hi - lo) / max(steps - 1, 1))
+    lo, hi, steps = _energy_range(args.energy_range)
+    table = band_scan(lat, lo, hi, (hi - lo) / (steps - 1))
     out, close = _open_out(args.out)
     try:
         out.write("epsilon,cos_beta,band\n")
@@ -303,7 +309,7 @@ def main(argv=None) -> int:
         for p in ex.problems:
             print(f"error: {p}", file=sys.stderr)
         return EXIT_INVALID
-    except (DegenerateWavenumberError, BandEdgeError) as ex:
+    except (DegenerateWavenumberError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as ex:

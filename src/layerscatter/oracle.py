@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .structure import LayeredStructure, WaveNumberSet, compute_wavenumbers
+from .wavefunction import solve_structure
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,6 @@ def compare_with_pipeline(s: LayeredStructure, energy: float):
 
     Returns (max_relative_discrepancy, oracle condition estimate).
     """
-    from .wavefunction import solve_structure
-
     ora = oracle_solution(s, energy)
     sol = solve_structure(s, energy)
     pairs = [(ora.r_full, sol.embedded.r_full), (ora.t_full, sol.embedded.t_full)]

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect as _bisect
 
+from .amplitudes import barrier_amplitudes
 from .structure import (
     Barrier,
     DegenerateWavenumberError,
     LayeredStructure,
     branch_sqrt,
+    compute_wavenumbers,
 )
 
 EDGE_TOL = 1e-12
@@ -140,9 +142,6 @@ def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     Refuses at band edges; the recurrence path has no singularity there
     and should be used instead.
     """
-    from .amplitudes import barrier_amplitudes
-    from .structure import compute_wavenumbers
-
     phase = bloch_phase(lat, energy)
     cos_n, ratio = _chebyshev_pair(phase, n)
     s = lat.to_structure()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .periodic import PeriodicLattice
 from .structure import Barrier, LayeredStructure, validate_structure
 
 
@@ -50,8 +51,6 @@ def periodic_chain(
 ) -> LayeredStructure:
     """Identical equidistant barriers; defaults give the reference lattice
     (height*width^2 = 3, period/width = 2)."""
-    from .periodic import PeriodicLattice
-
     lat = PeriodicLattice(barrier_height, barrier_width, period, count, first_center)
     return validate_structure(lat.to_structure(v_left, v_right))
 

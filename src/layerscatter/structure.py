@@ -81,6 +81,10 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
     barriers (zero-width gaps) are legal.
     """
     problems = []
+    if not (math.isfinite(s.v_left) and math.isfinite(s.v_right)):
+        problems.append(
+            f"v_left and v_right must be finite, got {s.v_left} and {s.v_right}"
+        )
     if not (s.span > 0 and math.isfinite(s.span)):
         problems.append(f"span must be a positive finite real, got {s.span}")
     for i, b in enumerate(s.barriers, start=1):

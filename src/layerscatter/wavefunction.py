@@ -21,6 +21,7 @@ from .amplitudes import (
     all_barrier_amplitudes,
     embed_in_media,
     interface_amplitudes,
+    prefix_by_recurrence,
 )
 from .structure import (
     LayeredStructure,
@@ -101,10 +102,7 @@ def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
     validate_structure(s)
     w = compute_wavenumbers(s, energy)
     iface = interface_amplitudes(w, s)
-    prefix = all_barrier_amplitudes(w, s)
-    from .amplitudes import prefix_by_recurrence
-
-    pre = prefix_by_recurrence(prefix)
+    pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
     emb = embed_in_media(pre, iface)
     a, b = gap_coefficients(pre, iface, emb, w)
     c, d = barrier_coefficients(a, b, w, s)

@@ -47,12 +47,6 @@ class TestInterfaceAmplitudes:
         assert ia.t_right == pytest.approx(4 / 3 * cmath.exp(1j))
         assert ia.r_right == pytest.approx(1 / 3 * cmath.exp(4j))
 
-    def test_gap_to_barrier_phase(self):
-        s = LayeredStructure(0.0, 0.0, 4.0, (Barrier(3.0, 1.0, 2.0),))
-        w, ia, _ = setup(s, 4.0)  # k0=2, k1=1, left edge 1.5
-        assert ia.t_gap_to_barrier[0] == pytest.approx(4 / 3 * cmath.exp(1j * 1.5))
-        assert ia.r_gap_to_barrier[0] == pytest.approx(1 / 3 * cmath.exp(4j * 1.5))
-
     def test_degenerate_sum_rejected(self):
         # k_left = 2, k_gap = 2i: sums never vanish for Im>=0 branch unless
         # both are zero, so force the k=0 case instead

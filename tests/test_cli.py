@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layerscatter import Barrier, LayeredStructure
+from layerscatter import Barrier, LayeredStructure, StructureError, validate_structure
 from layerscatter.cli import main, parse_structure, serialize_structure
 from layerscatter.scenarios import SCENARIOS, build_scenario
 
@@ -51,6 +55,68 @@ class TestStructureFiles:
         })
         with pytest.raises(StructureError):
             parse_structure(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("barriers", "5"),
+        ("v_left", "[1]"),
+        ("span", '"wide"'),
+        ("v_right", "Infinity"),
+        ("v_left", "NaN"),
+        ("v_left", "1" + "0" * 400),   # too large for a float
+        ("span", "1" + "0" * 5000),    # too many digits for an int
+    ], ids=["barriers-int", "v_left-list", "span-text", "v_right-inf", "v_left-nan",
+            "v_left-huge", "span-too-long"])
+    def test_malformed_document_exits_2(self, capsys, tmp_path, key, value):
+        fields = {"v_left": "0", "v_right": "0", "span": "2", "barriers": "[]", key: value}
+        f = tmp_path / "s.json"
+        f.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        with pytest.raises(StructureError):
+            parse_structure(f.read_text())
+        code, out, err = run_cli(
+            capsys, "sweep", "--structure", str(f), "--energy-range", "1:2:3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.floats(-10.0, 10.0) | st.integers(-3, 10)
+_BARRIERS = st.fixed_dictionaries(
+    {}, optional={k: _NUMBERS | _JSON_VALUES for k in ("height", "width", "center")}
+)
+_DOCUMENTS = _JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "v_left": _NUMBERS | _JSON_VALUES,
+    "v_right": _NUMBERS | _JSON_VALUES,
+    "span": _NUMBERS | _JSON_VALUES,
+    "barriers": st.lists(_BARRIERS | _JSON_VALUES, max_size=3) | _JSON_VALUES,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_malformed_documents_rejected(doc):
+    text = json.dumps(doc)
+    try:
+        s = parse_structure(text)
+    except StructureError:
+        expected = 2
+    else:
+        assert validate_structure(s) is s
+        expected = 0
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--structure", "-"])
+    assert code == expected
 
 
 class TestScenarioFidelity:
@@ -195,6 +261,36 @@ class TestSweepCommand:
         )
         rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
         assert np.all(rows[:, 1] > 0.99)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1:2", "--energy-range must be MIN:MAX:STEPS"),
+    ("2:1:10", "--energy-range needs MAX > MIN and STEPS >= 2"),
+    ("1:2:1", "--energy-range needs MAX > MIN and STEPS >= 2"),
+])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scenario", "periodic"],
+    ["bands", "--barrier-height", "3", "--barrier-width", "1", "--period", "2"],
+])
+def test_bad_energy_range_exits_2(capsys, command, spec, message):
+    code, out, err = run_cli(capsys, *command, "--energy-range", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count, energy_range", [
+    (360, "2.0:2.001:2"),    # evanescent barriers far from the origin overflow
+    (2000, "4.6:4.601:2"),   # 1/T overflows deep in a forbidden band
+])
+def test_numerical_failure_exits_3(capsys, count, energy_range):
+    code, _, err = run_cli(
+        capsys, "sweep", "--scenario", "periodic",
+        "--scenario-params", f"count={count}", "--energy-range", energy_range,
+    )
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestBandsCommand:
