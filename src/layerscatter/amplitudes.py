@@ -1,6 +1,6 @@
 """Scattering amplitudes: single interfaces, single barriers, prefix
-sequences (recurrence and matrix product), and embedding between the two
-outer media.
+sequences (recurrence and matrix product), the leftward coefficient map,
+and embedding between the two outer media.
 
 Conventions
 -----------
@@ -27,6 +27,8 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     WaveNumberSet,
+    compute_wavenumbers,
+    validate_structure,
 )
 
 def _check_nonzero(value: complex, what: str):
@@ -175,6 +177,13 @@ def prefix_by_matrix(amps: BarrierAmplitudes) -> PrefixAmplitudes:
     return PrefixAmplitudes(t=tuple(ts), r=tuple(rs))
 
 
+def map_leftward(t: complex, r: complex, x: complex, y: complex):
+    """[[1/t, r*/t*], [r/t, 1/t*]] (x, y): the (e^{+ikx}, e^{-ikx}) coefficients
+    left of a scatterer with left-incidence amplitudes (t, r) from those right of it."""
+    tc = t.conjugate()
+    return (1.0 / t) * x + (r.conjugate() / tc) * y, (r / t) * x + (1.0 / tc) * y
+
+
 def embed_in_media(prefix: PrefixAmplitudes, iface: InterfaceAmplitudes) -> EmbeddedAmplitudes:
     """(T, R) of the full structure between the two outer media.
 
@@ -182,20 +191,28 @@ def embed_in_media(prefix: PrefixAmplitudes, iface: InterfaceAmplitudes) -> Embe
     step, the zero-background structure and the left step.  Medium 2
     carries no leftward wave, so only the first column of the
     right-step matrix enters and an evanescent right medium needs no
-    special casing.
+    special casing.  Raises OverflowError when 1/T is not finite, as
+    deep in a forbidden band of a long chain.
     """
     x = 1.0 / iface.t_right
     y = iface.r_right / iface.t_right
-    # [[1/t, r*/t*], [r/t, 1/t*]] maps right-region to left-region
-    # coefficients across one scatterer: first the structure, then the
-    # left step.
     for t, r in ((prefix.t[-1], prefix.r[-1]), (iface.t_left, iface.r_left)):
-        tc = t.conjugate()
-        x, y = (1.0 / t) * x + (r.conjugate() / tc) * y, (r / t) * x + (1.0 / tc) * y
+        x, y = map_leftward(t, r, x, y)
     if x == 0:
         raise ArithmeticError("embedding produced 1/T = 0; inconsistent inputs")
+    if not cmath.isfinite(x):
+        raise OverflowError(f"1/T = {x} is not finite; T underflows at this energy")
     t_full = 1.0 / x
     return EmbeddedAmplitudes(t_full=t_full, r_full=y * t_full)
+
+
+def scattering_amplitudes(s: LayeredStructure, energy: float):
+    """(wavenumbers, outer steps, barrier amplitudes, embedded T and R): all a sweep reads."""
+    validate_structure(s)
+    w = compute_wavenumbers(s, energy)
+    iface = interface_amplitudes(w, s)
+    amps = all_barrier_amplitudes(w, s)
+    return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)
 
 
 def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet) -> float:

@@ -14,7 +14,11 @@ import sys
 
 import numpy as np
 
-from .amplitudes import reflection_probability, transmission_probability
+from .amplitudes import (
+    reflection_probability,
+    scattering_amplitudes,
+    transmission_probability,
+)
 from .oracle import compare_with_pipeline
 from .periodic import PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
@@ -122,10 +126,15 @@ def _load_structure(args) -> LayeredStructure:
     return s
 
 
-def _open_out(path):
+def _write_csv(path, header: str, lines):
+    """Write the header and every line at once, after all are computed, so
+    a command that fails leaves no partial file."""
+    text = "".join(f"{line}\n" for line in (header, *lines))
     if path in (None, "stdout", "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _energy_range(spec: str):
@@ -162,14 +171,8 @@ def cmd_wavefunction(args) -> int:
     sol = solve_structure(s, args.energy)
     grid = default_grid(sol, args.x_min, args.x_max, args.grid_points)
     rows = sample_density(sol, grid)
-    out, close = _open_out(args.out)
-    try:
-        out.write("x,re_psi,im_psi,abs2_psi\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, "x,re_psi,im_psi,abs2_psi",
+               (",".join(_fmt(v) for v in row) for row in rows))
     t = transmission_probability(sol.embedded, sol.wavenumbers)
     r = reflection_probability(sol.embedded)
     print(f"T={_fmt(t)} R={_fmt(r)}")
@@ -185,21 +188,17 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DEGENERATE
-    out, close = _open_out(args.out)
-    try:
-        out.write("epsilon,T_prob,R_prob\n")
-        for e in energies:
-            e = float(e)
-            try:
-                sol = solve_structure(s, e)
-            except DegenerateWavenumberError:
-                sol = solve_structure(s, e + args.nudge)
-            t = transmission_probability(sol.embedded, sol.wavenumbers)
-            r = reflection_probability(sol.embedded)
-            out.write(f"{_fmt(e)},{_fmt(t)},{_fmt(r)}\n")
-    finally:
-        if close:
-            out.close()
+    lines = []
+    for e in energies:
+        e = float(e)
+        try:
+            w, _, _, emb = scattering_amplitudes(s, e)
+        except DegenerateWavenumberError:
+            w, _, _, emb = scattering_amplitudes(s, e + args.nudge)
+        t = transmission_probability(emb, w)
+        r = reflection_probability(emb)
+        lines.append(f"{_fmt(e)},{_fmt(t)},{_fmt(r)}")
+    _write_csv(args.out, "epsilon,T_prob,R_prob", lines)
     return EXIT_OK
 
 
@@ -207,14 +206,9 @@ def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
     lo, hi, steps = _energy_range(args.energy_range)
     table = band_scan(lat, lo, hi, (hi - lo) / (steps - 1))
-    out, close = _open_out(args.out)
-    try:
-        out.write("epsilon,cos_beta,band\n")
-        for e, c, label in zip(table.energies, table.cos_beta, table.classification):
-            out.write(f"{_fmt(e)},{_fmt(c)},{label}\n")
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, "epsilon,cos_beta,band",
+               (f"{_fmt(e)},{_fmt(c)},{label}" for e, c, label in
+                zip(table.energies, table.cos_beta, table.classification)))
     for e in table.edges:
         print(f"edge at epsilon={_fmt(e)}")
     for e in table.skipped:

@@ -132,15 +132,21 @@ def oracle_solution(s: LayeredStructure, energy: float) -> OracleSolution:
 def compare_with_pipeline(s: LayeredStructure, energy: float):
     """Max relative coefficient discrepancy between oracle and pipeline.
 
+    Each family (r, t, the gap pairs a/b, the barrier pairs c/d) is
+    scaled by its own largest oracle magnitude, floored at 1, so a large
+    t_full cannot hide an error in the barrier coefficients.
     Returns (max_relative_discrepancy, oracle condition estimate).
     """
     ora = oracle_solution(s, energy)
     sol = solve_structure(s, energy)
-    pairs = [(ora.r_full, sol.embedded.r_full), (ora.t_full, sol.embedded.t_full)]
-    pairs += list(zip(ora.a, sol.a))
-    pairs += list(zip(ora.b, sol.b))
-    pairs += list(zip(ora.c, sol.c))
-    pairs += list(zip(ora.d, sol.d))
-    scale = max(max(abs(u) for u, _ in pairs), 1.0)
-    worst = max(abs(u - v) / scale for u, v in pairs)
+    families = [
+        ((ora.r_full,), (sol.embedded.r_full,)),
+        ((ora.t_full,), (sol.embedded.t_full,)),
+        (ora.a + ora.b, sol.a + sol.b),
+        (ora.c + ora.d, sol.c + sol.d),
+    ]
+    worst = 0.0
+    for ref, got in families:
+        scale = max([1.0] + [abs(u) for u in ref])
+        worst = max([worst] + [abs(u - v) / scale for u, v in zip(ref, got)])
     return worst, ora.condition

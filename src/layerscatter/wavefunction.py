@@ -1,34 +1,28 @@
-"""Region coefficients by back-substitution and piecewise evaluation of psi.
+"""Region coefficients and piecewise evaluation of psi.
 
-Once the prefix amplitudes and the embedded (T, R) are known, every gap
-coefficient pair (a_n, b_n) follows from a closed-form combination of
-1/T_{n-1}, R_{n-1}/T_{n-1}, their conjugates and R; the barrier pairs
-(c_n, d_n) follow from the two continuity conditions at the barrier's
-left edge.  No linear system is ever solved on this path.
+Once the embedded (T, R) is known, the rightmost gap holds T times the
+first column of the right step's matrix, and each barrier carries the
+gap pair on its right onto the gap pair on its left.  Across a
+tunnelling chain that is the direction in which the solution grows, so
+nothing cancels.  The barrier pairs (c_n, d_n) follow from continuity at
+each barrier's left edge.  No linear system is solved on this path.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .amplitudes import (
+    BarrierAmplitudes,
     EmbeddedAmplitudes,
     InterfaceAmplitudes,
-    PrefixAmplitudes,
-    all_barrier_amplitudes,
-    embed_in_media,
-    interface_amplitudes,
-    prefix_by_recurrence,
+    map_leftward,
+    scattering_amplitudes,
 )
-from .structure import (
-    LayeredStructure,
-    WaveNumberSet,
-    compute_wavenumbers,
-    validate_structure,
-)
+from .structure import LayeredStructure, WaveNumberSet
 
 
 @dataclass(frozen=True)
@@ -44,36 +38,35 @@ class ScatteringSolution:
     c: tuple  # barrier coefficients c_1..c_N
     d: tuple
 
+    @cached_property
+    def regions(self):
+        """(interface points, k, c+, c-) with psi = c+ e^{ikx} + c- e^{-ikx} in region i,
+        left of point i: left medium, gap 1, barrier 1, ..., gap N+1, right medium."""
+        w = self.wavenumbers
+        k, cp, cm = np.empty((3, 2 * self.structure.n_barriers + 3), dtype=complex)
+        k[0], cp[0], cm[0] = w.k_left, 1.0, self.embedded.r_full
+        k[1:-1:2], cp[1:-1:2], cm[1:-1:2] = w.k_gap, self.a, self.b
+        k[2:-1:2], cp[2:-1:2], cm[2:-1:2] = w.k_barrier, self.c, self.d
+        k[-1], cp[-1], cm[-1] = w.k_right, self.embedded.t_full, 0.0
+        return np.array(self.structure.interface_points()), k, cp, cm
+
 
 def gap_coefficients(
-    prefix: PrefixAmplitudes,
+    amps: BarrierAmplitudes,
     iface: InterfaceAmplitudes,
     embedded: EmbeddedAmplitudes,
-    w: WaveNumberSet,
 ):
     """(a_n, b_n) for every zero-potential gap region, n = 1..N+1.
 
-    Inverts the composition (left medium) = M_step * M_prefix * (gap n),
-    whose determinant is the flux ratio k_gap/k_left; that ratio is the
-    k_left/k_gap prefactor below.
+    Starts from (a_{N+1}, b_{N+1}) = T (1/t_right, r_right/t_right) and
+    steps leftward across each barrier with :func:`map_leftward`.
     """
-    r_full = embedded.r_full
-    t10 = iface.t_left
-    r10 = iface.r_left
-    scale = w.k_left / w.k_gap
-    a_out, b_out = [], []
-    for t_prev, r_prev in zip(prefix.t, prefix.r):
-        u = 1.0 / t_prev
-        q = r_prev / t_prev
-        uc = u.conjugate()
-        qc = q.conjugate()
-        m11 = u / t10 + q * r10.conjugate() / t10.conjugate()
-        m12 = qc / t10 + uc * r10.conjugate() / t10.conjugate()
-        m21 = u * r10 / t10 + q / t10.conjugate()
-        m22 = qc * r10 / t10 + uc / t10.conjugate()
-        a_out.append(scale * (m22 - m12 * r_full))
-        b_out.append(scale * (-m21 + m11 * r_full))
-    return tuple(a_out), tuple(b_out)
+    t_full = embedded.t_full
+    pairs = [(t_full / iface.t_right, t_full * iface.r_right / iface.t_right)]
+    for t, r in zip(reversed(amps.t), reversed(amps.r)):
+        pairs.append(map_leftward(t, r, *pairs[-1]))
+    a, b = zip(*reversed(pairs))
+    return a, b
 
 
 def barrier_coefficients(
@@ -98,13 +91,9 @@ def barrier_coefficients(
 
 
 def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
-    """Full pipeline: wavenumbers -> amplitudes -> embedding -> coefficients."""
-    validate_structure(s)
-    w = compute_wavenumbers(s, energy)
-    iface = interface_amplitudes(w, s)
-    pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
-    emb = embed_in_media(pre, iface)
-    a, b = gap_coefficients(pre, iface, emb, w)
+    """Full pipeline: amplitudes and embedding, then every coefficient."""
+    w, iface, amps, emb = scattering_amplitudes(s, energy)
+    a, b = gap_coefficients(amps, iface, emb)
     c, d = barrier_coefficients(a, b, w, s)
     return ScatteringSolution(
         structure=s, energy=energy, wavenumbers=w, embedded=emb,
@@ -112,53 +101,36 @@ def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
     )
 
 
-def _region_index(sol: ScatteringSolution, x: float) -> int:
-    """0 = left medium, then alternating gap/barrier, last = right medium."""
-    pts = sol.structure.interface_points()
-    return bisect.bisect_right(pts, x)
+def _psi_dpsi(sol: ScatteringSolution, x, region):
+    """(psi, psi') at x from ``region``'s plane waves; FloatingPointError on overflow."""
+    _, k, cp, cm = sol.regions
+    k = k[region]
+    with np.errstate(over="raise", invalid="raise"):
+        plus = cp[region] * np.exp(1j * k * x)
+        minus = cm[region] * np.exp(-1j * k * x)
+        return plus + minus, 1j * k * (plus - minus)
 
 
-def _region_terms(sol: ScatteringSolution, idx: int):
-    """(k, coefficient of e^{+ikx}, coefficient of e^{-ikx}) for region idx."""
-    w = sol.wavenumbers
-    nb = sol.structure.n_barriers
-    if idx == 0:
-        return w.k_left, 1.0 + 0j, sol.embedded.r_full
-    if idx == 2 * nb + 2:
-        return w.k_right, sol.embedded.t_full, 0.0 + 0j
-    if idx % 2 == 1:  # gap region (idx 1, 3, ...) -> gap number (idx+1)//2
-        g = (idx - 1) // 2
-        return w.k_gap, sol.a[g], sol.b[g]
-    n = idx // 2 - 1  # barrier number, 0-based
-    return w.k_barrier[n], sol.c[n], sol.d[n]
+def evaluate_psi(sol: ScatteringSolution, x):
+    """psi(x) anywhere on the real line (unit incident amplitude); x may be an array."""
+    return _psi_dpsi(sol, x, np.searchsorted(sol.regions[0], x, side="right"))[0]
 
 
-def evaluate_psi(sol: ScatteringSolution, x: float) -> complex:
-    """psi(x) anywhere on the real line (unit incident amplitude)."""
-    k, cp, cm = _region_terms(sol, _region_index(sol, x))
-    return cp * cmath.exp(1j * k * x) + cm * cmath.exp(-1j * k * x)
-
-
-def evaluate_dpsi(sol: ScatteringSolution, x: float) -> complex:
+def evaluate_dpsi(sol: ScatteringSolution, x):
     """Analytic derivative d psi/dx (never finite-differenced)."""
-    k, cp, cm = _region_terms(sol, _region_index(sol, x))
-    return 1j * k * (cp * cmath.exp(1j * k * x) - cm * cmath.exp(-1j * k * x))
+    return _psi_dpsi(sol, x, np.searchsorted(sol.regions[0], x, side="right"))[1]
 
 
 def psi_one_sided(sol: ScatteringSolution, interface: int):
     """(psi, psi') evaluated from both regions meeting at interface point.
 
-    ``interface`` indexes the 2N+2 matching points left to right.
+    ``interface`` indexes the 2N+2 matching points left to right.  The
+    regions are chosen by that index, not by position, so a zero-width
+    gap between touching barriers keeps its own region.
     Returns ((psi_left, dpsi_left), (psi_right, dpsi_right)).
     """
-    x = sol.structure.interface_points()[interface]
-    out = []
-    for idx in (interface, interface + 1):
-        k, cp, cm = _region_terms(sol, idx)
-        ep = cmath.exp(1j * k * x)
-        em = cmath.exp(-1j * k * x)
-        out.append((cp * ep + cm * em, 1j * k * (cp * ep - cm * em)))
-    return out[0], out[1]
+    x = sol.regions[0][interface]
+    return _psi_dpsi(sol, x, interface), _psi_dpsi(sol, x, interface + 1)
 
 
 def default_grid(
@@ -189,8 +161,6 @@ def default_grid(
 
 def sample_density(sol: ScatteringSolution, grid) -> np.ndarray:
     """Rows (x, Re psi, Im psi, |psi|^2) for each grid point (sorted ascending)."""
-    rows = np.empty((len(grid), 4), dtype=float)
-    for i, x in enumerate(grid):
-        p = evaluate_psi(sol, float(x))
-        rows[i] = (x, p.real, p.imag, abs(p) ** 2)
-    return rows
+    x = np.asarray(grid, dtype=float)
+    psi = evaluate_psi(sol, x)
+    return np.column_stack((x, psi.real, psi.imag, np.abs(psi) ** 2))

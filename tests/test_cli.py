@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerscatter import Barrier, LayeredStructure, StructureError, validate_structure
+from layerscatter import (
+    Barrier,
+    LayeredStructure,
+    PeriodicLattice,
+    StructureError,
+    closed_form_prefix,
+    validate_structure,
+)
 from layerscatter.cli import main, parse_structure, serialize_structure
 from layerscatter.scenarios import SCENARIOS, build_scenario
 
@@ -280,17 +287,46 @@ def test_bad_energy_range_exits_2(capsys, command, spec, message):
 
 
 @pytest.mark.parametrize("count, energy_range", [
-    (360, "2.0:2.001:2"),    # evanescent barriers far from the origin overflow
     (2000, "4.6:4.601:2"),   # 1/T overflows deep in a forbidden band
 ])
-def test_numerical_failure_exits_3(capsys, count, energy_range):
+def test_numerical_failure_exits_3(capsys, tmp_path, count, energy_range):
+    out = tmp_path / "sweep.csv"
     code, _, err = run_cli(
         capsys, "sweep", "--scenario", "periodic",
         "--scenario-params", f"count={count}", "--energy-range", energy_range,
+        "--out", str(out),
     )
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()  # no partial CSV
+
+
+def test_wavefunction_overflow_exits_3(capsys, tmp_path):
+    # global-origin coefficients of evanescent barriers far from the origin overflow
+    out = tmp_path / "wf.csv"
+    code, _, err = run_cli(
+        capsys, "wavefunction", "--scenario", "periodic", "--scenario-params", "count=360",
+        "--energy", "2.0", "--out", str(out),
+    )
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_needs_only_amplitudes(capsys, tmp_path):
+    # the coefficients overflow on this lattice (see above), T and R do not
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--scenario", "periodic", "--scenario-params", "count=360",
+        "--energy-range", "2.0:2.001:2", "--out", str(out),
+    )
+    assert code == 0
+    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    for e, t_prob, _ in rows:
+        inv_t, _ = closed_form_prefix(PeriodicLattice(3.0, 1.0, 2.0, 360), e, 360)
+        assert t_prob == pytest.approx(1.0 / abs(inv_t) ** 2, rel=1e-9)
 
 
 class TestBandsCommand:
@@ -347,3 +383,19 @@ class TestOracleCheckCommand:
             "--tolerance", "1e-300",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("count", [40, 100, 200])
+    def test_long_lattice_in_forbidden_band(self, capsys, count):
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--scenario", "periodic",
+            "--scenario-params", f"count={count}", "--energy", "4.6",
+        )
+        assert code == 0, out
+
+    def test_evanescent_right_medium(self, capsys):
+        # |t_full| is about 5e9 here, the barrier coefficients at most 33
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--scenario", "graded-quadratic", "--mirror",
+            "--energy", "1.01",
+        )
+        assert code == 0, out

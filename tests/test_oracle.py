@@ -1,3 +1,6 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,10 @@ from layerscatter import (
     compare_with_pipeline,
     oracle_solution,
     solve_matching_system,
+    solve_structure,
 )
+from layerscatter.scenarios import build_scenario
+from layerscatter.structure import mirror_structure
 
 from conftest import random_structure
 
@@ -86,3 +92,17 @@ class TestPipelineEquivalence:
             assert worst < tol
             checked += 1
         assert checked == 60
+
+    def test_each_family_on_its_own_scale(self):
+        # Mirrored graded-quadratic at eps=1.01 has an evanescent right
+        # medium and |t_full| ~ 5e9, while |c_n| <= 33.  A 1% error in the
+        # barrier coefficients must show, not vanish under the scale of t_full.
+        s = mirror_structure(build_scenario("graded-quadratic"))
+
+        def skewed(s, e):
+            sol = solve_structure(s, e)
+            return dataclasses.replace(sol, c=tuple(c * 1.01 for c in sol.c))
+
+        with mock.patch("layerscatter.oracle.solve_structure", skewed):
+            worst, _ = compare_with_pipeline(s, 1.01)
+        assert worst > 1e-3

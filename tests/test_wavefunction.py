@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 
@@ -15,6 +16,7 @@ from layerscatter import (
     sample_density,
     solve_structure,
 )
+from layerscatter.scenarios import build_scenario
 from layerscatter.wavefunction import psi_one_sided
 
 from conftest import random_structure
@@ -116,6 +118,20 @@ class TestEvaluatePsi:
         for x in (3.0, 4.5, 20.0):
             assert abs(evaluate_psi(sol, x)) ** 2 == pytest.approx(t2, rel=1e-12)
 
+    def test_touching_barriers_continuity(self):
+        # every gap has zero width, including those at x=0 and x=span
+        s = LayeredStructure(0.5, -0.3, 3.0, (
+            Barrier(3.0, 1.0, 0.5), Barrier(5.0, 1.0, 1.5), Barrier(2.0, 1.0, 2.5),
+        ))
+        for e in (1.5, 4.0, 7.3):
+            assert continuity_error(solve_structure(s, e)) < 1e-9
+
+    def test_tunnelling_chain_density_bounded(self):
+        # 150 periods deep in a forbidden band: |psi|^2 <= (1 + |R|)^2 <= 4
+        sol = solve_structure(build_scenario("periodic", count=150), 4.0)
+        rows = sample_density(sol, default_grid(sol))
+        assert np.max(rows[:, 3]) <= 4.0 * (1 + 1e-9)
+
     def test_continuity_random(self, rng):
         for _ in range(25):
             s, e = random_structure(rng)
@@ -145,6 +161,24 @@ class TestSampling:
         rows = sample_density(sol, np.linspace(-2, 6, 100))
         assert rows.shape == (100, 4)
         assert np.allclose(rows[:, 3], 1.0)
+
+    def test_matches_pointwise_reference(self, rng):
+        # scalar loop over the coefficients, region found by bisection
+        for _ in range(10):
+            s, e = random_structure(rng)
+            sol = solve_structure(s, e)
+            w = sol.wavenumbers
+            terms = [(w.k_left, 1.0, sol.embedded.r_full)]
+            for n in range(s.n_barriers):
+                terms += [(w.k_gap, sol.a[n], sol.b[n]), (w.k_barrier[n], sol.c[n], sol.d[n])]
+            terms += [(w.k_gap, sol.a[-1], sol.b[-1]), (w.k_right, sol.embedded.t_full, 0.0)]
+            pts = s.interface_points()
+            for x, re_psi, im_psi, abs2 in sample_density(sol, default_grid(sol))[::7]:
+                k, cp, cm = terms[bisect.bisect_right(pts, x)]
+                plus, minus = cp * cmath.exp(1j * k * x), cm * cmath.exp(-1j * k * x)
+                tol = 1e-12 * max(1.0, abs(plus) + abs(minus))
+                assert abs(complex(re_psi, im_psi) - (plus + minus)) <= tol
+                assert abs2 == pytest.approx(abs(plus + minus) ** 2, rel=1e-12, abs=1e-24)
 
     def test_default_grid_resolution(self):
         sol = solve_structure(LayeredStructure(0, 0, 4.0, ()), 100.0)
