@@ -16,6 +16,7 @@ from .structure import (
 from .amplitudes import (
     BarrierAmplitudes,
     EmbeddedAmplitudes,
+    EvanescentGapError,
     InterfaceAmplitudes,
     PrefixAmplitudes,
     all_barrier_amplitudes,

@@ -31,6 +31,15 @@ from .structure import (
     validate_structure,
 )
 
+
+class EvanescentGapError(ArithmeticError):
+    """The energy is negative, so the zero-potential gaps are evanescent.
+
+    The recurrence, the embedding and the leftward map use conjugate
+    relations that hold only for a real gap wavenumber.
+    """
+
+
 def _check_nonzero(value: complex, what: str):
     if value == 0:
         raise DegenerateWavenumberError(f"{what} vanishes; nudge the energy")
@@ -210,6 +219,12 @@ def scattering_amplitudes(s: LayeredStructure, energy: float):
     """(wavenumbers, outer steps, barrier amplitudes, embedded T and R): all a sweep reads."""
     validate_structure(s)
     w = compute_wavenumbers(s, energy)
+    if energy < 0:
+        raise EvanescentGapError(
+            f"energy {energy} < 0: the gaps between barriers are evanescent, "
+            "which the recurrence does not support"
+        )
+    _check_nonzero(w.k_gap, "gap wavenumber k0")
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)

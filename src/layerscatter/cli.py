@@ -3,13 +3,15 @@ band scans, scenario generators, and CSV emission.
 
 Exit codes: 0 success; 2 parse/validation error, including malformed or
 non-finite structure documents; 3 numerical failure (k = 0 in some
-region, band edge, overflow or underflow on long chains); 4 oracle-check
-discrepancy above tolerance.
+region, a negative gap energy, band edge, overflow or underflow on long
+chains); 4 oracle-check discrepancy above tolerance; 141 stdout closed by
+its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_ORACLE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a process killed by the signal reports
 
 
 def serialize_structure(s: LayeredStructure) -> str:
@@ -218,12 +221,13 @@ def cmd_bands(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     s = _load_structure(args)
-    worst, condition = compare_with_pipeline(s, args.energy)
+    worst, condition, residual = compare_with_pipeline(s, args.energy)
     tol = args.tolerance if condition <= 1e8 else args.relaxed_tolerance
     print(
         f"max relative discrepancy = {_fmt(worst)} "
         f"(condition estimate {condition:.3e}, tolerance {tol:g})"
     )
+    print(f"residual = {_fmt(residual)}")
     return EXIT_OK if worst <= tol else EXIT_ORACLE
 
 
@@ -289,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument(
         "--relaxed-tolerance", type=float, default=1e-6,
-        help="tolerance used when the dense system's condition exceeds 1e8",
+        help="tolerance used when the dense system's one-norm condition "
+        "estimate (from its LU factors) exceeds 1e8",
     )
     p.set_defaults(func=cmd_oracle_check)
     return ap
@@ -298,7 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # the flush at interpreter exit cannot fail again, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except StructureError as ex:
         for p in ex.problems:
             print(f"error: {p}", file=sys.stderr)

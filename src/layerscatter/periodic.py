@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect as _bisect
 
 from .amplitudes import barrier_amplitudes
 from .structure import (
     Barrier,
     DegenerateWavenumberError,
     LayeredStructure,
-    branch_sqrt,
     compute_wavenumbers,
 )
 
@@ -80,22 +78,48 @@ class BandTable:
     skipped: tuple    # grid energies skipped for k=0 degeneracy
 
 
-def _cos_beta(lat: PeriodicLattice, energy: float) -> float:
+def _cos_beta(lat: PeriodicLattice, energy):
+    """Half the trace of one period's transfer matrix, elementwise over ``energy``.
+
+    Raises DegenerateWavenumberError where k0 = 0 or k = 0, and
+    FloatingPointError where cos or sin of an evanescent layer overflows.
+    """
     u = lat.barrier_height
     d = lat.barrier_width
     a = lat.period
-    k0 = branch_sqrt(energy)
-    k = branch_sqrt(energy - u)
-    if k0 == 0 or k == 0:
+    e = np.asarray(energy, dtype=float)
+    if np.any(_degenerate(lat, e)):
         raise DegenerateWavenumberError(
             "Bloch phase undefined at k=0; nudge the energy"
         )
-    sym = (k * k + k0 * k0) / (2.0 * k0 * k)
-    val = (
-        cmath.cos(k0 * (a - d)) * cmath.cos(k * d)
-        - sym * cmath.sin(k0 * (a - d)) * cmath.sin(k * d)
-    )
+    r0, r = np.sqrt(np.abs(e)), np.sqrt(np.abs(e - u))
+    k0 = np.where(e >= 0, r0 + 0j, 1j * r0)  # branch_sqrt, elementwise
+    k = np.where(e - u >= 0, r + 0j, 1j * r)
+    with np.errstate(over="raise", invalid="raise"):
+        sym = (k * k + k0 * k0) / (2.0 * k0 * k)
+        val = (
+            np.cos(k0 * (a - d)) * np.cos(k * d)
+            - sym * np.sin(k0 * (a - d)) * np.sin(k * d)
+        )
     return val.real  # imaginary part cancels identically for real inputs
+
+
+def _degenerate(lat: PeriodicLattice, e: np.ndarray) -> np.ndarray:
+    """Where k0 = 0 or k = 0, so that the Bloch phase is undefined."""
+    return (e == 0.0) | (e - lat.barrier_height == 0.0)
+
+
+def _off_degenerate(lat: PeriodicLattice, e: np.ndarray, nudge: float) -> np.ndarray:
+    """``e`` with every degenerate point moved up by ``nudge``; cos beta is
+    continuous there."""
+    return np.where(_degenerate(lat, e), e + nudge, e)
+
+
+def _classify(cos_beta, edge_tol: float = EDGE_TOL):
+    """"edge", "allowed" or "forbidden" for each cos beta."""
+    mag = np.abs(cos_beta)
+    return np.where(np.abs(mag - 1.0) < edge_tol, "edge",
+                    np.where(mag <= 1.0, "allowed", "forbidden"))
 
 
 def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL) -> BlochPhase:
@@ -104,15 +128,17 @@ def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL)
     beta is real in [0, pi] in allowed bands; in forbidden bands it is
     i*arccosh(|cos beta|), plus a real part pi when cos beta < -1.
     """
-    c = _cos_beta(lat, energy)
-    if abs(abs(c) - 1.0) < edge_tol:
+    c = float(_cos_beta(lat, energy))
+    label = str(_classify(c, edge_tol))
+    if label == "edge":
         beta = complex(0.0 if c > 0 else math.pi, 0.0)
-        return BlochPhase(energy, c, beta, "edge")
-    if abs(c) <= 1.0:
-        return BlochPhase(energy, c, complex(math.acos(c), 0.0), "allowed")
-    if c > 1.0:
-        return BlochPhase(energy, c, complex(0.0, math.acosh(c)), "forbidden")
-    return BlochPhase(energy, c, complex(math.pi, math.acosh(-c)), "forbidden")
+    elif label == "allowed":
+        beta = complex(math.acos(c), 0.0)
+    elif c > 1.0:
+        beta = complex(0.0, math.acosh(c))
+    else:
+        beta = complex(math.pi, math.acosh(-c))
+    return BlochPhase(energy, c, beta, label)
 
 
 def _chebyshev_pair(phase: BlochPhase, n: int):
@@ -160,6 +186,27 @@ def decay_rate(lat: PeriodicLattice, energy: float) -> float:
     return 2.0 * phase.beta.imag
 
 
+def _bisect_edges(lat: PeriodicLattice, lo, hi, f_lo, xtol: float) -> np.ndarray:
+    """Roots of |cos beta| - 1 in every bracket [lo, hi] at once.
+
+    Takes the steps of scipy.optimize.bisect (its default rtol of four
+    machine epsilons included), one array evaluation per halving.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    roots = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    xa, dm, sign_a = lo, hi - lo, np.sign(f_lo)
+    while todo.size:
+        dm = 0.5 * dm
+        xm = xa + dm
+        fm = np.abs(_cos_beta(lat, _off_degenerate(lat, xm, 1e-12))) - 1.0
+        xa = np.where(np.sign(fm) * sign_a >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < xtol + rtol * np.abs(xm))
+        roots[todo[done]] = xm[done]
+        todo, xa, dm, sign_a = todo[~done], xa[~done], dm[~done], sign_a[~done]
+    return roots
+
+
 def band_scan(
     lat: PeriodicLattice,
     e_min: float,
@@ -178,58 +225,38 @@ def band_scan(
         raise ValueError("need e_min < e_max")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    if edge_xtol <= 0:
+        raise ValueError("edge_xtol must be positive")
     e_min = max(e_min, 1e-6)
     n_pts = max(int(math.ceil((e_max - e_min) / resolution)) + 1, 2)
     grid = np.linspace(e_min, e_max, n_pts)
+    degenerate = _degenerate(lat, grid)
+    energies = grid[~degenerate]
+    values = _cos_beta(lat, energies)
+    f = np.abs(values) - 1.0
 
-    skipped = []
-    energies, values, labels = [], [], []
-    for e in grid:
-        try:
-            ph = bloch_phase(lat, float(e))
-        except DegenerateWavenumberError:
-            skipped.append(float(e))
-            continue
-        energies.append(float(e))
-        values.append(ph.cos_beta)
-        labels.append(ph.classification)
+    # An edge at every grid zero of f, and one bisected inside every sign change.
+    crossing = np.flatnonzero((f[:-1] == 0.0) | (np.sign(f[:-1]) * np.sign(f[1:]) < 0.0))
+    edges = energies[crossing]
+    inside = f[crossing] != 0.0
+    i = crossing[inside]
+    edges[inside] = _bisect_edges(lat, energies[i], energies[i + 1], f[i], edge_xtol)
+    edges = edges.tolist()
+    if f[-1] == 0.0:
+        edges.append(float(energies[-1]))
 
-    def f(e: float) -> float:
-        try:
-            return abs(_cos_beta(lat, e)) - 1.0
-        except DegenerateWavenumberError:
-            # bisection landed exactly on k=0; cos beta is continuous there
-            return abs(_cos_beta(lat, e + 1e-12)) - 1.0
-
-    edges = []
-    for i in range(len(energies) - 1):
-        lo, hi = energies[i], energies[i + 1]
-        flo = abs(values[i]) - 1.0
-        fhi = abs(values[i + 1]) - 1.0
-        if flo == 0.0:
-            edges.append(lo)
-        elif flo * fhi < 0.0:
-            edges.append(float(_bisect(f, lo, hi, xtol=edge_xtol)))
-    if len(energies) > 0 and abs(values[-1]) - 1.0 == 0.0:
-        edges.append(energies[-1])
-
-    bounds = [energies[0], *edges, energies[-1]]
-    intervals = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo <= 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        try:
-            label = bloch_phase(lat, mid).classification
-        except DegenerateWavenumberError:
-            label = bloch_phase(lat, mid + 1e-9).classification
-        intervals.append((lo, hi, label))
+    bounds = np.array([energies[0], *edges, energies[-1]])
+    lo, hi = bounds[:-1], bounds[1:]
+    keep = hi - lo > 0
+    lo, hi = lo[keep], hi[keep]
+    mid = 0.5 * (lo + hi)
+    labels = _classify(_cos_beta(lat, _off_degenerate(lat, mid, 1e-9)))
 
     return BandTable(
-        energies=np.array(energies),
-        cos_beta=np.array(values),
-        classification=tuple(labels),
+        energies=energies,
+        cos_beta=values,
+        classification=tuple(_classify(values).tolist()),
         edges=tuple(edges),
-        intervals=tuple(intervals),
-        skipped=tuple(skipped),
+        intervals=tuple(zip(lo.tolist(), hi.tolist(), labels.tolist())),
+        skipped=tuple(grid[degenerate].tolist()),
     )

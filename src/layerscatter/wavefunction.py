@@ -101,13 +101,19 @@ def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
     )
 
 
+def _wave(c, phase):
+    """c e^{phase}, with no exponential taken where c = 0: the right medium's
+    e^{-ikx} wave has coefficient 0 and would overflow far to the right."""
+    return c * np.exp(phase, out=np.zeros(np.shape(phase), dtype=complex), where=c != 0)
+
+
 def _psi_dpsi(sol: ScatteringSolution, x, region):
     """(psi, psi') at x from ``region``'s plane waves; FloatingPointError on overflow."""
     _, k, cp, cm = sol.regions
     k = k[region]
     with np.errstate(over="raise", invalid="raise"):
-        plus = cp[region] * np.exp(1j * k * x)
-        minus = cm[region] * np.exp(-1j * k * x)
+        plus = _wave(cp[region], 1j * k * x)
+        minus = _wave(cm[region], -1j * k * x)
         return plus + minus, 1j * k * (plus - minus)
 
 

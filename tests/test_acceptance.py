@@ -29,6 +29,8 @@ from layerscatter import (
 from layerscatter.scenarios import SCENARIO_ENERGIES, build_scenario
 from layerscatter.wavefunction import psi_one_sided
 
+from conftest import criterion_1_cases
+
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
 KN_NUDGE = 1e-9  # documented workaround for energies exactly at a barrier height
 
@@ -51,29 +53,10 @@ def embedded_for(s, e):
 
 
 def test_criterion_1_oracle_equivalence():
-    rng = np.random.default_rng(42)
     worst_ok, worst_relaxed = 0.0, 0.0
     relaxed = 0
-    for _ in range(200):
-        n = int(rng.integers(0, 11))
-        widths = rng.uniform(0.2, 2.0, n) + 1e-12  # widths in (0.2, 2]
-        gaps = rng.uniform(0.0, 1.5, n + 1)
-        heights = rng.uniform(-5.0, 5.0, n)
-        centers, x = [], gaps[0]
-        for w, g in zip(widths, gaps[1:]):
-            centers.append(x + w / 2.0)
-            x += w + g
-        v1, v2 = rng.uniform(-3.0, 3.0, 2)
-        while v1 == v2:
-            v2 = rng.uniform(-3.0, 3.0)
-        s = LayeredStructure(
-            v1, v2, max(x, 0.5),
-            tuple(Barrier(h, w, c) for h, w, c in zip(heights, widths, centers)),
-        )
-        e = max(0.05, v1 + 0.05) + rng.uniform(0.05, 8.0)
-        while any(abs(e - b.height) < 1e-9 for b in s.barriers):
-            e += 1e-3
-        disc, cond = compare_with_pipeline(s, e)
+    for s, e in criterion_1_cases():
+        disc, cond, _ = compare_with_pipeline(s, e)
         if cond > 1e8:
             relaxed += 1
             worst_relaxed = max(worst_relaxed, disc)
@@ -293,7 +276,7 @@ def test_criterion_9_phase_convention_documented():
     text = readme.read_text()
     documented = "reflection phase" in text.lower() or "phase convention" in text.lower()
     # the shipped convention must survive the dense-solve cross-check
-    disc, _ = compare_with_pipeline(
+    disc, _, _ = compare_with_pipeline(
         LayeredStructure(
             1.0, -0.5, 6.0, (Barrier(4.0, 1.0, 1.0), Barrier(-2.0, 1.5, 3.5)),
         ),

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import layerscatter
 from layerscatter import (
     Barrier,
     LayeredStructure,
@@ -203,6 +208,24 @@ class TestWavefunctionCommand:
         rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
         assert np.allclose(rows[:, 3], 1.0)
 
+    def test_evanescent_right_medium_far_right(self, capsys, tmp_path):
+        # the right medium's e^{-ikx} wave has coefficient 0; its exponential
+        # alone would overflow at x = 300
+        doc = {"v_left": 0, "v_right": 10, "span": 2,
+               "barriers": [{"height": 3, "width": 1, "center": 1}]}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "wf.csv"
+        code, _, err = run_cli(
+            capsys, "wavefunction", "--structure", str(f), "--energy", "1.01",
+            "--x-max", "300", "--out", str(out),
+        )
+        assert code == 0, err
+        rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        far = rows[rows[:, 0] > 10.0, 3]
+        assert far.size and np.all(far < 1e-20)
+
     def test_nonpropagating_energy_refused(self, capsys, tmp_path):
         doc = {"v_left": 5, "v_right": 0, "span": 2, "barriers": []}
         f = tmp_path / "s.json"
@@ -302,6 +325,27 @@ def test_numerical_failure_exits_3(capsys, tmp_path, count, energy_range):
     assert not out.exists()  # no partial CSV
 
 
+@pytest.mark.parametrize("command", [
+    ["wavefunction", "--energy", "-1"],
+    ["sweep", "--energy-range=-1:-0.9:2"],
+    ["oracle-check", "--energy", "-1"],
+], ids=["wavefunction", "sweep", "oracle-check"])
+def test_negative_gap_energy_exits_3(capsys, tmp_path, command):
+    # v_left < eps < 0: the gaps are evanescent, which the recurrence's
+    # conjugate relations do not cover; the pipeline used to print R = -1j
+    doc = {"v_left": -2, "v_right": -1.5, "span": 3,
+           "barriers": [{"height": 1, "width": 1, "center": 1.5}]}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, command[0], "--structure", str(f), *command[1:],
+                                *(["--out", str(out)] if command[0] != "oracle-check" else []))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: energy -1.0 < 0")
+    assert not out.exists()
+
+
 def test_wavefunction_overflow_exits_3(capsys, tmp_path):
     # global-origin coefficients of evanescent barriers far from the origin overflow
     out = tmp_path / "wf.csv"
@@ -344,6 +388,17 @@ class TestBandsCommand:
         assert any(2.0 < e < 3.0 for e in edges)
         assert any(4.6 < e < 4.9 for e in edges)
 
+    def test_barrier_height_grid_point_skipped(self, capsys, tmp_path):
+        out = tmp_path / "bands.csv"
+        code, stdout, _ = run_cli(
+            capsys, "bands", "--barrier-height", "3", "--barrier-width", "1",
+            "--period", "2", "--energy-range", "1:5:9", "--out", str(out),
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [1, 1.5, 2, 2.5, 3.5, 4, 4.5, 5]
+        assert "note: skipped degenerate grid point epsilon=3\n" in stdout
+
     def test_free_lattice_no_edges(self, capsys, tmp_path):
         out = tmp_path / "bands.csv"
         code, stdout, _ = run_cli(
@@ -377,6 +432,15 @@ class TestOracleCheckCommand:
         assert code == 0
         assert "max relative discrepancy" in out
 
+    def test_prints_residual(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--scenario", "modulated-sin", "--energy", "5.0",
+        )
+        first, second = out.splitlines()
+        assert first.startswith("max relative discrepancy = ")
+        assert second.startswith("residual = ")
+        assert 0.0 <= float(second.split("=")[1]) < 1e-11
+
     def test_failure_exit_code(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle-check", "--scenario", "periodic", "--energy", "4.6",
@@ -399,3 +463,22 @@ class TestOracleCheckCommand:
             "--energy", "1.01",
         )
         assert code == 0, out
+
+
+@pytest.mark.parametrize("steps", ["3000", "4"], ids=["write", "exit-flush"])
+def test_closed_stdout_exits_quietly(steps):
+    # ``layerscatter bands ... | head``: the reader is gone before (3000 rows)
+    # or after (4 rows, still in the buffer) the command's last write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "layerscatter.cli", "bands", "--barrier-height", "3",
+             "--barrier-width", "1", "--period", "2", "--energy-range", f"0:12:{steps}"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

@@ -16,7 +16,7 @@ from layerscatter import (
 from layerscatter.scenarios import build_scenario
 from layerscatter.structure import mirror_structure
 
-from conftest import random_structure
+from conftest import criterion_1_cases, random_structure
 
 
 class TestAssembly:
@@ -82,12 +82,26 @@ class TestSolve:
             assert a.t_full == pytest.approx(b.t_full, abs=1e-11)
 
 
+    def test_condition_estimate_keeps_the_tolerance_split(self):
+        # The LU one-norm estimate replaced the SVD 2-norm condition; every
+        # acceptance case must stay on the same side of the 1e8 switch.
+        relaxed = []
+        for s, e in criterion_1_cases():
+            m = assemble_matching_system(s, e)
+            estimate = solve_matching_system(m).condition
+            two_norm = np.linalg.cond(m.matrix)
+            assert (estimate > 1e8) == (two_norm > 1e8), (s, e, estimate, two_norm)
+            assert 0.1 < estimate / two_norm < 10.0
+            relaxed.append(estimate > 1e8)
+        assert 0 < sum(relaxed) < len(relaxed)  # both tolerances are exercised
+
+
 class TestPipelineEquivalence:
     def test_randomized_corpus(self, rng):
         checked = 0
         for _ in range(60):
             s, e = random_structure(rng, max_barriers=8)
-            worst, cond = compare_with_pipeline(s, e)
+            worst, cond, _ = compare_with_pipeline(s, e)
             tol = 1e-9 if cond <= 1e8 else 1e-6
             assert worst < tol
             checked += 1
@@ -104,5 +118,5 @@ class TestPipelineEquivalence:
             return dataclasses.replace(sol, c=tuple(c * 1.01 for c in sol.c))
 
         with mock.patch("layerscatter.oracle.solve_structure", skewed):
-            worst, _ = compare_with_pipeline(s, 1.01)
+            worst, _, _ = compare_with_pipeline(s, 1.01)
         assert worst > 1e-3

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,18 @@ def recurrence_prefix(lat, energy, count):
     ).to_structure()
     w = compute_wavenumbers(s, energy)
     return prefix_by_recurrence(all_barrier_amplitudes(w, s))
+
+
+def half_trace(lat, energy):
+    """cos beta as half the trace of one period's (psi, psi') transfer matrix."""
+
+    def layer(k, length):
+        c, s = cmath.cos(k * length), cmath.sin(k * length)
+        return np.array([[c, s / k], [-k * s, c]])
+
+    gap = layer(cmath.sqrt(energy), lat.period - lat.barrier_width)
+    barrier = layer(cmath.sqrt(energy - lat.barrier_height), lat.barrier_width)
+    return (np.trace(barrier @ gap) / 2.0).real
 
 
 class TestBlochPhase:
@@ -160,7 +173,30 @@ class TestBandScan:
 
     def test_degenerate_grid_point_skipped(self):
         table = band_scan(LAT, 1.0, 5.0, 0.5)  # grid hits exactly 3.0
-        assert 3.0 in table.skipped
+        assert table.skipped == (3.0,)
+        assert table.energies.tolist() == [1.0, 1.5, 2.0, 2.5, 3.5, 4.0, 4.5, 5.0]
+        assert len(table.classification) == len(table.cos_beta) == 8
+
+    @pytest.mark.parametrize("lat", [LAT, PeriodicLattice(7.5, 0.4, 1.3),
+                                      PeriodicLattice(1.0, 1.9, 2.0)])
+    def test_matches_transfer_matrix_trace(self, lat):
+        # below, inside and above the barrier: evanescent, allowed, forbidden
+        table = band_scan(lat, 0.0, 4.0 * lat.barrier_height, 0.004)
+        assert {"allowed", "forbidden"} <= set(table.classification)
+        assert table.energies[0] < lat.barrier_height < table.energies[-1]
+        for e, c in zip(table.energies, table.cos_beta):
+            ref = half_trace(lat, e)
+            assert abs(c - ref) <= 1e-12 * max(1.0, abs(ref)), e
+
+    def test_edges_are_scipy_bisection(self):
+        from scipy.optimize import bisect
+
+        table = band_scan(LAT, 0.01, 8.0, 0.01)
+        e = table.energies
+        f = lambda x: abs(bloch_phase(LAT, x, edge_tol=0.0).cos_beta) - 1.0
+        for edge in table.edges:
+            i = np.searchsorted(e, edge) - 1
+            assert edge == bisect(f, e[i], e[i + 1], xtol=1e-10)
 
     def test_negative_floor_clamped(self):
         table = band_scan(LAT, -1.0, 1.0, 0.01)
