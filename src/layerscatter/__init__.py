@@ -14,11 +14,8 @@ from .structure import (
     validate_structure,
 )
 from .amplitudes import (
-    BarrierAmplitudes,
     EmbeddedAmplitudes,
     EvanescentGapError,
-    InterfaceAmplitudes,
-    PrefixAmplitudes,
     all_barrier_amplitudes,
     barrier_amplitudes,
     embed_in_media,

@@ -1,6 +1,14 @@
-"""Scattering amplitudes: single interfaces, single barriers, prefix
-sequences (recurrence and matrix product), the leftward coefficient map,
-and embedding between the two outer media.
+"""Scattering amplitudes on arrays: single interfaces, single barriers, the
+two-term recurrence over a chain, the leftward coefficient map, and
+embedding between the two outer media.
+
+Every stage takes the wavenumbers of one energy or of an energy array
+(:func:`compute_wavenumbers`) and works elementwise: leading axes are
+energy, and a per-barrier array carries the barrier as its last axis.
+The single-barrier formula lives in ``_barrier_tr`` alone; the sweep, the
+scalar solve (a batch of one), the band scan and the closed form all
+reach it through :func:`all_barrier_amplitudes`.  Of the amplitude stages
+only the recurrence loops in Python, over the barrier axis.
 
 Conventions
 -----------
@@ -18,7 +26,6 @@ consistent with the dense boundary-matching solve; see the tests).
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,40 +42,24 @@ from .structure import (
 class EvanescentGapError(ArithmeticError):
     """The energy is negative, so the zero-potential gaps are evanescent.
 
-    The recurrence, the embedding and the leftward map use conjugate
-    relations that hold only for a real gap wavenumber.
+    The recurrence, the embedding, the leftward map and the Bloch phase
+    use conjugate relations that hold only for a real gap wavenumber.
     """
 
 
-def _check_nonzero(value: complex, what: str):
-    if value == 0:
+def check_gap_energy(energy):
+    """Raise :class:`EvanescentGapError` if any of ``energy`` is negative."""
+    e = np.asarray(energy)
+    if np.any(e < 0):
+        raise EvanescentGapError(
+            f"energy {e.min()} < 0: the gaps between barriers are evanescent, "
+            "which the recurrence and the Bloch phase do not support"
+        )
+
+
+def _check_nonzero(value, what: str):
+    if np.any(value == 0):
         raise DegenerateWavenumberError(f"{what} vanishes; nudge the energy")
-
-
-@dataclass(frozen=True)
-class InterfaceAmplitudes:
-    """Step amplitudes at the two outer edges of the structure."""
-
-    t_left: complex       # medium 1 -> gap, interface at x=0
-    r_left: complex
-    t_right: complex      # gap -> medium 2, interface at x=span
-    r_right: complex
-
-
-@dataclass(frozen=True)
-class BarrierAmplitudes:
-    """Per-barrier scattering amplitudes over a zero-potential background."""
-
-    t: tuple
-    r: tuple
-
-
-@dataclass(frozen=True)
-class PrefixAmplitudes:
-    """(T_n, R_n) for the first n barriers, n = 0..N, zero potential outside."""
-
-    t: tuple  # T_0..T_N, T_0 = 1
-    r: tuple  # R_0..R_N, R_0 = 0
 
 
 @dataclass(frozen=True)
@@ -79,85 +70,94 @@ class EmbeddedAmplitudes:
     r_full: complex
 
 
-def _step(p: complex, q: complex, x0: float):
+def _step(p, q, x0: float):
     """(t, r) for a potential step at x0, incidence from the p side."""
     _check_nonzero(p + q, f"wavenumber sum at interface x={x0}")
-    t = 2.0 * p / (p + q) * cmath.exp(1j * (p - q) * x0)
-    r = (p - q) / (p + q) * cmath.exp(2j * p * x0)
+    t = 2.0 * p / (p + q) * np.exp(1j * (p - q) * x0)
+    r = (p - q) / (p + q) * np.exp(2j * p * x0)
     return t, r
 
 
-def interface_amplitudes(w: WaveNumberSet, s: LayeredStructure) -> InterfaceAmplitudes:
-    """The outer-step amplitudes read by the embedding and the coefficients."""
-    t_left, r_left = _step(w.k_left, w.k_gap, 0.0)
-    t_right, r_right = _step(w.k_gap, w.k_right, s.span)
-    return InterfaceAmplitudes(t_left, r_left, t_right, r_right)
+def interface_amplitudes(w: WaveNumberSet, s: LayeredStructure):
+    """(t_left, r_left, t_right, r_right): the steps medium 1 -> gap at x=0
+    and gap -> medium 2 at x=span, read by the embedding and the coefficients."""
+    return (*_step(w.k_left, w.k_gap, 0.0), *_step(w.k_gap, w.k_right, s.span))
 
 
-def _factored_trig(z: complex):
-    """(scale m, cos(z)/e^m, sin(z)/e^m) with m = |Im z|, overflow-free.
+def _factored_trig(z):
+    """(m, cos(z)/e^m, sin(z)/e^m) with m = |Im z|, elementwise and overflow-free.
 
     For strongly evanescent layers cos/sin grow like e^{|Im z|}; the
     factored pieces stay O(1) so ratios of them never overflow.
     """
-    m = abs(z.imag)
-    ep = cmath.exp(1j * z - m)   # |.| <= 1
-    em = cmath.exp(-1j * z - m)  # |.| <= 1
+    m = np.abs(z.imag)
+    ep = np.exp(1j * z - m)   # |.| <= 1
+    em = np.exp(-1j * z - m)  # |.| <= 1
     return m, (ep + em) / 2.0, (ep - em) / 2j
 
 
-def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):
-    """(t_n, r_n) for barrier ``n`` (0-based) over a zero background.
+def _barrier_tr(k0, kn, width, center):
+    """(t, r) of barriers over a zero background: the single-barrier formula,
+    elementwise.
 
-    Evanescent barriers are handled by the same complex expressions;
-    the decaying exponential is factored out so thick tunneling
-    barriers do not overflow.
+    ``kn``, ``width`` and ``center`` carry the barrier as their last axis;
+    ``k0`` broadcasts against them.  Evanescent barriers are handled by the
+    same complex expressions; the decaying exponential is factored out so
+    thick tunnelling barriers do not overflow.
     """
-    k0 = w.k_gap
-    kn = w.k_barrier[n]
-    b = s.barriers[n]
     _check_nonzero(k0, "gap wavenumber k0")
-    _check_nonzero(kn, f"wavenumber inside barrier {n + 1}")
-    m, c, sn = _factored_trig(kn * b.width)
-    a_sym = (kn * kn + k0 * k0) / (2.0 * kn * k0)
-    b_asym = (kn * kn - k0 * k0) / (2.0 * kn * k0)
-    denom = c - 1j * a_sym * sn  # = e^{-m} (cos - iA sin)
-    t = cmath.exp(-1j * k0 * b.width - m) / denom
-    r = 1j * cmath.exp(2j * k0 * b.center - 1j * k0 * b.width) * b_asym * sn / denom
+    zero = np.flatnonzero(kn == 0) % kn.shape[-1]
+    if zero.size:
+        raise DegenerateWavenumberError(
+            f"wavenumber inside barrier {zero[0] + 1} vanishes; nudge the energy"
+        )
+    m, c, sn = _factored_trig(kn * width)
+    k2, k02, den = kn * kn, k0 * k0, 2.0 * kn * k0
+    b_asym = (k2 - k02) / den
+    c -= 1j * ((k2 + k02) / den) * sn  # c is now e^{-m} (cos - iA sin)
+    t = np.exp(-1j * k0 * width - m) / c
+    r = 1j * np.exp(2j * k0 * center - 1j * k0 * width) * b_asym * sn / c
     return t, r
 
 
-def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure) -> BarrierAmplitudes:
-    pairs = [barrier_amplitudes(w, s, n) for n in range(s.n_barriers)]
-    return BarrierAmplitudes(
-        t=tuple(p[0] for p in pairs), r=tuple(p[1] for p in pairs)
-    )
+def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
+    """(t, r) of every barrier over a zero background, arrays whose last
+    axis is the barrier."""
+    width = np.array([b.width for b in s.barriers])
+    center = np.array([b.center for b in s.barriers])
+    return _barrier_tr(np.asarray(w.k_gap)[..., None], w.k_barrier, width, center)
 
 
-def prefix_by_recurrence(amps: BarrierAmplitudes) -> PrefixAmplitudes:
-    """Prefix amplitudes via the two-term difference recurrence.
+def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):
+    """(t_n, r_n) for barrier ``n`` (0-based) over a zero background."""
+    return tuple(x[..., n] for x in all_barrier_amplitudes(w, s))
 
-    State is (1/T_n, R_n*/T_n*); each step costs O(1), so this is the
-    production path for large N:
+
+def prefix_by_recurrence(amps):
+    """(T_N, R_N) of the whole chain via the two-term difference recurrence.
+
+    State is (1/T_n, R_n*/T_n*); each step costs O(1) per energy, so this
+    is the production path for large N:
 
         1/T_n       = (r_n/t_n) (R_{n-1}*/T_{n-1}*) + (1/t_n)(1/T_{n-1})
         R_n*/T_n*   = (r_n/t_n)* (1/T_{n-1}) + (1/t_n)* (R_{n-1}*/T_{n-1}*)
 
-    starting from T_0 = 1, R_0 = 0.
+    starting from T_0 = 1, R_0 = 0.  ``amps`` is the barriers' (t, r) from
+    :func:`all_barrier_amplitudes`; the loop runs over their last axis
+    only.  Overflow is left in the result for :func:`embed_in_media` to
+    report.
     """
-    u = 1.0 + 0.0j  # 1/T_n
-    v = 0.0 + 0.0j  # R_n*/T_n*
-    ts = [1.0 + 0.0j]
-    rs = [0.0 + 0.0j]
-    for t, r in zip(amps.t, amps.r):
-        _check_nonzero(t, "barrier transmission amplitude")
-        ratio = r / t
-        inv = 1.0 / t
-        u, v = ratio * v + inv * u, ratio.conjugate() * u + inv.conjugate() * v
+    t, r = amps
+    _check_nonzero(t, "barrier transmission amplitude")
+    ratio = np.moveaxis(r / t, -1, 0)
+    inv = np.moveaxis(1.0 / t, -1, 0)
+    u = np.ones(t.shape[:-1], dtype=complex)[()]   # 1/T_n
+    v = np.zeros(t.shape[:-1], dtype=complex)[()]  # R_n*/T_n*
+    with np.errstate(all="ignore"):
+        for q, g, qc, gc in zip(ratio, inv, ratio.conjugate(), inv.conjugate()):
+            u, v = q * v + g * u, qc * u + gc * v
         t_n = 1.0 / u
-        ts.append(t_n)
-        rs.append(v.conjugate() * t_n)
-    return PrefixAmplitudes(t=tuple(ts), r=tuple(rs))
+        return t_n, v.conjugate() * t_n
 
 
 def _inverse_matrix(t: complex, r: complex) -> np.ndarray:
@@ -168,8 +168,9 @@ def _inverse_matrix(t: complex, r: complex) -> np.ndarray:
     return np.array([[1.0 / tc, -rc / tc], [-r / t, 1.0 / t]], dtype=complex)
 
 
-def prefix_by_matrix(amps: BarrierAmplitudes) -> PrefixAmplitudes:
-    """Prefix amplitudes via the ordered 2x2 transfer-matrix product.
+def prefix_by_matrix(amps):
+    """(T_0..T_N, R_0..R_N) via the ordered 2x2 transfer-matrix product,
+    at one energy: ``amps`` is the barriers' (t, r).
 
     Redundant with :func:`prefix_by_recurrence` by construction; kept
     as an independent code path for cross-checking.
@@ -177,65 +178,66 @@ def prefix_by_matrix(amps: BarrierAmplitudes) -> PrefixAmplitudes:
     acc = np.eye(2, dtype=complex)
     ts = [1.0 + 0.0j]
     rs = [0.0 + 0.0j]
-    for t, r in zip(amps.t, amps.r):
-        _check_nonzero(t, "barrier transmission amplitude")
-        acc = _inverse_matrix(t, r) @ acc
-        t_n = 1.0 / acc[1, 1]
-        ts.append(t_n)
-        rs.append(-acc[1, 0] * t_n)
-    return PrefixAmplitudes(t=tuple(ts), r=tuple(rs))
+    for t_n, r_n in zip(*amps):
+        _check_nonzero(t_n, "barrier transmission amplitude")
+        acc = _inverse_matrix(t_n, r_n) @ acc
+        ts.append(1.0 / acc[1, 1])
+        rs.append(-acc[1, 0] * ts[-1])
+    return tuple(ts), tuple(rs)
 
 
-def map_leftward(t: complex, r: complex, x: complex, y: complex):
+def map_leftward(t, r, x, y):
     """[[1/t, r*/t*], [r/t, 1/t*]] (x, y): the (e^{+ikx}, e^{-ikx}) coefficients
     left of a scatterer with left-incidence amplitudes (t, r) from those right of it."""
     tc = t.conjugate()
     return (1.0 / t) * x + (r.conjugate() / tc) * y, (r / t) * x + (1.0 / tc) * y
 
 
-def embed_in_media(prefix: PrefixAmplitudes, iface: InterfaceAmplitudes) -> EmbeddedAmplitudes:
+def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
     """(T, R) of the full structure between the two outer media.
 
-    Maps the medium-2 coefficients back to medium 1 through the right
-    step, the zero-background structure and the left step.  Medium 2
-    carries no leftward wave, so only the first column of the
-    right-step matrix enters and an evanescent right medium needs no
-    special casing.  Raises OverflowError when 1/T is not finite, as
-    deep in a forbidden band of a long chain.
+    ``prefix`` is (T_N, R_N) from :func:`prefix_by_recurrence` and
+    ``iface`` the outer steps from :func:`interface_amplitudes`.  Maps the
+    medium-2 coefficients back to medium 1 through the right step, the
+    zero-background structure and the left step.  Medium 2 carries no
+    leftward wave, so only the first column of the right-step matrix
+    enters and an evanescent right medium needs no special casing.
+    Raises OverflowError when 1/T is not finite, as deep in a forbidden
+    band of a long chain.
     """
-    x = 1.0 / iface.t_right
-    y = iface.r_right / iface.t_right
-    for t, r in ((prefix.t[-1], prefix.r[-1]), (iface.t_left, iface.r_left)):
-        x, y = map_leftward(t, r, x, y)
-    if x == 0:
+    t_left, r_left, t_right, r_right = iface
+    with np.errstate(all="ignore"):
+        x = 1.0 / t_right
+        y = r_right / t_right
+        for t, r in (prefix, (t_left, r_left)):
+            x, y = map_leftward(t, r, x, y)
+    if np.any(x == 0):
         raise ArithmeticError("embedding produced 1/T = 0; inconsistent inputs")
-    if not cmath.isfinite(x):
-        raise OverflowError(f"1/T = {x} is not finite; T underflows at this energy")
+    bad = np.asarray(x)[~np.isfinite(x)]
+    if bad.size:
+        raise OverflowError(f"1/T = {bad[0]} is not finite; T underflows at this energy")
     t_full = 1.0 / x
     return EmbeddedAmplitudes(t_full=t_full, r_full=y * t_full)
 
 
-def scattering_amplitudes(s: LayeredStructure, energy: float):
-    """(wavenumbers, outer steps, barrier amplitudes, embedded T and R): all a sweep reads."""
+def scattering_amplitudes(s: LayeredStructure, energy):
+    """(wavenumbers, outer steps, barrier (t, r), embedded T and R) at
+    ``energy``, a float or an array: all a sweep reads."""
     validate_structure(s)
     w = compute_wavenumbers(s, energy)
-    if energy < 0:
-        raise EvanescentGapError(
-            f"energy {energy} < 0: the gaps between barriers are evanescent, "
-            "which the recurrence does not support"
-        )
+    check_gap_energy(energy)
     _check_nonzero(w.k_gap, "gap wavenumber k0")
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)
 
 
-def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet) -> float:
+def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet):
     """Flux-normalized transmission (Re k_right / k_left) |T|^2 in [0, 1]."""
-    if w.k_left.imag != 0 or w.k_left.real <= 0:
+    if np.any(w.k_left.imag != 0) or np.any(w.k_left.real <= 0):
         raise ValueError("no propagating incident wave: k_left must be real positive")
-    return (w.k_right.real / w.k_left.real) * abs(emb.t_full) ** 2
+    return (w.k_right.real / w.k_left.real) * np.abs(emb.t_full) ** 2
 
 
-def reflection_probability(emb: EmbeddedAmplitudes) -> float:
-    return abs(emb.r_full) ** 2
+def reflection_probability(emb: EmbeddedAmplitudes):
+    return np.abs(emb.r_full) ** 2

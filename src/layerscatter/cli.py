@@ -71,11 +71,7 @@ def parse_structure(text: str) -> LayeredStructure:
         gen = doc["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
             raise StructureError(["generator must be an object with a 'kind' key"])
-        params = gen.get("params", {})
-        try:
-            return build_scenario(gen["kind"], **params)
-        except (TypeError, ValueError) as ex:
-            raise StructureError([f"generator: {ex}"]) from ex
+        return _scenario(gen["kind"], gen.get("params", {}))
     missing = [k for k in ("v_left", "v_right", "span", "barriers") if k not in doc]
     if missing:
         raise StructureError([f"missing key: {k}" for k in missing])
@@ -97,6 +93,17 @@ def _number(entry, key: str, where: str) -> float:
         raise StructureError([f"{where}: {ex}"]) from ex
 
 
+def _scenario(kind, params) -> LayeredStructure:
+    """``build_scenario(kind, **params)``, with parameters it cannot take
+    (a fractional or infinite count, an unknown key) as a StructureError."""
+    try:
+        return build_scenario(kind, **params)
+    except StructureError:
+        raise
+    except (TypeError, ValueError, OverflowError) as ex:
+        raise StructureError([f"scenario {kind}: {ex}"]) from ex
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -112,9 +119,9 @@ def _load_structure(args) -> LayeredStructure:
                 num = float(val)
             except ValueError:
                 raise StructureError([f"scenario parameter {item!r} is not numeric"])
-            params[key.strip()] = int(num) if num == int(num) and key.strip() in (
+            params[key.strip()] = int(num) if num.is_integer() and key.strip() in (
                 "count", "m") else num
-        s = build_scenario(args.scenario, **params)
+        s = _scenario(args.scenario, params)
     elif args.structure is not None:
         if args.structure == "-":
             text = sys.stdin.read()
@@ -191,16 +198,14 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DEGENERATE
-    lines = []
-    for e in energies:
-        e = float(e)
-        try:
-            w, _, _, emb = scattering_amplitudes(s, e)
-        except DegenerateWavenumberError:
-            w, _, _, emb = scattering_amplitudes(s, e + args.nudge)
-        t = transmission_probability(emb, w)
-        r = reflection_probability(emb)
-        lines.append(f"{_fmt(e)},{_fmt(t)},{_fmt(r)}")
+    # k = 0 in the gaps (eps = 0) or in a barrier: step off the degenerate point
+    degenerate = (energies == 0) | np.isin(energies, [b.height for b in s.barriers])
+    nudged = np.where(degenerate, energies + args.nudge, energies)
+    w, _, _, emb = scattering_amplitudes(s, nudged)
+    t = transmission_probability(emb, w)
+    r = reflection_probability(emb)
+    lines = [f"{_fmt(e)},{_fmt(a)},{_fmt(b)}"
+             for e, a, b in zip(energies.tolist(), t.tolist(), r.tolist())]
     _write_csv(args.out, "epsilon,T_prob,R_prob", lines)
     return EXIT_OK
 

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .structure import LayeredStructure, WaveNumberSet, compute_wavenumbers
+from .structure import (
+    DegenerateWavenumberError,
+    LayeredStructure,
+    WaveNumberSet,
+    compute_wavenumbers,
+)
 from .wavefunction import solve_structure
 
 
@@ -52,6 +57,8 @@ class OracleSolution:
 def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSystem:
     """Two rows (value, derivative) per interface of the piecewise ansatz."""
     w = compute_wavenumbers(s, energy)
+    if w.k_gap == 0 or np.any(w.k_barrier == 0):  # e^{+ikx} and e^{-ikx} coincide
+        raise DegenerateWavenumberError("k = 0 in a region: the matching system is singular")
     nb = s.n_barriers
     size = 4 * nb + 4
 

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import barrier_amplitudes
-from .structure import (
-    Barrier,
-    DegenerateWavenumberError,
-    LayeredStructure,
-    compute_wavenumbers,
-)
+from .amplitudes import all_barrier_amplitudes, check_gap_energy
+from .structure import Barrier, LayeredStructure, compute_wavenumbers
 
 EDGE_TOL = 1e-12
 
@@ -57,6 +53,11 @@ class PeriodicLattice:
         span = barriers[-1].right_edge + (x1 - self.barrier_width / 2.0)
         return LayeredStructure(v_left, v_right, span, barriers)
 
+    @cached_property
+    def cell(self) -> LayeredStructure:
+        """One period: the first barrier alone, between the outer margins."""
+        return replace(self, count=1).to_structure()
+
 
 @dataclass(frozen=True)
 class BlochPhase:
@@ -78,30 +79,25 @@ class BandTable:
     skipped: tuple    # grid energies skipped for k=0 degeneracy
 
 
-def _cos_beta(lat: PeriodicLattice, energy):
-    """Half the trace of one period's transfer matrix, elementwise over ``energy``.
+def _period(lat: PeriodicLattice, energy):
+    """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier, elementwise
+    over ``energy``; cos beta is the real part of the first.
 
-    Raises DegenerateWavenumberError where k0 = 0 or k = 0, and
-    FloatingPointError where cos or sin of an evanescent layer overflows.
+    Raises DegenerateWavenumberError where k0 = 0 or k = 0,
+    EvanescentGapError for a negative energy, and FloatingPointError
+    where t underflows inside a thick evanescent barrier.
     """
-    u = lat.barrier_height
-    d = lat.barrier_width
-    a = lat.period
-    e = np.asarray(energy, dtype=float)
-    if np.any(_degenerate(lat, e)):
-        raise DegenerateWavenumberError(
-            "Bloch phase undefined at k=0; nudge the energy"
-        )
-    r0, r = np.sqrt(np.abs(e)), np.sqrt(np.abs(e - u))
-    k0 = np.where(e >= 0, r0 + 0j, 1j * r0)  # branch_sqrt, elementwise
-    k = np.where(e - u >= 0, r + 0j, 1j * r)
-    with np.errstate(over="raise", invalid="raise"):
-        sym = (k * k + k0 * k0) / (2.0 * k0 * k)
-        val = (
-            np.cos(k0 * (a - d)) * np.cos(k * d)
-            - sym * np.sin(k0 * (a - d)) * np.sin(k * d)
-        )
-    return val.real  # imaginary part cancels identically for real inputs
+    check_gap_energy(energy)
+    w = compute_wavenumbers(lat.cell, energy)
+    t, r = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return np.exp(-1j * w.k_gap * lat.period) / t, r / t, w.k_gap
+
+
+def _cos_beta(lat: PeriodicLattice, energy):
+    """Half the trace of one period's transfer matrix, Re(e^{-i k0 a}/t),
+    elementwise over ``energy``."""
+    return _period(lat, energy)[0].real
 
 
 def _degenerate(lat: PeriodicLattice, e: np.ndarray) -> np.ndarray:
@@ -128,7 +124,11 @@ def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL)
     beta is real in [0, pi] in allowed bands; in forbidden bands it is
     i*arccosh(|cos beta|), plus a real part pi when cos beta < -1.
     """
-    c = float(_cos_beta(lat, energy))
+    return _phase(energy, float(_cos_beta(lat, energy)), edge_tol)
+
+
+def _phase(energy: float, c: float, edge_tol: float = EDGE_TOL) -> BlochPhase:
+    """The :class:`BlochPhase` of cos beta = ``c``."""
     label = str(_classify(c, edge_tol))
     if label == "edge":
         beta = complex(0.0 if c > 0 else math.pi, 0.0)
@@ -168,15 +168,11 @@ def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     Refuses at band edges; the recurrence path has no singularity there
     and should be used instead.
     """
-    phase = bloch_phase(lat, energy)
-    cos_n, ratio = _chebyshev_pair(phase, n)
-    s = lat.to_structure()
-    w = compute_wavenumbers(s, energy)
-    t1, r1 = barrier_amplitudes(w, s, 0)
-    k0a = w.k_gap * lat.period
-    gamma = cmath.exp(-1j * k0a) / t1
+    gamma, r_over_t1, k0 = _period(lat, energy)
+    cos_n, ratio = _chebyshev_pair(_phase(energy, float(gamma.real)), n)
+    k0a = k0 * lat.period
     inv_t = cmath.exp(1j * k0a * n) * (cos_n + 1j * gamma.imag * ratio)
-    r_over_t = cmath.exp(1j * k0a * (n - 1)) * (r1 / t1) * ratio
+    r_over_t = cmath.exp(1j * k0a * (n - 1)) * r_over_t1 * ratio
     return inv_t, r_over_t
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class StructureError(ValueError):
     """Raised when a layered structure violates its geometric constraints.
@@ -128,40 +130,39 @@ def mirror_structure(s: LayeredStructure) -> LayeredStructure:
     return LayeredStructure(s.v_right, s.v_left, s.span, barriers)
 
 
-def branch_sqrt(x: float) -> complex:
-    """Principal square root with Im >= 0.
+def branch_sqrt(x):
+    """Principal square root with Im >= 0, elementwise.
 
     Positive radicand gives a real positive root, negative gives a
     purely imaginary root with positive imaginary part, so exp{ikx}
     decays rightward in evanescent regions.
     """
-    if x >= 0:
-        return complex(math.sqrt(x), 0.0)
-    return complex(0.0, math.sqrt(-x))
+    return np.sqrt(np.asarray(x, dtype=complex))
 
 
 @dataclass(frozen=True)
 class WaveNumberSet:
-    """All region wavenumbers k = sqrt(eps - potential) at one energy."""
+    """All region wavenumbers k = sqrt(eps - potential) at one energy or an
+    array of energies; ``k_barrier`` adds a last axis over the barriers."""
 
     energy: float
     k_left: complex
     k_right: complex
     k_gap: complex
-    k_barrier: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "k_barrier", tuple(self.k_barrier))
+    k_barrier: np.ndarray
 
 
-def compute_wavenumbers(s: LayeredStructure, energy: float) -> WaveNumberSet:
-    """Wavenumbers of every region at ``energy`` (Im >= 0 branch)."""
-    if not math.isfinite(energy):
-        raise ValueError(f"energy must be finite, got {energy}")
+def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
+    """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch)."""
+    e = np.asarray(energy, dtype=float)
+    bad = e[~np.isfinite(e)]
+    if bad.size:
+        raise ValueError(f"energy must be finite, got {bad[0]}")
+    heights = np.array([b.height for b in s.barriers])
     return WaveNumberSet(
         energy=energy,
-        k_left=branch_sqrt(energy - s.v_left),
-        k_right=branch_sqrt(energy - s.v_right),
-        k_gap=branch_sqrt(energy),
-        k_barrier=tuple(branch_sqrt(energy - b.height) for b in s.barriers),
+        k_left=branch_sqrt(e - s.v_left),
+        k_right=branch_sqrt(e - s.v_right),
+        k_gap=branch_sqrt(e),
+        k_barrier=branch_sqrt(e[..., None] - heights),
     )

@@ -9,19 +9,12 @@ each barrier's left edge.  No linear system is solved on this path.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import (
-    BarrierAmplitudes,
-    EmbeddedAmplitudes,
-    InterfaceAmplitudes,
-    map_leftward,
-    scattering_amplitudes,
-)
+from .amplitudes import EmbeddedAmplitudes, map_leftward, scattering_amplitudes
 from .structure import LayeredStructure, WaveNumberSet
 
 
@@ -51,47 +44,45 @@ class ScatteringSolution:
         return np.array(self.structure.interface_points()), k, cp, cm
 
 
-def gap_coefficients(
-    amps: BarrierAmplitudes,
-    iface: InterfaceAmplitudes,
-    embedded: EmbeddedAmplitudes,
-):
-    """(a_n, b_n) for every zero-potential gap region, n = 1..N+1.
+def gap_coefficients(amps, iface, embedded: EmbeddedAmplitudes):
+    """(a_n, b_n) for every zero-potential gap region, n = 1..N+1, at one energy.
 
-    Starts from (a_{N+1}, b_{N+1}) = T (1/t_right, r_right/t_right) and
-    steps leftward across each barrier with :func:`map_leftward`.
+    ``amps`` is the barriers' (t, r) and ``iface`` the outer steps.  Starts
+    from (a_{N+1}, b_{N+1}) = T (1/t_right, r_right/t_right) and steps
+    leftward across each barrier with :func:`map_leftward`.
     """
     t_full = embedded.t_full
-    pairs = [(t_full / iface.t_right, t_full * iface.r_right / iface.t_right)]
-    for t, r in zip(reversed(amps.t), reversed(amps.r)):
+    _, _, t_right, r_right = iface
+    pairs = [(t_full / t_right, t_full * r_right / t_right)]
+    for t, r in zip(reversed(amps[0].tolist()), reversed(amps[1].tolist())):
         pairs.append(map_leftward(t, r, *pairs[-1]))
     a, b = zip(*reversed(pairs))
     return a, b
 
 
-def barrier_coefficients(
-    a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructure
-):
+def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructure):
     """(c_n, d_n) inside every barrier from continuity at its left edge.
 
     Solving the 2x2 continuity pair directly keeps evanescent barriers
     exact; for propagating barriers it reduces to the interface-amplitude
-    combination (k0/kn)[a/t* - b r*/t*] and its partner.
+    combination (k0/kn)[a/t* - b r*/t*] and its partner.  Raises
+    FloatingPointError where e^{-i k_n x} overflows at a barrier far from
+    the origin.
     """
-    k0 = w.k_gap
-    c_out, d_out = [], []
-    for n, (bar, kn) in enumerate(zip(s.barriers, w.k_barrier)):
-        x0 = bar.left_edge
-        ap = a[n] * cmath.exp(1j * k0 * x0)
-        bm = b[n] * cmath.exp(-1j * k0 * x0)
-        ratio = k0 / kn
-        c_out.append(((1 + ratio) * ap + (1 - ratio) * bm) / 2 * cmath.exp(-1j * kn * x0))
-        d_out.append(((1 - ratio) * ap + (1 + ratio) * bm) / 2 * cmath.exp(1j * kn * x0))
-    return tuple(c_out), tuple(d_out)
+    k0, kn = w.k_gap, w.k_barrier
+    x0 = np.array([bar.left_edge for bar in s.barriers])
+    ratio = k0 / kn
+    with np.errstate(over="raise", invalid="raise"):
+        ap = np.array(a[:-1]) * np.exp(1j * k0 * x0)
+        bm = np.array(b[:-1]) * np.exp(-1j * k0 * x0)
+        c = ((1 + ratio) * ap + (1 - ratio) * bm) / 2 * np.exp(-1j * kn * x0)
+        d = ((1 - ratio) * ap + (1 + ratio) * bm) / 2 * np.exp(1j * kn * x0)
+    return tuple(c.tolist()), tuple(d.tolist())
 
 
 def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
-    """Full pipeline: amplitudes and embedding, then every coefficient."""
+    """Full pipeline at one energy: amplitudes and embedding (a batch of
+    one), then every coefficient."""
     w, iface, amps, emb = scattering_amplitudes(s, energy)
     a, b = gap_coefficients(amps, iface, emb)
     c, d = barrier_coefficients(a, b, w, s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layerscatter import Barrier, LayeredStructure
+from layerscatter import Barrier, LayeredStructure, prefix_by_recurrence
 
 
 def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0),
@@ -30,6 +30,17 @@ def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0
     while any(abs(energy - b.height) < 1e-6 for b in s.barriers):
         energy += 1e-3
     return s, energy
+
+
+def recurrence_prefixes(amps):
+    """(T_n, R_n) for every n = 0..N from one :func:`prefix_by_recurrence` call.
+
+    Row n of the batch keeps the first n barriers and makes the rest
+    transparent (t = 1, r = 0), which leaves the recurrence state as it is.
+    """
+    t, r = amps
+    keep = np.tri(t.shape[-1] + 1, t.shape[-1], -1, dtype=bool)
+    return prefix_by_recurrence((np.where(keep, t, 1.0), np.where(keep, r, 0.0)))
 
 
 def criterion_1_cases():

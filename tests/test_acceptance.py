@@ -29,7 +29,7 @@ from layerscatter import (
 from layerscatter.scenarios import SCENARIO_ENERGIES, build_scenario
 from layerscatter.wavefunction import psi_one_sided
 
-from conftest import criterion_1_cases
+from conftest import criterion_1_cases, recurrence_prefixes
 
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
 KN_NUDGE = 1e-9  # documented workaround for energies exactly at a barrier height
@@ -115,13 +115,13 @@ def test_criterion_3_triple_agreement():
     for e in energies:
         w = compute_wavenumbers(s, e)
         amps = all_barrier_amplitudes(w, s)
-        pa = prefix_by_recurrence(amps)
+        pa = recurrence_prefixes(amps)
         pb = prefix_by_matrix(amps)
         for n in range(1, 101):
             inv_t, r_over_t = closed_form_prefix(LAT, e, n)
             t_c = 1.0 / inv_t
             r_c = r_over_t * t_c
-            for t, r in ((pa.t[n], pa.r[n]), (pb.t[n], pb.r[n])):
+            for t, r in ((pa[0][n], pa[1][n]), (pb[0][n], pb[1][n])):
                 worst = max(worst, abs(t - t_c) / abs(t_c))
                 worst = max(worst, abs(r - r_c) / max(abs(r_c), 1.0))
     ok = worst < 1e-10

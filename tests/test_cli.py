@@ -20,6 +20,9 @@ from layerscatter import (
     PeriodicLattice,
     StructureError,
     closed_form_prefix,
+    reflection_probability,
+    solve_structure,
+    transmission_probability,
     validate_structure,
 )
 from layerscatter.cli import main, parse_structure, serialize_structure
@@ -268,16 +271,29 @@ class TestSweepCommand:
         assert np.all(np.diff(rows[:, 0]) > 0)
         assert np.allclose(rows[:, 1] + rows[:, 2], 1.0, atol=1e-10)
 
-    def test_degenerate_point_nudged(self, capsys, tmp_path):
+    @pytest.mark.parametrize("doc, energy_range, nudged", [
+        # the grid hits epsilon = 3, the periodic scenario's barrier height: k_n = 0
+        ({"generator": {"kind": "periodic"}}, "1:5:5", 3.0),
+        # epsilon = 0 above a lower left medium: k_gap = 0
+        ({"v_left": -1, "v_right": -1, "span": 3,
+          "barriers": [{"height": 1, "width": 1, "center": 1.5}]}, "0:2:3", 0.0),
+    ], ids=["barrier-height", "gap"])
+    def test_degenerate_point_nudged(self, capsys, tmp_path, doc, energy_range, nudged):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
         out = tmp_path / "sweep.csv"
-        # grid hits epsilon = 3 = barrier height exactly
         code, _, _ = run_cli(
-            capsys, "sweep", "--scenario", "periodic",
-            "--energy-range", "1:5:5", "--out", str(out),
+            capsys, "sweep", "--structure", str(f),
+            "--energy-range", energy_range, "--out", str(out),
         )
         assert code == 0
         rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
-        assert rows.shape[0] == 5
+        assert rows.shape[0] == int(energy_range.split(":")[2])
+        (row,) = rows[rows[:, 0] == nudged]
+        sol = solve_structure(parse_structure(json.dumps(doc)), nudged + 1e-9)
+        t = transmission_probability(sol.embedded, sol.wavenumbers)
+        assert row[1] == pytest.approx(t, abs=1e-12)
+        assert row[2] == pytest.approx(reflection_probability(sol.embedded), abs=1e-12)
 
     def test_single_barrier_high_energy_transparent(self, capsys, tmp_path):
         doc = {"v_left": 0, "v_right": 0, "span": 2,
@@ -344,6 +360,45 @@ def test_negative_gap_energy_exits_3(capsys, tmp_path, command):
     assert stdout == ""
     assert err.startswith("error: energy -1.0 < 0")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, energy", [
+    ({"generator": {"kind": "periodic"}}, "3.0"),  # k = 0 in every barrier
+    ({"v_left": -1, "v_right": -1, "span": 3,
+      "barriers": [{"height": 1, "width": 1, "center": 1.5}]}, "0"),  # k_gap = 0
+], ids=["barrier", "gap"])
+def test_oracle_check_at_zero_wavenumber_exits_3(capsys, tmp_path, doc, energy):
+    # a region with k = 0 makes the dense matching system singular
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "oracle-check", "--structure", str(f),
+                                "--energy", energy)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and "singular" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("periodic", {"count": 2.5}),
+    ("periodic", {"count": math.inf}),
+    ("periodic", {"count": math.nan}),
+    ("graded-product", {"count": 3, "m": math.inf}),
+], ids=["count=2.5", "count=inf", "count=nan", "m=inf"])
+@pytest.mark.parametrize("via", ["scenario-params", "generator"])
+def test_bad_scenario_parameter_exits_2(capsys, tmp_path, scenario, params, via):
+    if via == "scenario-params":
+        given = ",".join(f"{k}={v}" for k, v in params.items())
+        source = ["--scenario", scenario, "--scenario-params", given]
+    else:
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"generator": {"kind": scenario, "params": params}}))
+        source = ["--structure", str(f)]
+    code, stdout, err = run_cli(capsys, "wavefunction", *source, "--energy", "5")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_wavefunction_overflow_exits_3(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from layerscatter import (
     BandEdgeError,
     DegenerateWavenumberError,
+    EvanescentGapError,
     PeriodicLattice,
     all_barrier_amplitudes,
     band_scan,
@@ -14,8 +15,9 @@ from layerscatter import (
     closed_form_prefix,
     compute_wavenumbers,
     decay_rate,
-    prefix_by_recurrence,
 )
+
+from conftest import recurrence_prefixes
 
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
 
@@ -25,7 +27,7 @@ def recurrence_prefix(lat, energy, count):
         lat.barrier_height, lat.barrier_width, lat.period, count, lat.first_center
     ).to_structure()
     w = compute_wavenumbers(s, energy)
-    return prefix_by_recurrence(all_barrier_amplitudes(w, s))
+    return recurrence_prefixes(all_barrier_amplitudes(w, s))
 
 
 def half_trace(lat, energy):
@@ -71,6 +73,13 @@ class TestBlochPhase:
         with pytest.raises(DegenerateWavenumberError):
             bloch_phase(LAT, 0.0)  # k0 = 0
 
+    def test_negative_energy_rejected(self):
+        # Re(e^{-i k0 a}/t) is cos beta only for a real gap wavenumber
+        with pytest.raises(EvanescentGapError):
+            bloch_phase(LAT, -1.0)
+        with pytest.raises(EvanescentGapError):
+            closed_form_prefix(LAT, -1.0, 3)
+
     def test_evanescent_barrier_keeps_cos_beta_real(self):
         ph = bloch_phase(LAT, 1.7)
         assert isinstance(ph.cos_beta, float)
@@ -89,11 +98,11 @@ class TestClosedFormPrefix:
 
     @pytest.mark.parametrize("energy", [4.6, 4.9, 2.0, 1.1, 6.5, 2.999999999])
     def test_matches_recurrence(self, energy):
-        pre = recurrence_prefix(LAT, energy, 8)
+        ts, rs = recurrence_prefix(LAT, energy, 8)
         for n in range(1, 9):
             inv_t, r_over_t = closed_form_prefix(LAT, energy, n)
-            assert abs(inv_t - 1.0 / pre.t[n]) <= 1e-10 * abs(inv_t)
-            assert abs(r_over_t - pre.r[n] / pre.t[n]) <= 1e-10 * max(abs(r_over_t), 1.0)
+            assert abs(inv_t - 1.0 / ts[n]) <= 1e-10 * abs(inv_t)
+            assert abs(r_over_t - rs[n] / ts[n]) <= 1e-10 * max(abs(r_over_t), 1.0)
 
     def test_forbidden_band_decay_slope(self):
         # ln |T_n|^2 decreases at 2*Im(beta) per period asymptotically
