@@ -153,6 +153,8 @@ def _energy_range(spec: str):
     if len(parts) != 3:
         raise ValueError("--energy-range must be MIN:MAX:STEPS")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("--energy-range needs finite MIN and MAX")
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
     return lo, hi, steps

@@ -66,14 +66,20 @@ class LayeredStructure:
     def n_barriers(self) -> int:
         return len(self.barriers)
 
-    def interface_points(self):
-        """All 2N+2 matching points: 0, each barrier edge, span."""
-        pts = [0.0]
-        for b in self.barriers:
-            pts.append(b.left_edge)
-            pts.append(b.right_edge)
-        pts.append(self.span)
-        return pts
+    def interface_points(self) -> np.ndarray:
+        """All 2N+2 matching points: 0, each barrier edge, span.  Point i is
+        the right end of region i of :func:`region_wavenumbers`."""
+        edges = [x for b in self.barriers for x in (b.left_edge, b.right_edge)]
+        return np.array([0.0, *edges, self.span])
+
+
+def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
+    """k of all 2N+3 regions, left to right: left medium, gap 1, barrier 1,
+    ..., barrier N, gap N+1, right medium.  This is the one region layout of
+    the solver's coefficient table and the dense oracle's unknowns."""
+    k = np.empty(2 * w.k_barrier.size + 3, dtype=complex)
+    k[0], k[1:-1:2], k[2:-1:2], k[-1] = w.k_left, w.k_gap, w.k_barrier, w.k_right
+    return k
 
 
 def validate_structure(s: LayeredStructure) -> LayeredStructure:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import EmbeddedAmplitudes, map_leftward, scattering_amplitudes
-from .structure import LayeredStructure, WaveNumberSet
+from .structure import LayeredStructure, WaveNumberSet, region_wavenumbers
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,15 @@ class ScatteringSolution:
     @cached_property
     def regions(self):
         """(interface points, k, c+, c-) with psi = c+ e^{ikx} + c- e^{-ikx} in region i,
-        left of point i: left medium, gap 1, barrier 1, ..., gap N+1, right medium."""
-        w = self.wavenumbers
-        k, cp, cm = np.empty((3, 2 * self.structure.n_barriers + 3), dtype=complex)
-        k[0], cp[0], cm[0] = w.k_left, 1.0, self.embedded.r_full
-        k[1:-1:2], cp[1:-1:2], cm[1:-1:2] = w.k_gap, self.a, self.b
-        k[2:-1:2], cp[2:-1:2], cm[2:-1:2] = w.k_barrier, self.c, self.d
-        k[-1], cp[-1], cm[-1] = w.k_right, self.embedded.t_full, 0.0
-        return np.array(self.structure.interface_points()), k, cp, cm
+        left of point i, in the layout of :func:`region_wavenumbers`: (1, R) in the
+        left medium, (a_n, b_n) in gap n, (c_n, d_n) in barrier n, (T, 0) on the right."""
+        cp, cm = np.empty((2, 2 * self.structure.n_barriers + 3), dtype=complex)
+        cp[0], cm[0] = 1.0, self.embedded.r_full
+        cp[1:-1:2], cm[1:-1:2] = self.a, self.b
+        cp[2:-1:2], cm[2:-1:2] = self.c, self.d
+        cp[-1], cm[-1] = self.embedded.t_full, 0.0
+        return (self.structure.interface_points(), region_wavenumbers(self.wavenumbers),
+                cp, cm)
 
 
 def gap_coefficients(amps, iface, embedded: EmbeddedAmplitudes):
@@ -146,9 +147,7 @@ def default_grid(
     if x_max is None:
         x_max = 1.25 * span
     if points is None:
-        w = sol.wavenumbers
-        ks = [w.k_left, w.k_right, w.k_gap, *w.k_barrier]
-        k_max = max(abs(k.real) for k in ks)
+        k_max = np.abs(sol.regions[1].real).max()
         points = 1000
         if k_max > 0:
             wavelength = 2.0 * np.pi / k_max

@@ -313,6 +313,8 @@ class TestSweepCommand:
     ("1:2", "--energy-range must be MIN:MAX:STEPS"),
     ("2:1:10", "--energy-range needs MAX > MIN and STEPS >= 2"),
     ("1:2:1", "--energy-range needs MAX > MIN and STEPS >= 2"),
+    ("1:inf:5", "--energy-range needs finite MIN and MAX"),
+    ("nan:2:5", "--energy-range needs finite MIN and MAX"),
 ])
 @pytest.mark.parametrize("command", [
     ["sweep", "--scenario", "periodic"],
@@ -377,6 +379,20 @@ def test_oracle_check_at_zero_wavenumber_exits_3(capsys, tmp_path, doc, energy):
     assert stdout == ""
     assert err.startswith("error: ") and "singular" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("v_right", [1e6, 3602.0], ids=["zero", "subnormal"])
+def test_oracle_check_with_vanishing_transmitted_wave_exits_3(capsys, tmp_path, v_right):
+    # e^{ikx} of a strongly evanescent right medium underflows at the span
+    # (kappa * span = 12000 or 720), so T = O(1) / e^{ikx} overflows
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"v_left": 0, "v_right": v_right, "span": 12, "barriers": [
+        {"height": 1, "width": 1, "center": 10}]}))
+    code, stdout, err = run_cli(capsys, "oracle-check", "--structure", str(f),
+                                "--energy", "2")
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
 
 
 @pytest.mark.parametrize("scenario, params", [

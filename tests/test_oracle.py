@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 from unittest import mock
 
@@ -14,12 +15,63 @@ from layerscatter import (
     solve_structure,
 )
 from layerscatter.scenarios import build_scenario
-from layerscatter.structure import mirror_structure
+from layerscatter.structure import compute_wavenumbers, mirror_structure
 
 from conftest import criterion_1_cases, random_structure
 
 
+def reference_matching_system(s, energy):
+    """The matching system written out entry by entry: regions as (k, column
+    of c+, column of c-), one cmath exponential per wave and interface."""
+    w = compute_wavenumbers(s, energy)
+    size = 4 * s.n_barriers + 4
+    regions = [(w.k_left, [None, 0])]  # incident (fixed), R
+    col = 1
+    for n in range(s.n_barriers):
+        regions.append((w.k_gap, [col, col + 1]))
+        regions.append((w.k_barrier[n], [col + 2, col + 3]))
+        col += 4
+    regions.append((w.k_gap, [col, col + 1]))
+    regions.append((w.k_right, [col + 2, None]))  # T, no leftward wave
+    mat = np.zeros((size, size), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
+    for i, x in enumerate(s.interface_points()):
+        for (k, (cp, cm)), sign in ((regions[i], 1.0), (regions[i + 1], -1.0)):
+            plus = cmath.exp(1j * k * x)
+            minus = cmath.exp(-1j * k * x)
+            if cp is not None:
+                mat[2 * i, cp] += sign * plus
+                mat[2 * i + 1, cp] += sign * 1j * k * plus
+            if cm is not None:
+                mat[2 * i, cm] += sign * minus
+                mat[2 * i + 1, cm] += sign * (-1j) * k * minus
+        if i == 0:  # the incident unit wave lives in the left medium
+            plus = cmath.exp(1j * w.k_left * x)
+            rhs[0] -= plus
+            rhs[1] -= 1j * w.k_left * plus
+    return mat, rhs
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("case", ["random", "empty", "touching", "evanescent-right"])
+    def test_matches_pointwise_reference(self, rng, case):
+        for _ in range(20):
+            s, e = random_structure(rng, max_barriers=8)
+            if case == "empty":
+                s = dataclasses.replace(s, barriers=())
+            elif case == "touching":
+                bs = s.barriers + (Barrier(2.0, 0.5, 0.25),)
+                x, moved = 0.0, []
+                for b in bs:  # no gaps between barriers
+                    moved.append(Barrier(b.height, b.width, x + b.width / 2))
+                    x += b.width
+                s = LayeredStructure(s.v_left, s.v_right, x + 0.5, tuple(moved))
+            elif case == "evanescent-right":
+                s = dataclasses.replace(s, v_right=e + float(rng.uniform(0.1, 5.0)))
+            m = assemble_matching_system(s, e)
+            mat, rhs = reference_matching_system(s, e)
+            assert np.array_equal(m.matrix, mat) and np.array_equal(m.rhs, rhs)
+
     def test_empty_structure_size(self):
         m = assemble_matching_system(LayeredStructure(0, 3.0, 1.0, ()), 4.0)
         assert m.matrix.shape == (4, 4)
@@ -107,15 +159,21 @@ class TestPipelineEquivalence:
             checked += 1
         assert checked == 60
 
-    def test_each_family_on_its_own_scale(self):
+    @pytest.mark.parametrize("family", [("r_full",), ("t_full",), ("a", "b"), ("c", "d")],
+                             ids=["r", "t", "gap", "barrier"])
+    def test_each_family_on_its_own_scale(self, family):
         # Mirrored graded-quadratic at eps=1.01 has an evanescent right
-        # medium and |t_full| ~ 5e9, while |c_n| <= 33.  A 1% error in the
-        # barrier coefficients must show, not vanish under the scale of t_full.
+        # medium and |t_full| ~ 5e9, while |c_n| <= 33.  A 1% error in any
+        # family must show, not vanish under the scale of t_full or be left
+        # out of the comparison.
         s = mirror_structure(build_scenario("graded-quadratic"))
 
         def skewed(s, e):
             sol = solve_structure(s, e)
-            return dataclasses.replace(sol, c=tuple(c * 1.01 for c in sol.c))
+            emb = {f: getattr(sol.embedded, f) * 1.01 for f in family if f.endswith("_full")}
+            coef = {f: tuple(u * 1.01 for u in getattr(sol, f)) for f in family if f in "abcd"}
+            return dataclasses.replace(
+                sol, embedded=dataclasses.replace(sol.embedded, **emb), **coef)
 
         with mock.patch("layerscatter.oracle.solve_structure", skewed):
             worst, _, _ = compare_with_pipeline(s, 1.01)
