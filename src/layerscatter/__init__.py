@@ -5,6 +5,7 @@ different semi-infinite media."""
 from .structure import (
     Barrier,
     DegenerateWavenumberError,
+    EvanescentGapError,
     LayeredStructure,
     StructureError,
     WaveNumberSet,
@@ -15,7 +16,6 @@ from .structure import (
 )
 from .amplitudes import (
     EmbeddedAmplitudes,
-    EvanescentGapError,
     all_barrier_amplitudes,
     barrier_amplitudes,
     embed_in_media,

@@ -10,6 +10,9 @@ scalar solve (a batch of one), the band scan and the closed form all
 reach it through :func:`all_barrier_amplitudes`.  Of the amplitude stages
 only the recurrence loops in Python, over the barrier axis.
 
+The stages assume an energy that :func:`check_energy` has admitted, which
+:func:`scattering_amplitudes` checks once; they check nothing themselves.
+
 Conventions
 -----------
 All amplitudes are defined for unit left-incidence in global
@@ -32,34 +35,13 @@ import numpy as np
 
 from .structure import (
     DegenerateWavenumberError,
+    EvanescentGapError,  # re-exported
     LayeredStructure,
     WaveNumberSet,
+    check_energy,
     compute_wavenumbers,
     validate_structure,
 )
-
-
-class EvanescentGapError(ArithmeticError):
-    """The energy is negative, so the zero-potential gaps are evanescent.
-
-    The recurrence, the embedding, the leftward map and the Bloch phase
-    use conjugate relations that hold only for a real gap wavenumber.
-    """
-
-
-def check_gap_energy(energy):
-    """Raise :class:`EvanescentGapError` if any of ``energy`` is negative."""
-    e = np.asarray(energy)
-    if np.any(e < 0):
-        raise EvanescentGapError(
-            f"energy {e.min()} < 0: the gaps between barriers are evanescent, "
-            "which the recurrence and the Bloch phase do not support"
-        )
-
-
-def _check_nonzero(value, what: str):
-    if np.any(value == 0):
-        raise DegenerateWavenumberError(f"{what} vanishes; nudge the energy")
 
 
 @dataclass(frozen=True)
@@ -72,7 +54,6 @@ class EmbeddedAmplitudes:
 
 def _step(p, q, x0: float):
     """(t, r) for a potential step at x0, incidence from the p side."""
-    _check_nonzero(p + q, f"wavenumber sum at interface x={x0}")
     t = 2.0 * p / (p + q) * np.exp(1j * (p - q) * x0)
     r = (p - q) / (p + q) * np.exp(2j * p * x0)
     return t, r
@@ -105,12 +86,6 @@ def _barrier_tr(k0, kn, width, center):
     same complex expressions; the decaying exponential is factored out so
     thick tunnelling barriers do not overflow.
     """
-    _check_nonzero(k0, "gap wavenumber k0")
-    zero = np.flatnonzero(kn == 0) % kn.shape[-1]
-    if zero.size:
-        raise DegenerateWavenumberError(
-            f"wavenumber inside barrier {zero[0] + 1} vanishes; nudge the energy"
-        )
     m, c, sn = _factored_trig(kn * width)
     k2, k02, den = kn * kn, k0 * k0, 2.0 * kn * k0
     b_asym = (k2 - k02) / den
@@ -148,12 +123,11 @@ def prefix_by_recurrence(amps):
     report.
     """
     t, r = amps
-    _check_nonzero(t, "barrier transmission amplitude")
-    ratio = np.moveaxis(r / t, -1, 0)
-    inv = np.moveaxis(1.0 / t, -1, 0)
     u = np.ones(t.shape[:-1], dtype=complex)[()]   # 1/T_n
     v = np.zeros(t.shape[:-1], dtype=complex)[()]  # R_n*/T_n*
     with np.errstate(all="ignore"):
+        ratio = np.moveaxis(r / t, -1, 0)
+        inv = np.moveaxis(1.0 / t, -1, 0)
         for q, g, qc, gc in zip(ratio, inv, ratio.conjugate(), inv.conjugate()):
             u, v = q * v + g * u, qc * u + gc * v
         t_n = 1.0 / u
@@ -179,7 +153,8 @@ def prefix_by_matrix(amps):
     ts = [1.0 + 0.0j]
     rs = [0.0 + 0.0j]
     for t_n, r_n in zip(*amps):
-        _check_nonzero(t_n, "barrier transmission amplitude")
+        if t_n == 0:
+            raise DegenerateWavenumberError("barrier transmission amplitude vanishes")
         acc = _inverse_matrix(t_n, r_n) @ acc
         ts.append(1.0 / acc[1, 1])
         rs.append(-acc[1, 0] * ts[-1])
@@ -225,8 +200,7 @@ def scattering_amplitudes(s: LayeredStructure, energy):
     ``energy``, a float or an array: all a sweep reads."""
     validate_structure(s)
     w = compute_wavenumbers(s, energy)
-    check_gap_energy(energy)
-    _check_nonzero(w.k_gap, "gap wavenumber k0")
+    check_energy(s, energy)
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)

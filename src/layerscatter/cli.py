@@ -2,10 +2,10 @@
 band scans, scenario generators, and CSV emission.
 
 Exit codes: 0 success; 2 parse/validation error, including malformed or
-non-finite structure documents; 3 numerical failure (k = 0 in some
-region, a negative gap energy, band edge, overflow or underflow on long
-chains); 4 oracle-check discrepancy above tolerance; 141 stdout closed by
-its reader.
+non-finite structure documents; 3 numerical failure (an energy that
+:func:`~layerscatter.structure.check_energy` refuses, a band edge,
+overflow or underflow); 4 oracle-check discrepancy above tolerance; 141
+stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     StructureError,
+    degenerate_energies,
     mirror_structure,
     validate_structure,
 )
@@ -131,7 +132,7 @@ def _load_structure(args) -> LayeredStructure:
         s = parse_structure(text)
     else:
         raise StructureError(["provide --structure FILE or --scenario NAME"])
-    if getattr(args, "mirror", False):
+    if args.mirror:
         s = validate_structure(mirror_structure(s))
     return s
 
@@ -173,13 +174,6 @@ def cmd_validate(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     s = _load_structure(args)
-    if args.energy <= s.v_left:
-        print(
-            f"error: energy {args.energy} does not propagate in the left medium "
-            f"(V1 = {s.v_left})",
-            file=sys.stderr,
-        )
-        return EXIT_DEGENERATE
     sol = solve_structure(s, args.energy)
     grid = default_grid(sol, args.x_min, args.x_max, args.grid_points)
     rows = sample_density(sol, grid)
@@ -194,15 +188,7 @@ def cmd_wavefunction(args) -> int:
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
     energies = np.linspace(*_energy_range(args.energy_range))
-    if energies[0] <= s.v_left:
-        print(
-            f"error: sweep must start above the left medium potential V1 = {s.v_left}",
-            file=sys.stderr,
-        )
-        return EXIT_DEGENERATE
-    # k = 0 in the gaps (eps = 0) or in a barrier: step off the degenerate point
-    degenerate = (energies == 0) | np.isin(energies, [b.height for b in s.barriers])
-    nudged = np.where(degenerate, energies + args.nudge, energies)
+    nudged = np.where(degenerate_energies(s, energies), energies + args.nudge, energies)
     w, _, _, emb = scattering_amplitudes(s, nudged)
     t = transmission_probability(emb, w)
     r = reflection_probability(emb)
@@ -238,18 +224,17 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_ORACLE
 
 
-def _add_structure_args(p, mirror=True):
+def _add_structure_args(p):
     p.add_argument("--structure", help="structure JSON file ('-' for stdin)")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), help="named generator")
     p.add_argument(
         "--scenario-params",
         help="comma-separated key=value overrides for the scenario",
     )
-    if mirror:
-        p.add_argument(
-            "--mirror", action="store_true",
-            help="reflect the structure (right-incidence equivalent)",
-        )
+    p.add_argument(
+        "--mirror", action="store_true",
+        help="reflect the structure (right-incidence equivalent)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     compute_wavenumbers,
+    degenerate_energies,
     region_wavenumbers,
 )
 from .wavefunction import solve_structure
@@ -66,7 +67,7 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
     coefficient, would overflow.
     """
     w = compute_wavenumbers(s, energy)
-    if w.k_gap == 0 or np.any(w.k_barrier == 0):  # e^{+ikx} and e^{-ikx} coincide
+    if degenerate_energies(s, energy):
         raise DegenerateWavenumberError("k = 0 in a region: the matching system is singular")
     x = s.interface_points()
     ik = 1j * region_wavenumbers(w)

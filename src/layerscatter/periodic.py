@@ -15,10 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import all_barrier_amplitudes, check_gap_energy
-from .structure import Barrier, LayeredStructure, compute_wavenumbers
+from .amplitudes import all_barrier_amplitudes
+from .structure import (
+    Barrier,
+    LayeredStructure,
+    check_energy,
+    compute_wavenumbers,
+    degenerate_energies,
+)
 
 EDGE_TOL = 1e-12
+EDGE_XTOL = 1e-10  # energy tolerance of the bisected band edges
 
 
 class BandEdgeError(ArithmeticError):
@@ -83,12 +90,12 @@ def _period(lat: PeriodicLattice, energy):
     """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier, elementwise
     over ``energy``; cos beta is the real part of the first.
 
-    Raises DegenerateWavenumberError where k0 = 0 or k = 0,
-    EvanescentGapError for a negative energy, and FloatingPointError
-    where t underflows inside a thick evanescent barrier.
+    Raises what :func:`check_energy` raises for an energy it does not
+    admit, and FloatingPointError where t underflows inside a thick
+    evanescent barrier.
     """
-    check_gap_energy(energy)
     w = compute_wavenumbers(lat.cell, energy)
+    check_energy(lat.cell, energy)
     t, r = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         return np.exp(-1j * w.k_gap * lat.period) / t, r / t, w.k_gap
@@ -100,15 +107,10 @@ def _cos_beta(lat: PeriodicLattice, energy):
     return _period(lat, energy)[0].real
 
 
-def _degenerate(lat: PeriodicLattice, e: np.ndarray) -> np.ndarray:
-    """Where k0 = 0 or k = 0, so that the Bloch phase is undefined."""
-    return (e == 0.0) | (e - lat.barrier_height == 0.0)
-
-
 def _off_degenerate(lat: PeriodicLattice, e: np.ndarray, nudge: float) -> np.ndarray:
     """``e`` with every degenerate point moved up by ``nudge``; cos beta is
     continuous there."""
-    return np.where(_degenerate(lat, e), e + nudge, e)
+    return np.where(degenerate_energies(lat.cell, e), e + nudge, e)
 
 
 def _classify(cos_beta, edge_tol: float = EDGE_TOL):
@@ -208,12 +210,11 @@ def band_scan(
     e_min: float,
     e_max: float,
     resolution: float,
-    edge_xtol: float = 1e-10,
 ) -> BandTable:
     """Classify [e_min, e_max] into allowed/forbidden intervals.
 
     Scans on a grid of spacing <= resolution, then bisects every sign
-    change of |cos beta| - 1 down to ``edge_xtol`` in energy.  Negative
+    change of |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  Negative
     energies carry no propagating gap wave, so e_min is clamped to a
     small positive floor.
     """
@@ -221,12 +222,10 @@ def band_scan(
         raise ValueError("need e_min < e_max")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if edge_xtol <= 0:
-        raise ValueError("edge_xtol must be positive")
     e_min = max(e_min, 1e-6)
     n_pts = max(int(math.ceil((e_max - e_min) / resolution)) + 1, 2)
     grid = np.linspace(e_min, e_max, n_pts)
-    degenerate = _degenerate(lat, grid)
+    degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
     values = _cos_beta(lat, energies)
     f = np.abs(values) - 1.0
@@ -236,7 +235,7 @@ def band_scan(
     edges = energies[crossing]
     inside = f[crossing] != 0.0
     i = crossing[inside]
-    edges[inside] = _bisect_edges(lat, energies[i], energies[i + 1], f[i], edge_xtol)
+    edges[inside] = _bisect_edges(lat, energies[i], energies[i + 1], f[i], EDGE_XTOL)
     edges = edges.tolist()
     if f[-1] == 0.0:
         edges.append(float(energies[-1]))

@@ -22,19 +22,19 @@ def _chain(
     gap,
     v_left: float,
     v_right: float,
-    left_margin: float,
-    right_margin: float,
+    margin: float,
 ) -> LayeredStructure:
-    """Assemble a chain from per-index callables (n is 1-based)."""
+    """Assemble a chain from per-index callables (n is 1-based), with the
+    same outer margin on both sides."""
     barriers = []
-    x = left_margin
+    x = margin
     for n in range(1, n_barriers + 1):
         d = width(n)
         barriers.append(Barrier(height(n), d, x + d / 2.0))
         x += d
         if n < n_barriers:
             x += gap(n)
-    span = x + right_margin
+    span = x + margin
     return validate_structure(
         LayeredStructure(v_left, v_right, span, tuple(barriers))
     )
@@ -65,8 +65,7 @@ def graded_linear(count: int = 8) -> LayeredStructure:
         gap=lambda n: 1.0 - 0.1 * n,
         v_left=2.0,
         v_right=1.0,
-        left_margin=0.75,
-        right_margin=0.75,
+        margin=0.75,
     )
 
 
@@ -80,8 +79,7 @@ def graded_quadratic(count: int = 8) -> LayeredStructure:
         gap=lambda n: 1.0 + 0.1 * n,
         v_left=2.0,
         v_right=1.0,
-        left_margin=0.75,
-        right_margin=0.75,
+        margin=0.75,
     )
 
 
@@ -97,8 +95,7 @@ def graded_product(count: int = 8, m: int | None = None) -> LayeredStructure:
         gap=lambda n: 0.1 * n * n,
         v_left=0.5,
         v_right=0.75,
-        left_margin=1.0,
-        right_margin=1.0,
+        margin=1.0,
     )
 
 
@@ -112,8 +109,7 @@ def modulated_sin(count: int = 8) -> LayeredStructure:
         gap=lambda n: 1.0,
         v_left=0.5,
         v_right=0.75,
-        left_margin=1.0,
-        right_margin=1.0,
+        margin=1.0,
     )
 
 

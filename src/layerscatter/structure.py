@@ -27,6 +27,14 @@ class DegenerateWavenumberError(ValueError):
     """Raised when a formula would divide by a vanishing wavenumber."""
 
 
+class EvanescentGapError(ArithmeticError):
+    """The energy is negative, so the zero-potential gaps are evanescent.
+
+    The recurrence, the embedding, the leftward map and the Bloch phase
+    use conjugate relations that hold only for a real gap wavenumber.
+    """
+
+
 @dataclass(frozen=True)
 class Barrier:
     """One rectangular potential: height u, width d > 0, midpoint x."""
@@ -172,3 +180,36 @@ def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
         k_gap=branch_sqrt(e),
         k_barrier=branch_sqrt(e[..., None] - heights),
     )
+
+
+def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
+    """Where k = 0 in the gaps (eps = 0) or inside a barrier (eps equal to
+    its height), elementwise over ``energy``: there e^{+ikx} and e^{-ikx}
+    coincide, so the plane-wave pieces are degenerate."""
+    e = np.asarray(energy, dtype=float)
+    heights = np.array([b.height for b in s.barriers])
+    return (e == 0.0) | (e[..., None] == heights).any(axis=-1)
+
+
+def check_energy(s: LayeredStructure, energy) -> None:
+    """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
+    order: EvanescentGapError for eps < 0, DegenerateWavenumberError where
+    :func:`degenerate_energies` is set, ArithmeticError for eps <= V1 (no incident wave)."""
+    e = np.asarray(energy, dtype=float).ravel()
+    bad = e[e < 0]
+    if bad.size:
+        raise EvanescentGapError(
+            f"energy {bad[0]} < 0: the gaps between barriers are evanescent, "
+            "which the recurrence and the Bloch phase do not support"
+        )
+    bad = e[degenerate_energies(s, e)]
+    if bad.size:
+        raise DegenerateWavenumberError(
+            f"energy {bad[0]} makes k = 0 in a gap or a barrier, "
+            "where the plane waves are degenerate; nudge the energy"
+        )
+    bad = e[e <= s.v_left]
+    if bad.size:
+        raise ArithmeticError(
+            f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
+        )

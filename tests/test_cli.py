@@ -381,6 +381,56 @@ def test_oracle_check_at_zero_wavenumber_exits_3(capsys, tmp_path, doc, energy):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, energy, first_line", [
+    ({"v_left": 5, "v_right": 0, "span": 2,
+      "barriers": [{"height": 3, "width": 1, "center": 1}]}, 4.0,
+     "error: energy 4.0 does not propagate in the left medium (V1 = 5.0)"),
+    ({"v_left": -2, "v_right": -1.5, "span": 3,
+      "barriers": [{"height": 1, "width": 1, "center": 1.5}]}, -1.0,
+     "error: energy -1.0 < 0: the gaps between barriers are evanescent"),
+    ({"v_left": -2, "v_right": -1.5, "span": 3,
+      "barriers": [{"height": 1, "width": 1, "center": 1.5}]}, 1.0,
+     "error: energy 1.0 makes k = 0 in a gap or a barrier"),
+], ids=["below-v1", "negative", "barrier-height"])
+def test_energy_gate_is_one_rule_for_every_command(capsys, tmp_path, doc, energy, first_line):
+    # eps < V1, V1 < eps < 0 and eps on a barrier height: each command refuses
+    # the energy with the same first error line; sweep runs with its nudge off
+    # so that the gate sees the grid energy itself
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    lines = {}
+    for command in (["wavefunction", "--energy", str(energy), "--out", str(out)],
+                    ["sweep", f"--energy-range={energy}:{energy + 0.5}:2", "--nudge", "0",
+                     "--out", str(out)],
+                    ["oracle-check", "--energy", str(energy)]):
+        code, stdout, err = run_cli(capsys, command[0], "--structure", str(f), *command[1:])
+        assert (code, stdout) == (3, ""), command
+        assert not out.exists()
+        lines[command[0]] = err.splitlines()[0]
+    if "k = 0" in first_line:  # the dense oracle runs first and calls its system singular
+        assert "singular" in lines.pop("oracle-check")
+    assert set(lines.values()) == {lines["wavefunction"]}
+    assert lines["wavefunction"].startswith(first_line)
+
+
+def test_underflowed_barrier_transmission_exits_3():
+    # t of a 1e6-high, unit-width barrier is about e^{-1000}, which underflows
+    # to 0; the recurrence carries it to the embedding, which reports it
+    doc = json.dumps({"v_left": 0, "v_right": 0, "span": 3,
+                      "barriers": [{"height": 1e6, "width": 1, "center": 1.5}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "layerscatter.cli", "sweep", "--structure", "-",
+         "--energy-range", "1:2:3"],
+        input=doc, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "T underflows" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("v_right", [1e6, 3602.0], ids=["zero", "subnormal"])
 def test_oracle_check_with_vanishing_transmitted_wave_exits_3(capsys, tmp_path, v_right):
     # e^{ikx} of a strongly evanescent right medium underflows at the span
