@@ -44,6 +44,7 @@ from .periodic import (
     decay_rate,
 )
 from .oracle import (
+    MatchingSolveError,
     MatchingSystem,
     OracleSolution,
     assemble_matching_system,

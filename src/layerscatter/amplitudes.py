@@ -25,7 +25,7 @@ width d_n centred at x_n over a zero-potential background has
     r_n/t_n = i exp{i 2 k0 x_n} (k_n^2-k0^2)/(2 k_n k0) sin k_n d_n
 
 (the reflection phase exp{i 2 k0 x_n}, with the sign above, is the one
-consistent with the dense boundary-matching solve; see the tests).
+consistent with the banded boundary-matching solve; see the tests).
 """
 from __future__ import annotations
 

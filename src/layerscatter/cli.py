@@ -278,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-check",
-        help="compare the recurrence pipeline against the dense matching solve",
+        help="compare the recurrence pipeline against the banded matching solve",
     )
     _add_structure_args(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument(
         "--relaxed-tolerance", type=float, default=1e-6,
-        help="tolerance used when the dense system's one-norm condition "
-        "estimate (from its LU factors) exceeds 1e8",
+        help="tolerance used when the matching system's one-norm condition "
+        "estimate (zgbcon, from its banded LU factors) exceeds 1e8",
     )
     p.set_defaults(func=cmd_oracle_check)
     return ap

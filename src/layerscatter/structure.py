@@ -84,7 +84,7 @@ class LayeredStructure:
 def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
     """k of all 2N+3 regions, left to right: left medium, gap 1, barrier 1,
     ..., barrier N, gap N+1, right medium.  This is the one region layout of
-    the solver's coefficient table and the dense oracle's unknowns."""
+    the solver's coefficient table and the banded oracle's unknowns."""
     k = np.empty(2 * w.k_barrier.size + 3, dtype=complex)
     k[0], k[1:-1:2], k[2:-1:2], k[-1] = w.k_left, w.k_gap, w.k_barrier, w.k_right
     return k

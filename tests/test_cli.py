@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -370,14 +372,15 @@ def test_negative_gap_energy_exits_3(capsys, tmp_path, command):
       "barriers": [{"height": 1, "width": 1, "center": 1.5}]}, "0"),  # k_gap = 0
 ], ids=["barrier", "gap"])
 def test_oracle_check_at_zero_wavenumber_exits_3(capsys, tmp_path, doc, energy):
-    # a region with k = 0 makes the dense matching system singular
+    # a region with k = 0 makes the matching system singular; the energy gate
+    # refuses it first, with the line every other command prints
     f = tmp_path / "s.json"
     f.write_text(json.dumps(doc))
     code, stdout, err = run_cli(capsys, "oracle-check", "--structure", str(f),
                                 "--energy", energy)
     assert code == 3
     assert stdout == ""
-    assert err.startswith("error: ") and "singular" in err
+    assert err.startswith(f"error: energy {float(energy)} makes k = 0 in a gap or a barrier")
     assert "Traceback" not in err
 
 
@@ -408,8 +411,6 @@ def test_energy_gate_is_one_rule_for_every_command(capsys, tmp_path, doc, energy
         assert (code, stdout) == (3, ""), command
         assert not out.exists()
         lines[command[0]] = err.splitlines()[0]
-    if "k = 0" in first_line:  # the dense oracle runs first and calls its system singular
-        assert "singular" in lines.pop("oracle-check")
     assert set(lines.values()) == {lines["wavefunction"]}
     assert lines["wavefunction"].startswith(first_line)
 
@@ -584,6 +585,33 @@ class TestOracleCheckCommand:
             "--energy", "1.01",
         )
         assert code == 0, out
+
+    def test_singular_matching_system_exits_3(self, capsys):
+        # an all-zero column makes the band LU meet an exactly zero pivot
+        real = layerscatter.oracle.assemble_matching_system
+
+        def zero_column(s, energy):
+            m = real(s, energy)
+            band = m.band.copy()
+            band[:, 3] = 0.0
+            return dataclasses.replace(m, band=band)
+
+        with mock.patch("layerscatter.oracle.assemble_matching_system", zero_column):
+            code, out, err = run_cli(
+                capsys, "oracle-check", "--scenario", "periodic", "--energy", "6.0",
+            )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the matching system is singular")
+
+    def test_two_thousand_barriers_in_under_a_second(self, capsys):
+        # the band LU is O(N); a dense (4N+4)-square matrix would take 1 GB here
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--scenario", "periodic",
+            "--scenario-params", "count=2000", "--energy", "6.0",
+        )
+        assert code == 0, out
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("steps", ["3000", "4"], ids=["write", "exit-flush"])

@@ -4,10 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from layerscatter import (
     Barrier,
     LayeredStructure,
+    MatchingSolveError,
+    MatchingSystem,
     assemble_matching_system,
     compare_with_pipeline,
     oracle_solution,
@@ -52,22 +55,51 @@ def reference_matching_system(s, energy):
     return mat, rhs
 
 
+CASES = ["random", "empty", "touching", "evanescent-right"]
+
+
+def variant_structures(rng, case, count=20):
+    """``count`` random (structure, energy) pairs reshaped into ``case``."""
+    for _ in range(count):
+        s, e = random_structure(rng, max_barriers=8)
+        if case == "empty":
+            s = dataclasses.replace(s, barriers=())
+        elif case == "touching":
+            bs = s.barriers + (Barrier(2.0, 0.5, 0.25),)
+            x, moved = 0.0, []
+            for b in bs:  # no gaps between barriers
+                moved.append(Barrier(b.height, b.width, x + b.width / 2))
+                x += b.width
+            s = LayeredStructure(s.v_left, s.v_right, x + 0.5, tuple(moved))
+        elif case == "evanescent-right":
+            s = dataclasses.replace(s, v_right=e + float(rng.uniform(0.1, 5.0)))
+        yield s, e
+
+
+def dense_referee(m):
+    """(unknowns, one-norm condition estimate) from a dense LU of ``m.matrix``:
+    the solve the band LU replaced, with its one refinement step."""
+    a = m.matrix
+    lu, piv = scipy.linalg.lu_factor(a)
+    x = scipy.linalg.lu_solve((lu, piv), m.rhs)
+    x += scipy.linalg.lu_solve((lu, piv), m.rhs - a @ x)
+    rcond, info = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(a, 1), norm="1")
+    assert info == 0
+    return x, (1.0 / rcond if rcond > 0 else np.inf)
+
+
+def unknowns(sol):
+    """The solution's coefficients in the matching system's column order."""
+    x = np.empty(4 * len(sol.c) + 4, dtype=complex)
+    x[0], x[-1] = sol.r_full, sol.t_full
+    x[1::4], x[2::4], x[3:-1:4], x[4::4] = sol.a, sol.b, sol.c, sol.d
+    return x
+
+
 class TestAssembly:
-    @pytest.mark.parametrize("case", ["random", "empty", "touching", "evanescent-right"])
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_pointwise_reference(self, rng, case):
-        for _ in range(20):
-            s, e = random_structure(rng, max_barriers=8)
-            if case == "empty":
-                s = dataclasses.replace(s, barriers=())
-            elif case == "touching":
-                bs = s.barriers + (Barrier(2.0, 0.5, 0.25),)
-                x, moved = 0.0, []
-                for b in bs:  # no gaps between barriers
-                    moved.append(Barrier(b.height, b.width, x + b.width / 2))
-                    x += b.width
-                s = LayeredStructure(s.v_left, s.v_right, x + 0.5, tuple(moved))
-            elif case == "evanescent-right":
-                s = dataclasses.replace(s, v_right=e + float(rng.uniform(0.1, 5.0)))
+        for s, e in variant_structures(rng, case):
             m = assemble_matching_system(s, e)
             mat, rhs = reference_matching_system(s, e)
             assert np.array_equal(m.matrix, mat) and np.array_equal(m.rhs, rhs)
@@ -86,6 +118,15 @@ class TestAssembly:
         m = assemble_matching_system(s, e)
         for row in m.matrix:
             assert np.count_nonzero(row) <= 4
+
+    def test_band_storage_layout(self, rng):
+        # LAPACK band storage with KL = KU = 2 (the entries themselves are
+        # checked through m.matrix above): 7 rows, the first two left zero
+        # for zgbtrf's fill-in
+        s, e = random_structure(rng, max_barriers=6)
+        m = assemble_matching_system(s, e)
+        assert m.band.shape == (7, 4 * s.n_barriers + 4)
+        assert not m.band[:2].any()
 
 
 class TestSolve:
@@ -146,6 +187,44 @@ class TestSolve:
             assert 0.1 < estimate / two_norm < 10.0
             relaxed.append(estimate > 1e8)
         assert 0 < sum(relaxed) < len(relaxed)  # both tolerances are exercised
+
+
+class TestBandSolve:
+    def check_against_dense(self, cases):
+        for s, e in cases:
+            m = assemble_matching_system(s, e)
+            sol = solve_matching_system(m)
+            x_ref, cond_ref = dense_referee(m)
+            x = unknowns(sol)
+            assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref)), (s, e)
+            assert sol.condition == pytest.approx(cond_ref, rel=1e-8), (s, e)
+
+    def test_criterion_1_cases_match_dense_lu(self):
+        self.check_against_dense(criterion_1_cases())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_lu(self, rng, case):
+        self.check_against_dense(variant_structures(rng, case))
+
+    def test_solve_reads_no_dense_matrix(self, rng):
+        s, e = random_structure(rng, max_barriers=8)
+        m = assemble_matching_system(s, e)
+
+        def refuse(_):
+            raise AssertionError("the solve expanded the band to a dense matrix")
+
+        with mock.patch.object(MatchingSystem, "matrix", property(refuse)):
+            solve_matching_system(m)
+
+    def test_zero_column_is_singular_not_nan(self):
+        # a band with an all-zero column: zgbtrf reports an exactly zero pivot,
+        # which must surface as an ArithmeticError, not as inf or NaN unknowns
+        m = assemble_matching_system(LayeredStructure(0, 0, 3.0, (Barrier(3.0, 1.0, 1.5),)), 4.0)
+        band = m.band.copy()
+        band[:, 3] = 0.0
+        with pytest.raises(MatchingSolveError, match="singular") as info:
+            solve_matching_system(MatchingSystem(band=band, rhs=m.rhs))
+        assert isinstance(info.value, ArithmeticError)
 
 
 class TestPipelineEquivalence:
