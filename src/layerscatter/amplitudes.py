@@ -10,8 +10,9 @@ scalar solve (a batch of one), the band scan and the closed form all
 reach it through :func:`all_barrier_amplitudes`.  Of the amplitude stages
 only the recurrence loops in Python, over the barrier axis.
 
-The stages assume an energy that :func:`check_energy` has admitted, which
-:func:`scattering_amplitudes` checks once; they check nothing themselves.
+The stages assume an energy that :func:`check_energy` has admitted and a
+transmitted wave that :func:`check_transmitted_wave` has found representable,
+which :func:`scattering_amplitudes` checks once; they check nothing themselves.
 
 Conventions
 -----------
@@ -39,8 +40,8 @@ from .structure import (
     LayeredStructure,
     WaveNumberSet,
     check_energy,
+    check_transmitted_wave,
     compute_wavenumbers,
-    validate_structure,
 )
 
 
@@ -98,9 +99,8 @@ def _barrier_tr(k0, kn, width, center):
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
     """(t, r) of every barrier over a zero background, arrays whose last
     axis is the barrier."""
-    width = np.array([b.width for b in s.barriers])
-    center = np.array([b.center for b in s.barriers])
-    return _barrier_tr(np.asarray(w.k_gap)[..., None], w.k_barrier, width, center)
+    _, widths, centers = s.barrier_arrays
+    return _barrier_tr(np.asarray(w.k_gap)[..., None], w.k_barrier, widths, centers)
 
 
 def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):
@@ -198,9 +198,9 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
 def scattering_amplitudes(s: LayeredStructure, energy):
     """(wavenumbers, outer steps, barrier (t, r), embedded T and R) at
     ``energy``, a float or an array: all a sweep reads."""
-    validate_structure(s)
     w = compute_wavenumbers(s, energy)
     check_energy(s, energy)
+    check_transmitted_wave(w, s)
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)

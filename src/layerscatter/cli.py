@@ -22,7 +22,7 @@ from .amplitudes import (
     transmission_probability,
 )
 from .oracle import compare_with_pipeline
-from .periodic import PeriodicLattice, band_scan
+from .periodic import ENERGY_FLOOR, PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
 from .structure import (
     Barrier,
@@ -31,7 +31,6 @@ from .structure import (
     StructureError,
     degenerate_energies,
     mirror_structure,
-    validate_structure,
 )
 from .wavefunction import default_grid, sample_density, solve_structure
 
@@ -57,7 +56,7 @@ def serialize_structure(s: LayeredStructure) -> str:
 
 
 def parse_structure(text: str) -> LayeredStructure:
-    """Parse a structure document (JSON) into a validated structure.
+    """Parse a structure document (JSON) into a structure.
 
     Either an explicit barrier list under ``barriers`` or a
     ``generator: {kind, params}`` entry expanding to a named scenario.
@@ -82,8 +81,7 @@ def parse_structure(text: str) -> LayeredStructure:
         Barrier(*(_number(b, k, f"barrier {i}") for k in ("height", "width", "center")))
         for i, b in enumerate(doc["barriers"], start=1)
     )
-    s = LayeredStructure(*(_number(doc, k, k) for k in ("v_left", "v_right", "span")), barriers)
-    return validate_structure(s)
+    return LayeredStructure(*(_number(doc, k, k) for k in ("v_left", "v_right", "span")), barriers)
 
 
 def _number(entry, key: str, where: str) -> float:
@@ -117,11 +115,9 @@ def _load_structure(args) -> LayeredStructure:
                 continue
             key, _, val = item.partition("=")
             try:
-                num = float(val)
+                params[key.strip()] = float(val)
             except ValueError:
                 raise StructureError([f"scenario parameter {item!r} is not numeric"])
-            params[key.strip()] = int(num) if num.is_integer() and key.strip() in (
-                "count", "m") else num
         s = _scenario(args.scenario, params)
     elif args.structure is not None:
         if args.structure == "-":
@@ -133,7 +129,7 @@ def _load_structure(args) -> LayeredStructure:
     else:
         raise StructureError(["provide --structure FILE or --scenario NAME"])
     if args.mirror:
-        s = validate_structure(mirror_structure(s))
+        s = mirror_structure(s)
     return s
 
 
@@ -201,7 +197,9 @@ def cmd_sweep(args) -> int:
 def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
     lo, hi, steps = _energy_range(args.energy_range)
-    table = band_scan(lat, lo, hi, (hi - lo) / (steps - 1))
+    # The spacing of np.linspace(max(lo, ENERGY_FLOOR), hi, steps), sweep's
+    # grid after the floor: band_scan then scans exactly that grid.
+    table = band_scan(lat, lo, hi, (hi - max(lo, ENERGY_FLOOR)) / (steps - 1))
     _write_csv(args.out, "epsilon,cos_beta,band",
                (f"{_fmt(e)},{_fmt(c)},{label}" for e, c, label in
                 zip(table.energies, table.cos_beta, table.classification)))

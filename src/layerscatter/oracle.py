@@ -27,6 +27,7 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     check_energy,
+    check_transmitted_wave,
     compute_wavenumbers,
     degenerate_energies,
     region_wavenumbers,
@@ -105,8 +106,7 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
         block[:, 0, 1] = np.exp(-ik_l * x)
         block[:, 0, 2] = -np.exp(ik_r * x)
         block[:-1, 0, 3] = -np.exp(-ik_r[:-1] * x[:-1])
-    if abs(block[-1, 0, 2]) < 1.0 / np.finfo(float).max:
-        raise FloatingPointError("the right medium's e^{ikx} vanishes at the span: T overflows")
+    check_transmitted_wave(w, s)
     block[:, 1] = block[:, 0] * np.column_stack((ik_l, -ik_l, ik_r, -ik_r))
 
     i = np.arange(x.size)[:, None, None]

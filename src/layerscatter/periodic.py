@@ -26,6 +26,7 @@ from .structure import (
 
 EDGE_TOL = 1e-12
 EDGE_XTOL = 1e-10  # energy tolerance of the bisected band edges
+ENERGY_FLOOR = 1e-6  # band scans start here: below 0 the gap wave is evanescent
 
 
 class BandEdgeError(ArithmeticError):
@@ -213,17 +214,19 @@ def band_scan(
 ) -> BandTable:
     """Classify [e_min, e_max] into allowed/forbidden intervals.
 
-    Scans on a grid of spacing <= resolution, then bisects every sign
-    change of |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  Negative
-    energies carry no propagating gap wave, so e_min is clamped to a
-    small positive floor.
+    Scans on the grid of fewest points whose spacing, as ``np.linspace``
+    computes it, is <= resolution, then bisects every sign change of
+    |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  Negative energies carry
+    no propagating gap wave, so e_min is clamped to ``ENERGY_FLOOR``.
     """
+    e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
-        raise ValueError("need e_min < e_max")
+        raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    e_min = max(e_min, 1e-6)
-    n_pts = max(int(math.ceil((e_max - e_min) / resolution)) + 1, 2)
+    n_pts = max(math.ceil((e_max - e_min) / resolution) + 1, 2)
+    if n_pts > 2 and (e_max - e_min) / (n_pts - 2) <= resolution:
+        n_pts -= 1  # the quotient rounded up past a whole number of steps
     grid = np.linspace(e_min, e_max, n_pts)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .periodic import PeriodicLattice
-from .structure import Barrier, LayeredStructure, validate_structure
+from .structure import Barrier, LayeredStructure
 
 
 def _chain(
@@ -34,10 +34,7 @@ def _chain(
         x += d
         if n < n_barriers:
             x += gap(n)
-    span = x + margin
-    return validate_structure(
-        LayeredStructure(v_left, v_right, span, tuple(barriers))
-    )
+    return LayeredStructure(v_left, v_right, x + margin, tuple(barriers))
 
 
 def periodic_chain(
@@ -52,7 +49,7 @@ def periodic_chain(
     """Identical equidistant barriers; defaults give the reference lattice
     (height*width^2 = 3, period/width = 2)."""
     lat = PeriodicLattice(barrier_height, barrier_width, period, count, first_center)
-    return validate_structure(lat.to_structure(v_left, v_right))
+    return lat.to_structure(v_left, v_right)
 
 
 def graded_linear(count: int = 8) -> LayeredStructure:
@@ -131,6 +128,9 @@ SCENARIO_ENERGIES = {
 
 
 def build_scenario(name: str, **params) -> LayeredStructure:
+    # The integer parameters, given as an integral float (count=8.0), are that int.
+    params.update({k: int(v) for k, v in params.items() if k in ("count", "m")
+                   and isinstance(v, float) and v.is_integer()})
     try:
         factory = SCENARIOS[name]
     except KeyError:

@@ -7,8 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# Slack of the edge comparisons, in ulps of the span: the sums that place
+# barriers (or a mirror's span - center) part or overlap touching edges by up
+# to 2 ulps over random touching lattices, chains and their mirrors.
+EDGE_ULPS = 8
 
 
 class StructureError(ValueError):
@@ -59,7 +65,8 @@ class LayeredStructure:
     The left medium (potential ``v_left``) occupies x <= 0, the right
     medium (``v_right``) occupies x >= span; between barriers the
     potential is zero.  An empty barrier list is legal and degenerates
-    to a plain potential step/well.
+    to a plain potential step/well.  Construction runs
+    :func:`validate_structure`, so every structure that exists is valid.
     """
 
     v_left: float
@@ -69,16 +76,27 @@ class LayeredStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "barriers", tuple(self.barriers))
+        validate_structure(self)
 
     @property
     def n_barriers(self) -> int:
         return len(self.barriers)
 
+    @cached_property
+    def barrier_arrays(self) -> np.ndarray:
+        """Read-only (3, N) array of the barriers' heights, widths and centers,
+        left to right: ``heights, widths, centers = s.barrier_arrays``."""
+        arrays = np.array([(b.height, b.width, b.center) for b in self.barriers], float)
+        arrays = arrays.reshape(-1, 3).T
+        arrays.flags.writeable = False
+        return arrays
+
     def interface_points(self) -> np.ndarray:
         """All 2N+2 matching points: 0, each barrier edge, span.  Point i is
         the right end of region i of :func:`region_wavenumbers`."""
-        edges = [x for b in self.barriers for x in (b.left_edge, b.right_edge)]
-        return np.array([0.0, *edges, self.span])
+        _, widths, centers = self.barrier_arrays
+        edges = np.column_stack((centers - widths / 2.0, centers + widths / 2.0))
+        return np.concatenate(([0.0], edges.ravel(), [self.span]))
 
 
 def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
@@ -94,7 +112,8 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
     """Check ordering/extent constraints; return ``s`` unchanged if valid.
 
     Raises :class:`StructureError` listing every violation.  Touching
-    barriers (zero-width gaps) are legal.
+    barriers (zero-width gaps) are legal: edges are compared to within
+    ``EDGE_ULPS`` ulps of the span, so rounding does not part or overlap them.
     """
     problems = []
     if not (math.isfinite(s.v_left) and math.isfinite(s.v_right)):
@@ -108,25 +127,22 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
             problems.append(f"barrier {i}: width must be positive, got {b.width}")
         if not (math.isfinite(b.center) and math.isfinite(b.height)):
             problems.append(f"barrier {i}: center and height must be finite")
-    finite = all(
-        math.isfinite(b.width) and math.isfinite(b.center) for b in s.barriers
-    )
-    if finite:
-        bs = s.barriers
-        if bs:
-            if bs[0].left_edge < 0:
-                problems.append(
-                    f"barrier 1 starts before the left medium edge "
-                    f"(left edge {bs[0].left_edge} < 0)"
-                )
-            if bs[-1].right_edge > s.span:
-                problems.append(
-                    f"barrier {len(bs)} exceeds span "
-                    f"(right edge {bs[-1].right_edge} > {s.span})"
-                )
-        for i in range(len(bs) - 1):
-            if bs[i].right_edge > bs[i + 1].left_edge:
-                problems.append(f"overlap between barriers {i + 1} and {i + 2}")
+    if s.barriers and np.isfinite(s.barrier_arrays[1:]).all():  # widths and centers
+        x = s.interface_points()
+        left, right = x[1:-1:2], x[2:-1:2]
+        slack = EDGE_ULPS * np.spacing(abs(s.span)) if math.isfinite(s.span) else 0.0
+        if left[0] < -slack:
+            problems.append(
+                f"barrier 1 starts before the left medium edge "
+                f"(left edge {float(left[0])} < 0)"
+            )
+        if right[-1] > s.span + slack:
+            problems.append(
+                f"barrier {s.n_barriers} exceeds span "
+                f"(right edge {float(right[-1])} > {s.span})"
+            )
+        for i in np.flatnonzero(right[:-1] > left[1:] + slack).tolist():
+            problems.append(f"overlap between barriers {i + 1} and {i + 2}")
     if problems:
         raise StructureError(problems)
     return s
@@ -159,7 +175,6 @@ class WaveNumberSet:
     """All region wavenumbers k = sqrt(eps - potential) at one energy or an
     array of energies; ``k_barrier`` adds a last axis over the barriers."""
 
-    energy: float
     k_left: complex
     k_right: complex
     k_gap: complex
@@ -172,13 +187,11 @@ def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
     bad = e[~np.isfinite(e)]
     if bad.size:
         raise ValueError(f"energy must be finite, got {bad[0]}")
-    heights = np.array([b.height for b in s.barriers])
     return WaveNumberSet(
-        energy=energy,
         k_left=branch_sqrt(e - s.v_left),
         k_right=branch_sqrt(e - s.v_right),
         k_gap=branch_sqrt(e),
-        k_barrier=branch_sqrt(e[..., None] - heights),
+        k_barrier=branch_sqrt(e[..., None] - s.barrier_arrays[0]),
     )
 
 
@@ -187,8 +200,7 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
     its height), elementwise over ``energy``: there e^{+ikx} and e^{-ikx}
     coincide, so the plane-wave pieces are degenerate."""
     e = np.asarray(energy, dtype=float)
-    heights = np.array([b.height for b in s.barriers])
-    return (e == 0.0) | (e[..., None] == heights).any(axis=-1)
+    return (e == 0.0) | (e[..., None] == s.barrier_arrays[0]).any(axis=-1)
 
 
 def check_energy(s: LayeredStructure, energy) -> None:
@@ -213,3 +225,11 @@ def check_energy(s: LayeredStructure, energy) -> None:
         raise ArithmeticError(
             f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
         )
+
+
+def check_transmitted_wave(w: WaveNumberSet, s: LayeredStructure) -> None:
+    """Raise FloatingPointError where the right medium's e^{ikx} is below
+    1/DBL_MAX at the span, so that T, its coefficient, would overflow."""
+    wave = np.abs(np.exp(1j * np.asarray(w.k_right) * s.span))
+    if np.any(wave < 1.0 / np.finfo(float).max):
+        raise FloatingPointError("the right medium's e^{ikx} vanishes at the span: T overflows")

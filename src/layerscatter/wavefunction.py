@@ -71,7 +71,7 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
     the origin.
     """
     k0, kn = w.k_gap, w.k_barrier
-    x0 = np.array([bar.left_edge for bar in s.barriers])
+    x0 = s.interface_points()[1:-1:2]  # left edges
     ratio = k0 / kn
     with np.errstate(over="raise", invalid="raise"):
         ap = np.array(a[:-1]) * np.exp(1j * k0 * x0)

@@ -446,14 +446,15 @@ def test_oracle_check_with_vanishing_transmitted_wave_exits_3(capsys, tmp_path, 
     assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
 
 
-@pytest.mark.parametrize("scenario, params", [
-    ("periodic", {"count": 2.5}),
-    ("periodic", {"count": math.inf}),
-    ("periodic", {"count": math.nan}),
-    ("graded-product", {"count": 3, "m": math.inf}),
-], ids=["count=2.5", "count=inf", "count=nan", "m=inf"])
+@pytest.mark.parametrize("scenario, params, expected", [
+    ("periodic", {"count": 2.5}, 2),
+    ("periodic", {"count": math.inf}, 2),
+    ("periodic", {"count": math.nan}, 2),
+    ("graded-product", {"count": 3, "m": math.inf}, 2),
+    ("periodic", {"count": 8.0}, 0),
+], ids=["count=2.5", "count=inf", "count=nan", "m=inf", "count=8.0"])
 @pytest.mark.parametrize("via", ["scenario-params", "generator"])
-def test_bad_scenario_parameter_exits_2(capsys, tmp_path, scenario, params, via):
+def test_bad_scenario_parameter_exits_2(capsys, tmp_path, scenario, params, expected, via):
     if via == "scenario-params":
         given = ",".join(f"{k}={v}" for k, v in params.items())
         source = ["--scenario", scenario, "--scenario-params", given]
@@ -462,10 +463,30 @@ def test_bad_scenario_parameter_exits_2(capsys, tmp_path, scenario, params, via)
         f.write_text(json.dumps({"generator": {"kind": scenario, "params": params}}))
         source = ["--structure", str(f)]
     code, stdout, err = run_cli(capsys, "wavefunction", *source, "--energy", "5")
-    assert code == 2
+    assert code == expected
+    if expected == 0:  # an integral float count is that count, by either route
+        assert err == ""
+        assert stdout.splitlines()[-1] == run_cli(
+            capsys, "wavefunction", "--scenario", scenario, "--energy", "5")[1].splitlines()[-1]
+        return
     assert stdout == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["wavefunction", "--energy", "2"],
+    ["sweep", "--energy-range", "2:3:2"],
+], ids=["wavefunction", "sweep"])
+def test_vanishing_transmitted_wave_exits_3(capsys, tmp_path, command):
+    # as oracle-check above: e^{ikx} of the right medium underflows at the span
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"v_left": 0, "v_right": 1e6, "span": 12, "barriers": [
+        {"height": 1, "width": 1, "center": 10}]}))
+    code, stdout, err = run_cli(capsys, *command, "--structure", str(f))
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
 
 
 def test_wavefunction_overflow_exits_3(capsys, tmp_path):
@@ -521,6 +542,20 @@ class TestBandsCommand:
         assert [float(r.split(",")[0]) for r in rows] == [1, 1.5, 2, 2.5, 3.5, 4, 4.5, 5]
         assert "note: skipped degenerate grid point epsilon=3\n" in stdout
 
+    @pytest.mark.parametrize("lo, hi, steps", [
+        (2.9715441859309846, 3.648790633144152, 221),  # (hi - lo) / spacing rounds up past 220
+        (-1.0, 1.0, 5),  # MIN below the 1e-6 floor
+    ])
+    def test_exactly_steps_rows_on_the_sweep_grid(self, capsys, tmp_path, lo, hi, steps):
+        out = tmp_path / "bands.csv"
+        code, _, _ = run_cli(
+            capsys, "bands", "--barrier-height", "3", "--barrier-width", "1",
+            "--period", "2", f"--energy-range={lo!r}:{hi!r}:{steps}", "--out", str(out),
+        )
+        assert code == 0
+        energies = [r.split(",")[0] for r in out.read_text().splitlines()[1:]]
+        assert energies == [format(e, ".17g") for e in np.linspace(max(lo, 1e-6), hi, steps)]
+
     def test_free_lattice_no_edges(self, capsys, tmp_path):
         out = tmp_path / "bands.csv"
         code, stdout, _ = run_cli(
@@ -535,6 +570,23 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--scenario", "periodic")
         assert code == 0
         assert "valid" in out
+
+    @pytest.mark.parametrize("args, doc", [
+        (["--scenario", "periodic", "--scenario-params", "period=1.4221,barrier_width=1.4221"],
+         None),
+        (["--mirror"], {"v_left": 0, "v_right": 0, "span": 19.10652581834961, "barriers": [
+            {"height": 1, "width": 2.0925330578808006, "center": 1.0462665289404003},
+            {"height": 1, "width": 2.0925330578808006, "center": 18.06025928940921}]}),
+    ], ids=["period-equals-width", "mirror-touching-ends"])
+    def test_touching_layouts_valid(self, capsys, tmp_path, args, doc):
+        # the edges of these touching layouts meet only to within rounding
+        if doc is not None:
+            f = tmp_path / "s.json"
+            f.write_text(json.dumps(doc))
+            args = [*args, "--structure", str(f)]
+        code, out, err = run_cli(capsys, "validate", *args)
+        assert (code, err) == (0, "")
+        assert out.startswith("valid: ")
 
     def test_invalid_exits_2(self, capsys, tmp_path):
         doc = {"v_left": 0, "v_right": 0, "span": 2,

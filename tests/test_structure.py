@@ -26,15 +26,13 @@ class TestValidate:
         assert validate_structure(s) is s
 
     def test_overlap_detected(self):
-        s = make([Barrier(3, 1, 1), Barrier(3, 1, 1.5)])
         with pytest.raises(StructureError) as exc:
-            validate_structure(s)
+            make([Barrier(3, 1, 1), Barrier(3, 1, 1.5)])
         assert any("overlap between barriers 1 and 2" in p for p in exc.value.problems)
 
     def test_out_of_span(self):
-        s = make([Barrier(3, 1, 2)], span=2.0)
         with pytest.raises(StructureError) as exc:
-            validate_structure(s)
+            make([Barrier(3, 1, 2)], span=2.0)
         assert any("exceeds span" in p for p in exc.value.problems)
 
     def test_nonpositive_width(self):
@@ -46,13 +44,27 @@ class TestValidate:
         s = make([Barrier(3, 1, 0.5), Barrier(2, 1, 1.5)])
         validate_structure(s)
 
+    def test_touching_barriers_legal_to_rounding(self):
+        # 0.05 + 0.1/2 rounds one ulp past 0.15 - 0.1/2
+        s = make([Barrier(1, 0.1, 0.05), Barrier(1, 0.1, 0.15), Barrier(1, 0.1, 0.25)],
+                 span=0.4)
+        assert validate_structure(s) is s
+
+    def test_violations_of_1e9_rejected(self):
+        with pytest.raises(StructureError) as exc:
+            make([Barrier(1, 1, 0.5 - 1e-9), Barrier(1, 1, 1.5 - 2e-9),
+                  Barrier(1, 1, 3.5 + 1e-9)])
+        left, right, overlap = exc.value.problems
+        assert left.startswith("barrier 1 starts before the left medium edge")
+        assert right.startswith("barrier 3 exceeds span")
+        assert overlap == "overlap between barriers 1 and 2"
+
     def test_empty_structure_legal(self):
         validate_structure(make([]))
 
     def test_reports_every_violation(self):
-        s = make([Barrier(3, -1, 1), Barrier(3, 1, 0.9), Barrier(1, 1, 9)], span=4)
         with pytest.raises(StructureError) as exc:
-            validate_structure(s)
+            make([Barrier(3, -1, 1), Barrier(3, 1, 0.9), Barrier(1, 1, 9)], span=4)
         assert len(exc.value.problems) >= 2
 
     def test_idempotent_and_pure(self, rng):
@@ -60,6 +72,21 @@ class TestValidate:
         before = s.barriers
         assert validate_structure(validate_structure(s)) is s
         assert s.barriers == before
+
+
+class TestBarrierArrays:
+    def test_one_cached_read_only_view(self):
+        s = make([Barrier(3, 1, 1), Barrier(2, 0.5, 3)])
+        heights, widths, centers = s.barrier_arrays
+        assert s.barrier_arrays is s.barrier_arrays
+        assert (heights.tolist(), widths.tolist(), centers.tolist()) == ([3, 2], [1, 0.5], [1, 3])
+        with pytest.raises(ValueError):
+            heights[0] = 0.0
+        assert s.interface_points().tolist() == [0, 0.5, 1.5, 2.75, 3.25, 4]
+
+    def test_empty(self):
+        assert make([]).barrier_arrays.shape == (3, 0)
+        assert make([]).interface_points().tolist() == [0, 4]
 
 
 class TestBranchSqrt:
