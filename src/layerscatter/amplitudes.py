@@ -1,14 +1,18 @@
-"""Scattering amplitudes on arrays: single interfaces, single barriers, the
-two-term recurrence over a chain, the leftward coefficient map, and
-embedding between the two outer media.
+"""Scattering amplitudes on arrays: single interfaces, single barriers, a
+tree of Redheffer star products over a chain, the leftward coefficient
+map, and embedding between the two outer media.
 
 Every stage takes the wavenumbers of one energy or of an energy array
 (:func:`compute_wavenumbers`) and works elementwise: leading axes are
 energy, and a per-barrier array carries the barrier as its last axis.
 The single-barrier formula lives in ``_barrier_tr`` alone; the sweep, the
 scalar solve (a batch of one), the band scan and the closed form all
-reach it through :func:`all_barrier_amplitudes`.  Of the amplitude stages
-only the recurrence loops in Python, over the barrier axis.
+reach it through :func:`all_barrier_amplitudes`.  The chain is composed
+by joining adjacent segments pairwise, level by level, so a chain of N
+barriers costs ceil(log2 N) array steps and every intermediate amplitude
+keeps modulus <= 1 (the stable S-matrix composition of Ko and Inkson,
+Phys. Rev. B 38, 9945 (1988), as a reduction tree in the sense of
+Blelloch, CMU-CS-90-190 (1990)).
 
 The stages assume an energy that :func:`check_energy` has admitted and a
 transmitted wave that :func:`check_transmitted_wave` has found representable,
@@ -79,59 +83,76 @@ def _factored_trig(z):
 
 
 def _barrier_tr(k0, kn, width, center):
-    """(t, r) of barriers over a zero background: the single-barrier formula,
-    elementwise.
+    """(t, r, r') of barriers over a zero background: the single-barrier
+    formula, elementwise.
 
     ``kn``, ``width`` and ``center`` carry the barrier as their last axis;
     ``k0`` broadcasts against them.  Evanescent barriers are handled by the
     same complex expressions; the decaying exponential is factored out so
-    thick tunnelling barriers do not overflow.
+    thick tunnelling barriers do not overflow.  The right-incidence
+    reflection of a lossless barrier, r' = -r* t/t*, takes t/t* =
+    e^{-2i k0 d} c*/c from the factored pieces: t itself underflows to 0
+    in a high barrier, where t/t* would be 0/0.
     """
     m, c, sn = _factored_trig(kn * width)
-    k2, k02, den = kn * kn, k0 * k0, 2.0 * kn * k0
-    b_asym = (k2 - k02) / den
-    c -= 1j * ((k2 + k02) / den) * sn  # c is now e^{-m} (cos - iA sin)
-    t = np.exp(-1j * k0 * width - m) / c
-    r = 1j * np.exp(2j * k0 * center - 1j * k0 * width) * b_asym * sn / c
-    return t, r
+    k2, k02, half_inv = kn * kn, k0 * k0, 0.5 / (kn * k0)
+    c -= 1j * ((k2 + k02) * half_inv) * sn  # c is now e^{-m} (cos - iA sin)
+    inv_c = 1.0 / c
+    pw = np.exp(-1j * k0 * width)
+    rc = 1j * np.exp(1j * k0 * (2.0 * center - width)) * ((k2 - k02) * half_inv) * sn
+    return pw * np.exp(-m) * inv_c, rc * inv_c, -rc.conjugate() * (pw * pw) * inv_c
 
 
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
-    """(t, r) of every barrier over a zero background, arrays whose last
+    """(t, r, r') of every barrier over a zero background, arrays whose last
     axis is the barrier."""
     _, widths, centers = s.barrier_arrays
     return _barrier_tr(np.asarray(w.k_gap)[..., None], w.k_barrier, widths, centers)
 
 
 def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):
-    """(t_n, r_n) for barrier ``n`` (0-based) over a zero background."""
+    """(t_n, r_n, r'_n) for barrier ``n`` (0-based) over a zero background."""
     return tuple(x[..., n] for x in all_barrier_amplitudes(w, s))
 
 
-def prefix_by_recurrence(amps):
-    """(T_N, R_N) of the whole chain via the two-term difference recurrence.
+def _star(a, b):
+    """Redheffer star product of adjacent segments ``a`` (left) and ``b``
+    (right) of the zero background, each (t, r, r') for left incidence
+    (t, r) and right incidence (t' = t, r'), elementwise.
 
-    State is (1/T_n, R_n*/T_n*); each step costs O(1) per energy, so this
-    is the production path for large N:
-
-        1/T_n       = (r_n/t_n) (R_{n-1}*/T_{n-1}*) + (1/t_n)(1/T_{n-1})
-        R_n*/T_n*   = (r_n/t_n)* (1/T_{n-1}) + (1/t_n)* (R_{n-1}*/T_{n-1}*)
-
-    starting from T_0 = 1, R_0 = 0.  ``amps`` is the barriers' (t, r) from
-    :func:`all_barrier_amplitudes`; the loop runs over their last axis
-    only.  Overflow is left in the result for :func:`embed_in_media` to
-    report.
+    Every input has modulus <= 1 and so has every output: |r'_a r_b| < 1
+    wherever either segment transmits, so ``den`` stays away from zero.
     """
-    t, r = amps
-    u = np.ones(t.shape[:-1], dtype=complex)[()]   # 1/T_n
-    v = np.zeros(t.shape[:-1], dtype=complex)[()]  # R_n*/T_n*
-    with np.errstate(all="ignore"):
-        ratio = np.moveaxis(r / t, -1, 0)
-        inv = np.moveaxis(1.0 / t, -1, 0)
-        for q, g, qc, gc in zip(ratio, inv, ratio.conjugate(), inv.conjugate()):
-            u, v = q * v + g * u, qc * u + gc * v
-        t_n = 1.0 / u
-        return t_n, v.conjugate() * t_n
+    ta, ra, pa = a
+    tb, rb, pb = b
+    den = 1.0 - pa * rb
+    return ta * tb / den, ra + ta * ta * rb / den, pb + tb * tb * pa / den
+
+
+def prefix_by_recurrence(amps):
+    """(T_N, R_N, R'_N) of the whole chain over a zero background.
+
+    ``amps`` is the barriers' (t, r, r') from :func:`all_barrier_amplitudes`.
+    Adjacent segments are joined pairwise by :func:`_star`, level by level
+    over the barrier axis, an odd last segment riding up to the next level
+    unchanged: ceil(log2 N) array steps, each elementwise over the leading
+    energy axes.  Every intermediate keeps modulus <= 1, so deep in a
+    forbidden band T underflows to an honest 0 and |R| stays 1; nothing
+    overflows.  No barriers give (1, 0, 0).
+    """
+    seg = amps
+    while seg[0].shape[-1] > 1:
+        even = seg[0].shape[-1] // 2 * 2
+        joined = _star(tuple(x[..., 0:even:2] for x in seg),
+                       tuple(x[..., 1:even:2] for x in seg))
+        if even < seg[0].shape[-1]:
+            joined = tuple(np.concatenate((j, x[..., -1:]), axis=-1)
+                           for j, x in zip(joined, seg))
+        seg = joined
+    if seg[0].shape[-1] == 0:
+        one = np.ones(seg[0].shape[:-1], dtype=complex)[()]
+        return one, 0.0 * one, 0.0 * one
+    return tuple(x[..., 0] for x in seg)
 
 
 def _inverse_matrix(t: complex, r: complex) -> np.ndarray:
@@ -144,7 +165,7 @@ def _inverse_matrix(t: complex, r: complex) -> np.ndarray:
 
 def prefix_by_matrix(amps):
     """(T_0..T_N, R_0..R_N) via the ordered 2x2 transfer-matrix product,
-    at one energy: ``amps`` is the barriers' (t, r).
+    at one energy: ``amps`` is the barriers' (t, r, r'), of which r' is unused.
 
     Redundant with :func:`prefix_by_recurrence` by construction; kept
     as an independent code path for cross-checking.
@@ -152,7 +173,7 @@ def prefix_by_matrix(amps):
     acc = np.eye(2, dtype=complex)
     ts = [1.0 + 0.0j]
     rs = [0.0 + 0.0j]
-    for t_n, r_n in zip(*amps):
+    for t_n, r_n in zip(*amps[:2]):
         if t_n == 0:
             raise DegenerateWavenumberError("barrier transmission amplitude vanishes")
         acc = _inverse_matrix(t_n, r_n) @ acc
@@ -171,28 +192,33 @@ def map_leftward(t, r, x, y):
 def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
     """(T, R) of the full structure between the two outer media.
 
-    ``prefix`` is (T_N, R_N) from :func:`prefix_by_recurrence` and
-    ``iface`` the outer steps from :func:`interface_amplitudes`.  Maps the
-    medium-2 coefficients back to medium 1 through the right step, the
-    zero-background structure and the left step.  Medium 2 carries no
-    leftward wave, so only the first column of the right-step matrix
-    enters and an evanescent right medium needs no special casing.
-    Raises OverflowError when 1/T is not finite, as deep in a forbidden
-    band of a long chain.
+    ``prefix`` is the chain's (T_N, R_N, R'_N) from :func:`prefix_by_recurrence`
+    and ``iface`` the outer steps from :func:`interface_amplitudes`.  The left
+    step, the chain and the right step are joined by star products, as
+    :func:`_star` joins barriers.  The left step at x = 0 has its own
+    right-incidence pair, r' = -r_left and t' = 1 - r_left = 2 k_gap /
+    (k_left + k_gap).  Medium 2 carries no leftward wave, so only the right
+    step's left-incidence (t, r) enters and an evanescent right medium needs
+    no special casing.  Deep in a forbidden band T underflows to 0 and
+    |R| = 1.  Raises ArithmeticError where T or R is not finite, as where the
+    right step's transmission overflows.
     """
+    t_c, r_c, rp_c = prefix
     t_left, r_left, t_right, r_right = iface
+    tp_left, rp_left = 1.0 - r_left, -r_left
     with np.errstate(all="ignore"):
-        x = 1.0 / t_right
-        y = r_right / t_right
-        for t, r in (prefix, (t_left, r_left)):
-            x, y = map_leftward(t, r, x, y)
-    if np.any(x == 0):
-        raise ArithmeticError("embedding produced 1/T = 0; inconsistent inputs")
-    bad = np.asarray(x)[~np.isfinite(x)]
-    if bad.size:
-        raise OverflowError(f"1/T = {bad[0]} is not finite; T underflows at this energy")
-    t_full = 1.0 / x
-    return EmbeddedAmplitudes(t_full=t_full, r_full=y * t_full)
+        den = 1.0 - rp_left * r_c
+        t_lc, tp_lc = t_left * t_c / den, tp_left * t_c / den
+        r_lc = r_left + t_left * tp_left * r_c / den
+        rp_lc = rp_c + t_c * t_c * rp_left / den
+        den = 1.0 - rp_lc * r_right
+        t_full = t_lc * t_right / den
+        r_full = r_lc + t_lc * tp_lc * r_right / den
+    bad = ~(np.isfinite(t_full) & np.isfinite(r_full))
+    if np.any(bad):
+        raise ArithmeticError(
+            f"T = {np.asarray(t_full)[bad][0]} is not finite at this energy")
+    return EmbeddedAmplitudes(t_full=t_full, r_full=r_full)
 
 
 def scattering_amplitudes(s: LayeredStructure, energy):
@@ -207,10 +233,17 @@ def scattering_amplitudes(s: LayeredStructure, energy):
 
 
 def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet):
-    """Flux-normalized transmission (Re k_right / k_left) |T|^2 in [0, 1]."""
+    """Flux-normalized transmission (Re k_right / k_left) |T|^2 in [0, 1].
+
+    An evanescent right medium (Re k_right = 0) carries no flux: 0 there,
+    where |T|^2 itself may overflow.
+    """
     if np.any(w.k_left.imag != 0) or np.any(w.k_left.real <= 0):
         raise ValueError("no propagating incident wave: k_left must be real positive")
-    return (w.k_right.real / w.k_left.real) * np.abs(emb.t_full) ** 2
+    t = np.abs(emb.t_full)
+    open_right = w.k_right.real > 0
+    flux = np.square(t, out=np.zeros_like(t), where=open_right)
+    return (w.k_right.real / w.k_left.real * flux)[()]
 
 
 def reflection_probability(emb: EmbeddedAmplitudes):

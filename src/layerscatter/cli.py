@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-check",
-        help="compare the recurrence pipeline against the banded matching solve",
+        help="compare the amplitude pipeline against the banded matching solve",
     )
     _add_structure_args(p)
     p.add_argument("--energy", type=float, required=True)

@@ -1,6 +1,6 @@
 """Brute-force verifier: banded solve of the full boundary-matching system.
 
-Independent of the recurrence/matrix pipeline, with which it shares only
+Independent of the star-product pipeline, with which it shares only
 the region layout of :func:`~layerscatter.structure.region_wavenumbers`:
 it writes out value and derivative continuity of the piecewise plane-wave
 ansatz at every interface and solves the resulting (4N+4)-square complex

@@ -97,7 +97,7 @@ def _period(lat: PeriodicLattice, energy):
     """
     w = compute_wavenumbers(lat.cell, energy)
     check_energy(lat.cell, energy)
-    t, r = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
+    t, r, _ = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         return np.exp(-1j * w.k_gap * lat.period) / t, r / t, w.k_gap
 
@@ -168,15 +168,25 @@ def _chebyshev_pair(phase: BlochPhase, n: int):
 def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     """(1/T_n, R_n/T_n) for the first n barriers, in closed form.
 
-    Refuses at band edges; the recurrence path has no singularity there
-    and should be used instead.
+    Refuses at band edges; the star products of
+    :func:`~layerscatter.amplitudes.prefix_by_recurrence` have no
+    singularity there and should be used instead.  Deep in a forbidden
+    band, where a part of either passes the largest double, it is returned
+    as inf + inf j, its phase lost.  T_n is then below 1e-308, or at most a
+    few periods short of it: sinh(n Im beta)/sinh(Im beta) can overflow
+    before |1/T_n| does.
     """
     gamma, r_over_t1, k0 = _period(lat, energy)
-    cos_n, ratio = _chebyshev_pair(_phase(energy, float(gamma.real)), n)
+    try:
+        cos_n, ratio = _chebyshev_pair(_phase(energy, float(gamma.real)), n)
+    except OverflowError:  # cosh(n Im beta), and with it |1/T_n|
+        cos_n = ratio = math.inf
     k0a = k0 * lat.period
     inv_t = cmath.exp(1j * k0a * n) * (cos_n + 1j * gamma.imag * ratio)
     r_over_t = cmath.exp(1j * k0a * (n - 1)) * r_over_t1 * ratio
-    return inv_t, r_over_t
+    # a non-finite part, nan included, comes from a part past the largest double
+    return tuple(z if cmath.isfinite(z) else complex(math.inf, math.inf)
+                 for z in (inv_t, r_over_t))
 
 
 def decay_rate(lat: PeriodicLattice, energy: float) -> float:

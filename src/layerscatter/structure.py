@@ -36,8 +36,9 @@ class DegenerateWavenumberError(ValueError):
 class EvanescentGapError(ArithmeticError):
     """The energy is negative, so the zero-potential gaps are evanescent.
 
-    The recurrence, the embedding, the leftward map and the Bloch phase
-    use conjugate relations that hold only for a real gap wavenumber.
+    The barriers' right-incidence reflection r' = -r* t/t*, the leftward
+    map and the Bloch phase use conjugate relations that hold only for a
+    real gap wavenumber.
     """
 
 
@@ -212,7 +213,7 @@ def check_energy(s: LayeredStructure, energy) -> None:
     if bad.size:
         raise EvanescentGapError(
             f"energy {bad[0]} < 0: the gaps between barriers are evanescent, "
-            "which the recurrence and the Bloch phase do not support"
+            "which the star products and the Bloch phase do not support"
         )
     bad = e[degenerate_energies(s, e)]
     if bad.size:

@@ -48,7 +48,7 @@ class ScatteringSolution:
 def gap_coefficients(amps, iface, embedded: EmbeddedAmplitudes):
     """(a_n, b_n) for every zero-potential gap region, n = 1..N+1, at one energy.
 
-    ``amps`` is the barriers' (t, r) and ``iface`` the outer steps.  Starts
+    ``amps`` is the barriers' (t, r, r') and ``iface`` the outer steps.  Starts
     from (a_{N+1}, b_{N+1}) = T (1/t_right, r_right/t_right) and steps
     leftward across each barrier with :func:`map_leftward`.
     """
@@ -83,8 +83,19 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
 
 def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
     """Full pipeline at one energy: amplitudes and embedding (a batch of
-    one), then every coefficient."""
+    one), then every coefficient.
+
+    Raises FloatingPointError where T is below the smallest normal double,
+    as deep in a forbidden band of a long chain: the coefficients start
+    from T, and a subnormal T carries too few significant bits to match the
+    left medium's (1, R) at x = 0, while a T of 0 would make them all vanish.
+    """
     w, iface, amps, emb = scattering_amplitudes(s, energy)
+    if abs(emb.t_full) < np.finfo(float).tiny:
+        raise FloatingPointError(
+            f"|T| = {abs(emb.t_full):.3g} at energy {energy}: T underflows, so "
+            "the wave function's coefficients, which start from T, are not "
+            "representable")
     a, b = gap_coefficients(amps, iface, emb)
     c, d = barrier_coefficients(a, b, w, s)
     return ScatteringSolution(

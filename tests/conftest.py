@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layerscatter import Barrier, LayeredStructure, prefix_by_recurrence
+from layerscatter import Barrier, LayeredStructure
 
 
 def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0),
@@ -32,15 +32,42 @@ def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0
     return s, energy
 
 
+def reference_prefix(amps):
+    """(T_N, R_N) of the whole chain via the two-term difference recurrence:
+    the pointwise reference for the star-product tree of
+    :func:`layerscatter.prefix_by_recurrence`.
+
+    State is (1/T_n, R_n*/T_n*), one Python step per barrier:
+
+        1/T_n       = (r_n/t_n) (R_{n-1}*/T_{n-1}*) + (1/t_n)(1/T_{n-1})
+        R_n*/T_n*   = (r_n/t_n)* (1/T_{n-1}) + (1/t_n)* (R_{n-1}*/T_{n-1}*)
+
+    starting from T_0 = 1, R_0 = 0.  ``amps`` is the barriers' (t, r, r')
+    from :func:`all_barrier_amplitudes` (r' unused).  The state grows like
+    e^{n Im beta} in a forbidden band, so deep in one it overflows and the
+    result is inf or NaN.
+    """
+    t, r = amps[:2]
+    u = np.ones(t.shape[:-1], dtype=complex)[()]   # 1/T_n
+    v = np.zeros(t.shape[:-1], dtype=complex)[()]  # R_n*/T_n*
+    with np.errstate(all="ignore"):
+        ratio = np.moveaxis(r / t, -1, 0)
+        inv = np.moveaxis(1.0 / t, -1, 0)
+        for q, g, qc, gc in zip(ratio, inv, ratio.conjugate(), inv.conjugate()):
+            u, v = q * v + g * u, qc * u + gc * v
+        t_n = 1.0 / u
+        return t_n, v.conjugate() * t_n
+
+
 def recurrence_prefixes(amps):
-    """(T_n, R_n) for every n = 0..N from one :func:`prefix_by_recurrence` call.
+    """(T_n, R_n) for every n = 0..N from one :func:`reference_prefix` call.
 
     Row n of the batch keeps the first n barriers and makes the rest
     transparent (t = 1, r = 0), which leaves the recurrence state as it is.
     """
-    t, r = amps
+    t, r = amps[:2]
     keep = np.tri(t.shape[-1] + 1, t.shape[-1], -1, dtype=bool)
-    return prefix_by_recurrence((np.where(keep, t, 1.0), np.where(keep, r, 0.0)))
+    return reference_prefix((np.where(keep, t, 1.0), np.where(keep, r, 0.0)))
 
 
 def criterion_1_cases():

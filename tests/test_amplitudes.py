@@ -1,16 +1,22 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from layerscatter import (
     Barrier,
     DegenerateWavenumberError,
     LayeredStructure,
+    PeriodicLattice,
     all_barrier_amplitudes,
     barrier_amplitudes,
     compute_wavenumbers,
+    decay_rate,
     embed_in_media,
     interface_amplitudes,
     prefix_by_matrix,
@@ -19,8 +25,9 @@ from layerscatter import (
     transmission_probability,
 )
 from layerscatter.amplitudes import _inverse_matrix, scattering_amplitudes
+from layerscatter.structure import degenerate_energies
 
-from conftest import random_structure, recurrence_prefixes
+from conftest import random_structure, recurrence_prefixes, reference_prefix
 
 
 def setup(s, e):
@@ -60,7 +67,7 @@ class TestBarrierAmplitudes:
     def test_transparent_barrier(self):
         s = LayeredStructure(0.0, 0.0, 4.0, (Barrier(0.0, 1.0, 2.0),))
         w = compute_wavenumbers(s, 4.0)
-        t, r = barrier_amplitudes(w, s, 0)
+        t, r, _ = barrier_amplitudes(w, s, 0)
         assert t == pytest.approx(1.0)
         assert r == pytest.approx(0.0)
 
@@ -68,7 +75,7 @@ class TestBarrierAmplitudes:
         # independent oracle: |t|^2 = [1 + u^2 sinh^2(kappa d) / (4 e (u-e))]^-1
         s = LayeredStructure(0.0, 0.0, 3.0, (Barrier(2.0, 1.0, 1.5),))
         w = compute_wavenumbers(s, 1.0)
-        t, r = barrier_amplitudes(w, s, 0)
+        t, r, _ = barrier_amplitudes(w, s, 0)
         expected = 1.0 / (1.0 + 4.0 * math.sinh(1.0) ** 2 / 4.0)
         assert abs(t) ** 2 == pytest.approx(expected, rel=1e-13)
 
@@ -79,7 +86,7 @@ class TestBarrierAmplitudes:
                 continue
             w = compute_wavenumbers(s, e)
             for n in range(s.n_barriers):
-                t, r = barrier_amplitudes(w, s, n)
+                t, r, _ = barrier_amplitudes(w, s, n)
                 assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, abs=1e-13)
 
     def test_k_n_zero_rejected(self):
@@ -92,7 +99,7 @@ class TestBarrierAmplitudes:
         # ratio r/t cancels exponentials that individually reach e^400
         s = LayeredStructure(0.0, 0.0, 300.0, (Barrier(4.0, 200.0, 150.0),))
         w = compute_wavenumbers(s, 1.0)
-        t, r = barrier_amplitudes(w, s, 0)
+        t, r, _ = barrier_amplitudes(w, s, 0)
         assert math.isfinite(abs(t)) and math.isfinite(abs(r))
         assert abs(r) == pytest.approx(1.0, abs=1e-12)
         assert abs(t) < 1e-100
@@ -104,13 +111,13 @@ class TestPrefixSequences:
             compute_wavenumbers(LayeredStructure(0, 0, 1.0, ()), 2.0),
             LayeredStructure(0, 0, 1.0, ()),
         )
-        assert prefix_by_recurrence(amps) == (1.0, 0.0)
+        assert reference_prefix(amps) == (1.0, 0.0)
 
     def test_single_step_reproduces_barrier(self):
         s = LayeredStructure(0, 0, 4.0, (Barrier(3.0, 1.0, 2.0),))
         w = compute_wavenumbers(s, 4.6)
         amps = all_barrier_amplitudes(w, s)
-        t_n, r_n = prefix_by_recurrence(amps)
+        t_n, r_n = reference_prefix(amps)
         assert t_n == pytest.approx(amps[0][0], rel=1e-14)
         assert r_n == pytest.approx(amps[1][0], rel=1e-14)
 
@@ -144,7 +151,7 @@ class TestPrefixSequences:
             w = compute_wavenumbers(s, e)
             amps = all_barrier_amplitudes(w, s)
             acc = np.eye(2, dtype=complex)
-            for t, r in zip(*amps):
+            for t, r in zip(*amps[:2]):
                 acc = _inverse_matrix(t, r) @ acc
                 # det is quadratic in the entries, which grow large in
                 # deep forbidden bands; bound the error relative to that
@@ -172,12 +179,169 @@ class TestPrefixSequences:
             assert t_n == pytest.approx(full[0][n], rel=1e-12)
 
 
+@st.composite
+def chains(draw):
+    """A chain of 0-64 barriers over a zero background, touching or apart,
+    heights up to 1e6, and energies of shape () or (k,) that no barrier
+    height makes degenerate."""
+    n = draw(st.integers(0, 64))
+    # u <= 10 is a height of u, u > 10 one of 10^(u - 10), up to 1e6;
+    # a negative v is a zero gap: touching barriers
+    u, d, v = (draw(arrays(float, n + 1, elements=st.floats(lo, hi)))
+               for lo, hi in ((-5.0, 16.0), (0.01, 2.0), (-0.5, 1.5)))
+    heights = np.where(u <= 10.0, u, 10.0 ** (u - 10.0))
+    gaps = np.maximum(v, 0.0)
+    barriers, x = [], gaps[0]
+    for h, w, g in zip(heights[:n], d[:n], gaps[1:]):
+        barriers.append(Barrier(float(h), float(w), float(x + w / 2.0)))
+        x += w + g
+    s = LayeredStructure(0.0, 0.0, max(float(x), 0.5), tuple(barriers))
+    e = draw(st.floats(0.01, 12.0) | st.lists(st.floats(0.01, 12.0), min_size=1, max_size=3))
+    e = np.asarray(e)
+    return s, np.where(degenerate_energies(s, e), e + 1e-6, e)[()]
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gdiv(a, b):
+    """a / b as a complex double, each part rounded once from the exact quotient."""
+    den = b[0] * b[0] + b[1] * b[1]
+    return complex((a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den)
+
+
+def _exact_chain(t, r, rp):
+    """(T, R) of one chain of barriers, each a transfer matrix
+    [[t - r r'/t, r'/t], [-r/t, 1/t]], multiplied out without rounding.
+
+    Each factor is scaled by t 4^k, into [[t^2 - r r', r'], [-r, 1]] 4^k,
+    with the least k that makes its doubles times 2^k integers: a t of 0
+    needs no division and every entry is an integer.  The scaling cancels
+    in R = -M21/M22 and is undone in T = prod(t)/M22.
+    """
+    m = ((1, 0), (0, 0), (0, 0), (1, 0))
+    prod_t, undo = (1, 0), 1
+    for z in zip(t, r, rp):
+        parts = [Fraction(x) for c in z for x in (c.real, c.imag)]
+        k = max(x.denominator.bit_length() - 1 for x in parts)
+        ints = [int(x * 2 ** k) for x in parts]
+        tn, rn, pn = (tuple(ints[i:i + 2]) for i in (0, 2, 4))
+        a11 = tuple(u - v for u, v in zip(_gmul(tn, tn), _gmul(rn, pn)))
+        a12, a21, a22 = (pn[0] << k, pn[1] << k), (-rn[0] << k, -rn[1] << k), (1 << 2 * k, 0)
+        m11, m12, m21, m22 = m
+        m = tuple(tuple(u + v for u, v in zip(_gmul(x, y), _gmul(w, q)))
+                  for x, y, w, q in ((a11, m11, a12, m21), (a11, m12, a12, m22),
+                                     (a21, m11, a22, m21), (a21, m12, a22, m22)))
+        prod_t, undo = _gmul(prod_t, tn), undo << k
+    return _gdiv((prod_t[0] * undo, prod_t[1] * undo), m[3]), _gdiv((-m[2][0], -m[2][1]), m[3])
+
+
+def exact_transfer(amps):
+    """(T, R) of the chain from the product of transfer matrices on the same
+    (t, r, r') as the tree, in exact rational arithmetic: the composition
+    without rounding, in neither the tree's pairing order nor its formula.
+
+    The float recurrence of :func:`reference_prefix` is no referee for
+    chains of opaque barriers.  Its 1/T overflows once T is below the
+    smallest normal double, and near a resonance between two opaque
+    barriers the chain is ill-conditioned in the barrier amplitudes: R
+    moves by 1e-12 when (t, r) move by their rounding, so the recurrence,
+    which takes r' = -r* t/t* from the rounded (t, r), and the tree differ
+    by that much (1.6e-12 on ``OPAQUE_PAIR`` below, where the tree is within
+    3e-15 of this product).
+    """
+    shape = np.shape(amps[0])[:-1]
+    n = np.shape(amps[0])[-1]
+    chains = zip(*(np.reshape(x, (int(np.prod(shape)), n)) for x in amps))
+    t, r = zip(*(_exact_chain(*c) for c in chains))
+    return tuple(np.reshape(np.array(x, dtype=complex), shape)[()] for x in (t, r))
+
+
+def _chain(n, height=3.0, energy=4.6):
+    s = PeriodicLattice(height, 1.0, 2.0, n).to_structure()
+    return all_barrier_amplitudes(compute_wavenumbers(s, energy), s)
+
+
+class TestStarProductTree:
+    """The star-product tree of prefix_by_recurrence against the tests'
+    two-term recurrence (reference_prefix) and, on chains up to heights of
+    1e6, against a 40-digit transfer-matrix product (exact_transfer)."""
+
+    OPAQUE_PAIR = LayeredStructure(0.0, 0.0, 2.53125, (
+        Barrier(0.0, 0.5, 0.25), Barrier(-2.0, 1.0, 1.0), Barrier(16022.0, 0.03125, 1.515625),
+        Barrier(352.0, 1.0, 2.03125)))
+
+    @given(chains())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example((LayeredStructure(0.0, 0.0, 1.0, ()), 2.0))
+    @example((LayeredStructure(0.0, 0.0, 1.0, ()), np.array([2.0, 5.0])))
+    @example((LayeredStructure(0.0, 0.0, 3.0, (Barrier(1e6, 1.0, 1.5),)), 1.5))
+    @example((OPAQUE_PAIR, 0.015625))
+    @example((LayeredStructure(0.0, 0.0, 4.0, (Barrier(3.0, 1.0, 1.5), Barrier(2.0, 1.0, 2.5),
+                                               Barrier(5.0, 0.5, 3.25))), np.array([2.5, 4.6])))
+    def test_matches_reference(self, case):
+        s, e = case
+        amps = all_barrier_amplitudes(compute_wavenumbers(s, e), s)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            t, r, rp = prefix_by_recurrence(amps)
+        t_ref, r_ref = exact_transfer(amps)
+        assert np.shape(t) == np.shape(r) == np.shape(rp) == np.shape(e)
+        assert np.abs(t - t_ref).max() <= 1e-12
+        assert np.abs(r - r_ref).max() <= 1e-12
+        assert (t == 0)[(amps[0] == 0).any(axis=-1)].all()
+        # each barrier's r' is -r* t/t* wherever t/t* is not 0/0
+        t_n, r_n, rp_n = amps
+        normal = np.abs(t_n) >= np.finfo(float).tiny
+        rp_ref = -r_n.conjugate() * t_n / np.where(normal, t_n, 1.0).conjugate()
+        assert (np.abs(rp_n - rp_ref) <= 1e-14)[normal].all()
+        # a lossless chain in one medium: |T|^2 + |R|^2 = 1 and |R'| = |R|, up
+        # to the rounding-level non-unitarity of the barriers' (t, r), which a
+        # chain of opaque barriers amplifies (3.6e-12 seen at N = 64)
+        assert np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0).max() <= 1e-10
+        assert np.abs(np.abs(rp) - np.abs(r)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_odd_and_even_lengths(self, n):
+        amps = _chain(n, energy=np.array([2.0, 4.6, 6.5]))
+        t, r, _ = prefix_by_recurrence(amps)
+        t_ref, r_ref = reference_prefix(amps)
+        assert (np.abs(t - t_ref) <= 1e-12 * np.abs(t_ref)).all()
+        assert np.abs(r - r_ref).max() <= 1e-12
+
+    def test_matches_float_reference_on_random_chains(self, rng):
+        for _ in range(40):
+            s, e = random_structure(rng, max_barriers=12)
+            energies = e + np.array([0.0, 0.37, 1.91])
+            energies[degenerate_energies(s, energies)] += 1e-6
+            amps = all_barrier_amplitudes(compute_wavenumbers(s, energies), s)
+            t, r, _ = prefix_by_recurrence(amps)
+            t_ref, r_ref = reference_prefix(amps)
+            assert (np.abs(t - t_ref) <= 1e-12 * np.abs(t_ref)).all()
+            assert np.abs(r - r_ref).max() <= 1e-12
+
+    def test_forbidden_band_decay_rate(self):
+        # between N = 1000 and 1600 -2 ln|T_N| grows at 2 Im(beta) per period
+        lat = PeriodicLattice(3.0, 1.0, 2.0)
+        lo, hi = (-2.0 * math.log(abs(prefix_by_recurrence(_chain(n))[0]))
+                  for n in (1000, 1600))
+        assert (hi - lo) / 600 == pytest.approx(decay_rate(lat, 4.6), rel=1e-12)
+
+    def test_deep_forbidden_band_reflects_fully(self):
+        # the recurrence's state overflows near N = 1800; the tree's stays bounded
+        s = PeriodicLattice(3.0, 1.0, 2.0, 5000).to_structure()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, _, _, emb = scattering_amplitudes(s, 4.6)
+        assert emb.t_full == 0.0
+        assert abs(abs(emb.r_full) - 1.0) <= 1e-15
+
+
 class TestEmbedding:
     def test_trivial_media_is_identity(self):
         s = LayeredStructure(0, 0, 4.0, (Barrier(3.0, 1.0, 2.0),))
         w = compute_wavenumbers(s, 4.6)
         ia = interface_amplitudes(w, s)
-        t_n, r_n = pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
+        t_n, r_n, _ = pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
         emb = embed_in_media(pre, ia)
         assert emb.t_full == pytest.approx(t_n, rel=1e-14)
         assert emb.r_full == pytest.approx(r_n, rel=1e-14)

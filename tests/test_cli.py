@@ -329,20 +329,43 @@ def test_bad_energy_range_exits_2(capsys, command, spec, message):
     assert err == f"error: {message}\n"
 
 
+def assert_total_reflection(path):
+    rows = np.loadtxt(str(path), delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] >= 2
+    assert (rows[:, 1] == 0.0).all()
+    assert np.abs(rows[:, 2] - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("count, energy_range", [
-    (2000, "4.6:4.601:2"),   # 1/T overflows deep in a forbidden band
+    (2000, "4.6:4.601:2"),   # T underflows deep in a forbidden band
 ])
-def test_numerical_failure_exits_3(capsys, tmp_path, count, energy_range):
+def test_forbidden_band_sweep_reflects_fully(capsys, tmp_path, count, energy_range):
+    # the recurrence's 1/T overflowed here (exit 3); the star products give
+    # an honest T = 0 and R = 1
     out = tmp_path / "sweep.csv"
     code, _, err = run_cli(
         capsys, "sweep", "--scenario", "periodic",
         "--scenario-params", f"count={count}", "--energy-range", energy_range,
         "--out", str(out),
     )
-    assert code == 3
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
-    assert not out.exists()  # no partial CSV
+    assert (code, err) == (0, "")
+    assert_total_reflection(out)
+
+
+@pytest.mark.parametrize("count, magnitude", [
+    (2000, "0"),          # T = 0: the coefficients would all vanish
+    (1850, "6.57e-317"),  # subnormal T: too few bits to match (1, R) at x = 0
+])
+def test_forbidden_band_wavefunction_exits_3(capsys, tmp_path, count, magnitude):
+    # the coefficients start from T, though psi on the left is of order 1
+    out = tmp_path / "wf.csv"
+    code, stdout, err = run_cli(
+        capsys, "wavefunction", "--scenario", "periodic",
+        "--scenario-params", f"count={count}", "--energy", "4.6", "--out", str(out),
+    )
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error: |T| = {magnitude} at energy 4.6: T underflows")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -415,21 +438,56 @@ def test_energy_gate_is_one_rule_for_every_command(capsys, tmp_path, doc, energy
     assert lines["wavefunction"].startswith(first_line)
 
 
-def test_underflowed_barrier_transmission_exits_3():
-    # t of a 1e6-high, unit-width barrier is about e^{-1000}, which underflows
-    # to 0; the recurrence carries it to the embedding, which reports it
+def run_underflowed_barrier(*argv):
+    """Run the CLI in a fresh interpreter on a 1e6-high, unit-width barrier,
+    whose t of about e^{-1000} underflows to 0, so that stderr shows any
+    numpy RuntimeWarning as a user would see it."""
     doc = json.dumps({"v_left": 0, "v_right": 0, "span": 3,
                       "barriers": [{"height": 1e6, "width": 1, "center": 1.5}]})
     env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "layerscatter.cli", "sweep", "--structure", "-",
-         "--energy-range", "1:2:3"],
+    return subprocess.run(
+        [sys.executable, "-m", "layerscatter.cli", argv[0], "--structure", "-", *argv[1:]],
         input=doc, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_underflowed_barrier_transmission_exits_3():
+    # the coefficients start from T = 0; solve_structure refuses
+    proc = run_underflowed_barrier("wavefunction", "--energy", "1.5")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "T underflows" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_underflowed_barrier_sweep_reflects_fully(tmp_path):
+    # r' of the barrier comes from its factored pieces, not from t/t* = 0/0,
+    # so the sweep gives T = 0 and R = 1 (it exited 3 with the recurrence)
+    out = tmp_path / "sweep.csv"
+    proc = run_underflowed_barrier("sweep", "--energy-range", "1:2:3", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_total_reflection(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["wavefunction", "--energy", "2"],
+    ["sweep", "--energy-range", "2:3:2"],
+], ids=["wavefunction", "sweep"])
+def test_evanescent_right_medium_carries_no_flux(capsys, tmp_path, command):
+    # |k_right| span = 500: e^{ikx} at the span is representable, but |T|^2
+    # overflows; the flux (Re k_right = 0) |T|^2 is 0, not 0 * inf = nan
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"v_left": 0, "v_right": 1740, "span": 12, "barriers": [
+        {"height": 1, "width": 1, "center": 10}]}))
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, *command, "--structure", str(f), "--out", str(out))
+    assert (code, err) == (0, "")
+    if command[0] == "sweep":
+        assert_total_reflection(out)
+    else:
+        t_prob, r_prob = (float(x.split("=")[1]) for x in stdout.split())
+        assert t_prob == 0.0
+        assert abs(r_prob - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("v_right", [1e6, 3602.0], ids=["zero", "subnormal"])

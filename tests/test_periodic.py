@@ -91,7 +91,7 @@ class TestClosedFormPrefix:
         w = compute_wavenumbers(s, 4.9)
         from layerscatter import barrier_amplitudes
 
-        t1, r1 = barrier_amplitudes(w, s, 0)
+        t1, r1, _ = barrier_amplitudes(w, s, 0)
         inv_t, r_over_t = closed_form_prefix(LAT, 4.9, 1)
         assert inv_t == pytest.approx(1.0 / t1, rel=1e-13)
         assert r_over_t == pytest.approx(r1 / t1, rel=1e-13)
@@ -121,7 +121,7 @@ class TestClosedFormPrefix:
         from layerscatter import barrier_amplitudes
         import cmath
 
-        t1, _ = barrier_amplitudes(w, s, 0)
+        t1, _, _ = barrier_amplitudes(w, s, 0)
         mu = (cmath.exp(-1j * w.k_gap * LAT.period) / t1).imag
         ph = bloch_phase(LAT, 4.9)
         bound = abs(closed_form_prefix(LAT, 4.9, 1)[0]) * (
@@ -135,6 +135,18 @@ class TestClosedFormPrefix:
         prev = abs(closed_form_prefix(LAT, 4.6, 40)[0])
         cur = abs(closed_form_prefix(LAT, 4.6, 41)[0])
         assert cur / prev == pytest.approx(math.exp(gamma), rel=0.01)
+
+    @pytest.mark.parametrize("n", [1803, 1806, 2000])
+    def test_overflow_deep_in_forbidden_band(self, n):
+        # |1/T_n| passes the largest double near n = 1806 at 4.6, the
+        # Chebyshev ratio a few periods earlier; neither raises nor gives nan,
+        # and T_n read through the log is 0
+        inv_t, r_over_t = closed_form_prefix(LAT, 4.6, n)
+        assert inv_t == r_over_t == complex(math.inf, math.inf)
+        assert math.exp(-2.0 * math.log(abs(inv_t))) == 0.0
+        inv_t, _ = closed_form_prefix(LAT, 4.6, 1802)
+        assert abs(inv_t) == pytest.approx(
+            1.0 / abs(recurrence_prefix(LAT, 4.6, 1802)[0][-1]), rel=1e-12)
 
     def test_band_edge_rejected(self):
         from scipy.optimize import bisect

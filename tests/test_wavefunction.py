@@ -44,6 +44,15 @@ class TestGapCoefficients:
         assert sol.a[0] == pytest.approx(1.0, abs=1e-14)
         assert sol.b[0] == pytest.approx(sol.embedded.r_full, rel=1e-13)
 
+    def test_smallest_normal_transmission_keeps_left_match(self):
+        # |T| = 2.3e-308 at N = 1800, eps = 4.6 is just above the smallest
+        # normal double, which solve_structure admits; below it T carries
+        # too few bits, and a1, b1 missed (1, R) by up to tens of percent
+        sol = solve_structure(PeriodicLattice(3.0, 1.0, 2.0, 1800).to_structure(), 4.6)
+        assert np.finfo(float).tiny <= abs(sol.embedded.t_full) < 1e-307
+        assert sol.a[0] == pytest.approx(1.0, abs=1e-11)
+        assert sol.b[0] == pytest.approx(sol.embedded.r_full, abs=1e-11)
+
     def test_single_barrier_against_frozen_oracle(self):
         # frozen from the dense matching solve for eps=4, u=3, d=1, x=1.5
         s = LayeredStructure(0, 0, 3.0, (Barrier(3.0, 1.0, 1.5),))
