@@ -25,7 +25,6 @@ from .oracle import compare_with_pipeline
 from .periodic import ENERGY_FLOOR, PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
 from .structure import (
-    Barrier,
     DegenerateWavenumberError,
     LayeredStructure,
     StructureError,
@@ -47,10 +46,8 @@ def serialize_structure(s: LayeredStructure) -> str:
         "v_left": s.v_left,
         "v_right": s.v_right,
         "span": s.span,
-        "barriers": [
-            {"height": b.height, "width": b.width, "center": b.center}
-            for b in s.barriers
-        ],
+        "barriers": [{"height": h, "width": w, "center": c}
+                     for h, w, c in zip(*s.barrier_arrays.tolist())],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -77,11 +74,10 @@ def parse_structure(text: str) -> LayeredStructure:
         raise StructureError([f"missing key: {k}" for k in missing])
     if not isinstance(doc["barriers"], list):
         raise StructureError(["barriers must be a list"])
-    barriers = tuple(
-        Barrier(*(_number(b, k, f"barrier {i}") for k in ("height", "width", "center")))
-        for i, b in enumerate(doc["barriers"], start=1)
-    )
-    return LayeredStructure(*(_number(doc, k, k) for k in ("v_left", "v_right", "span")), barriers)
+    rows = [[_number(b, k, f"barrier {i}") for k in ("height", "width", "center")]
+            for i, b in enumerate(doc["barriers"], start=1)]
+    return LayeredStructure(*(_number(doc, k, k) for k in ("v_left", "v_right", "span")),
+                            np.reshape(rows, (-1, 3)).T)
 
 
 def _number(entry, key: str, where: str) -> float:

@@ -90,8 +90,8 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
     block of +-e^{+-ikx} and +-ik e^{+-ikx} in their columns 2i - 1 .. 2i + 2.
     Column -1, the incident wave, goes to the rhs; column 4N + 4, the right
     medium's e^{-ikx}, is absent and never exponentiated, as it may overflow.
-    Raises FloatingPointError where an exponential overflows, or where the
-    right medium's e^{ikx} at the span is below 1/DBL_MAX, so that T, its
+    Raises FloatingPointError where an exponential overflows, or where
+    :func:`check_transmitted_wave` finds that T, the right medium's
     coefficient, would overflow.
     """
     w = compute_wavenumbers(s, energy)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .amplitudes import all_barrier_amplitudes
 from .structure import (
-    Barrier,
     LayeredStructure,
     check_energy,
     compute_wavenumbers,
@@ -53,13 +53,11 @@ class PeriodicLattice:
 
     def to_structure(self, v_left: float = 0.0, v_right: float = 0.0) -> LayeredStructure:
         """Explicit structure with symmetric (period-width)/2 outer margins."""
-        x1 = self.first_center
-        barriers = tuple(
-            Barrier(self.barrier_height, self.barrier_width, x1 + n * self.period)
-            for n in range(self.count)
-        )
-        span = barriers[-1].right_edge + (x1 - self.barrier_width / 2.0)
-        return LayeredStructure(v_left, v_right, span, barriers)
+        x1, width = self.first_center, self.barrier_width
+        centers = x1 + np.arange(operator.index(self.count)) * self.period
+        span = float(centers[-1] + width / 2.0 + (x1 - width / 2.0))
+        arrays = np.array(np.broadcast_arrays(self.barrier_height, width, centers))
+        return LayeredStructure(v_left, v_right, span, arrays)
 
     @cached_property
     def cell(self) -> LayeredStructure:

@@ -59,38 +59,55 @@ class Barrier:
         return self.center + self.width / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredStructure:
     """N rectangular barriers on [0, span] between two semi-infinite media.
 
     The left medium (potential ``v_left``) occupies x <= 0, the right
     medium (``v_right``) occupies x >= span; between barriers the
-    potential is zero.  An empty barrier list is legal and degenerates
-    to a plain potential step/well.  Construction runs
-    :func:`validate_structure`, so every structure that exists is valid.
+    potential is zero.  No barriers give a plain potential step/well.
+
+    The barriers are stored as one read-only (3, N) float array, left to
+    right: ``heights, widths, centers = s.barrier_arrays``.  The constructor
+    takes that array or a sequence of :class:`Barrier`; ``barriers`` is
+    derived from the array.  Construction runs :func:`validate_structure`,
+    so every structure that exists is valid.  Structures compare by value.
     """
 
     v_left: float
     v_right: float
     span: float
-    barriers: tuple = ()
+    barrier_arrays: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "barriers", tuple(self.barriers))
+        arrays = self.barrier_arrays
+        if not isinstance(arrays, np.ndarray):
+            arrays = np.reshape([(b.height, b.width, b.center) for b in arrays], (-1, 3)).T
+        arrays = np.array(arrays, dtype=float, order="C")
+        if arrays.ndim != 2 or arrays.shape[0] != 3:
+            raise ValueError(f"barrier arrays must have shape (3, N), got {arrays.shape}")
+        arrays.flags.writeable = False
+        object.__setattr__(self, "barrier_arrays", arrays)
         validate_structure(self)
+
+    def _key(self):
+        # + 0.0 turns -0.0 into 0.0, which it equals
+        return self.v_left, self.v_right, self.span, (self.barrier_arrays + 0.0).tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, LayeredStructure) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_barriers(self) -> int:
-        return len(self.barriers)
+        return self.barrier_arrays.shape[1]
 
     @cached_property
-    def barrier_arrays(self) -> np.ndarray:
-        """Read-only (3, N) array of the barriers' heights, widths and centers,
-        left to right: ``heights, widths, centers = s.barrier_arrays``."""
-        arrays = np.array([(b.height, b.width, b.center) for b in self.barriers], float)
-        arrays = arrays.reshape(-1, 3).T
-        arrays.flags.writeable = False
-        return arrays
+    def barriers(self) -> tuple:
+        """The barriers as :class:`Barrier` objects, left to right."""
+        return tuple(Barrier(*hwc) for hwc in zip(*self.barrier_arrays.tolist()))
 
     def interface_points(self) -> np.ndarray:
         """All 2N+2 matching points: 0, each barrier edge, span.  Point i is
@@ -112,9 +129,11 @@ def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
 def validate_structure(s: LayeredStructure) -> LayeredStructure:
     """Check ordering/extent constraints; return ``s`` unchanged if valid.
 
-    Raises :class:`StructureError` listing every violation.  Touching
-    barriers (zero-width gaps) are legal: edges are compared to within
-    ``EDGE_ULPS`` ulps of the span, so rounding does not part or overlap them.
+    Raises :class:`StructureError` listing every violation, checked over
+    ``s.barrier_arrays``: the media and the span, barrier by barrier its
+    width and finiteness, then the edges and overlaps.  Touching barriers
+    (zero-width gaps) are legal: edges are compared to within ``EDGE_ULPS``
+    ulps of the span, so rounding does not part or overlap them.
     """
     problems = []
     if not (math.isfinite(s.v_left) and math.isfinite(s.v_right)):
@@ -123,12 +142,15 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
         )
     if not (s.span > 0 and math.isfinite(s.span)):
         problems.append(f"span must be a positive finite real, got {s.span}")
-    for i, b in enumerate(s.barriers, start=1):
-        if not (b.width > 0 and math.isfinite(b.width)):
-            problems.append(f"barrier {i}: width must be positive, got {b.width}")
-        if not (math.isfinite(b.center) and math.isfinite(b.height)):
-            problems.append(f"barrier {i}: center and height must be finite")
-    if s.barriers and np.isfinite(s.barrier_arrays[1:]).all():  # widths and centers
+    heights, widths, centers = s.barrier_arrays
+    bad_width = ~((widths > 0) & np.isfinite(widths))
+    bad_value = ~(np.isfinite(centers) & np.isfinite(heights))
+    for i in np.flatnonzero(bad_width | bad_value).tolist():
+        if bad_width[i]:
+            problems.append(f"barrier {i + 1}: width must be positive, got {widths[i].item()}")
+        if bad_value[i]:
+            problems.append(f"barrier {i + 1}: center and height must be finite")
+    if s.n_barriers and np.isfinite(s.barrier_arrays[1:]).all():  # widths and centers
         x = s.interface_points()
         left, right = x[1:-1:2], x[2:-1:2]
         slack = EDGE_ULPS * np.spacing(abs(s.span)) if math.isfinite(s.span) else 0.0
@@ -155,10 +177,9 @@ def mirror_structure(s: LayeredStructure) -> LayeredStructure:
     Left-incidence on the mirrored structure is equivalent to
     right-incidence on the original.
     """
-    barriers = tuple(
-        Barrier(b.height, b.width, s.span - b.center) for b in reversed(s.barriers)
-    )
-    return LayeredStructure(s.v_right, s.v_left, s.span, barriers)
+    heights, widths, centers = s.barrier_arrays[:, ::-1]
+    return LayeredStructure(s.v_right, s.v_left, s.span,
+                            np.array([heights, widths, s.span - centers]))
 
 
 def branch_sqrt(x):
@@ -229,8 +250,10 @@ def check_energy(s: LayeredStructure, energy) -> None:
 
 
 def check_transmitted_wave(w: WaveNumberSet, s: LayeredStructure) -> None:
-    """Raise FloatingPointError where the right medium's e^{ikx} is below
-    1/DBL_MAX at the span, so that T, its coefficient, would overflow."""
-    wave = np.abs(np.exp(1j * np.asarray(w.k_right) * s.span))
-    if np.any(wave < 1.0 / np.finfo(float).max):
+    """Raise FloatingPointError where the right step's transmission, a factor
+    of T, or its exponential alone would pass the largest double, compared in
+    log form: t = 2 k_gap/(k_gap + k_right) e^{i (k_gap - k_right) span}."""
+    log_wave = (w.k_right - w.k_gap).imag * s.span
+    log_t = np.log(np.abs(2.0 * w.k_gap / (w.k_gap + w.k_right))) + log_wave
+    if np.any(np.maximum(log_wave, log_t) >= np.log(np.finfo(float).max)):
         raise FloatingPointError("the right medium's e^{ikx} vanishes at the span: T overflows")

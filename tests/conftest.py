@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from layerscatter import Barrier, LayeredStructure
+from layerscatter.structure import EDGE_ULPS
 
 
 def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0),
@@ -30,6 +33,36 @@ def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0
     while any(abs(energy - b.height) < 1e-6 for b in s.barriers):
         energy += 1e-3
     return s, energy
+
+
+def reference_validate(v_left, v_right, span, barriers):
+    """The problems :func:`layerscatter.validate_structure` must report for
+    this document, in its order, from one Python step per barrier: the
+    pointwise reference for the vectorised checks.  ``barriers`` is a
+    sequence of :class:`Barrier`; an empty list means the document is valid.
+    """
+    problems = []
+    if not (math.isfinite(v_left) and math.isfinite(v_right)):
+        problems.append(f"v_left and v_right must be finite, got {v_left} and {v_right}")
+    if not (span > 0 and math.isfinite(span)):
+        problems.append(f"span must be a positive finite real, got {span}")
+    for i, b in enumerate(barriers, start=1):
+        if not (b.width > 0 and math.isfinite(b.width)):
+            problems.append(f"barrier {i}: width must be positive, got {b.width}")
+        if not (math.isfinite(b.center) and math.isfinite(b.height)):
+            problems.append(f"barrier {i}: center and height must be finite")
+    if barriers and all(math.isfinite(b.width) and math.isfinite(b.center) for b in barriers):
+        slack = EDGE_ULPS * float(np.spacing(abs(span))) if math.isfinite(span) else 0.0
+        if barriers[0].left_edge < -slack:
+            problems.append(f"barrier 1 starts before the left medium edge "
+                            f"(left edge {barriers[0].left_edge} < 0)")
+        if barriers[-1].right_edge > span + slack:
+            problems.append(f"barrier {len(barriers)} exceeds span "
+                            f"(right edge {barriers[-1].right_edge} > {span})")
+        for i, (a, b) in enumerate(zip(barriers, barriers[1:]), start=1):
+            if a.right_edge > b.left_edge + slack:
+                problems.append(f"overlap between barriers {i} and {i + 1}")
+    return problems
 
 
 def reference_prefix(amps):

@@ -547,6 +547,23 @@ def test_vanishing_transmitted_wave_exits_3(capsys, tmp_path, command):
     assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["wavefunction", "--energy", "10000"],
+    ["sweep", "--energy-range", "10000:10000.5:2"],
+], ids=["wavefunction", "sweep"])
+def test_right_step_overflow_exits_3(capsys, tmp_path, command):
+    # kappa * span = 709.5 keeps e^{ikx} above 1/DBL_MAX at the span, but the
+    # right step's factor 2 k_gap / (k_gap + k_right), of modulus 1.99,
+    # carries its transmission past the largest double
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"v_left": 0, "v_right": 10100, "span": 70.95, "barriers": [
+        {"height": 1, "width": 1, "center": 10}]}))
+    code, stdout, err = run_cli(capsys, *command, "--structure", str(f))
+    assert code == 3
+    assert stdout == ""
+    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
+
+
 def test_wavefunction_overflow_exits_3(capsys, tmp_path):
     # global-origin coefficients of evanescent barriers far from the origin overflow
     out = tmp_path / "wf.csv"

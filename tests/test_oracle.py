@@ -63,7 +63,7 @@ def variant_structures(rng, case, count=20):
     for _ in range(count):
         s, e = random_structure(rng, max_barriers=8)
         if case == "empty":
-            s = dataclasses.replace(s, barriers=())
+            s = dataclasses.replace(s, barrier_arrays=())
         elif case == "touching":
             bs = s.barriers + (Barrier(2.0, 0.5, 0.25),)
             x, moved = 0.0, []

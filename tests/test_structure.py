@@ -1,19 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscatter import (
     Barrier,
     LayeredStructure,
+    PeriodicLattice,
     StructureError,
     branch_sqrt,
     compute_wavenumbers,
     mirror_structure,
     validate_structure,
 )
+from layerscatter import scenarios
+from layerscatter.cli import parse_structure, serialize_structure
 
-from conftest import random_structure
+from conftest import random_structure, reference_validate
 
 
 def make(barriers, span=4.0, v1=0.0, v2=0.0):
@@ -152,3 +158,150 @@ class TestMirror:
             assert a.height == b.height and a.width == b.width
             # span - (span - c) need not be bit-identical to c
             assert a.center == pytest.approx(b.center, abs=1e-12)
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+
+
+@st.composite
+def documents(draw):
+    """[v_left, v_right, span, barriers] laid out left to right from margins
+    and gaps that may be zero (touching), negative (overlapping or out of
+    span) or a rounding step, with up to two fields replaced by NaN, inf,
+    zero or a negative value."""
+    n = draw(st.integers(0, 6))
+    offsets = st.sampled_from([0.0, 1e-17, -1e-9]) | st.floats(-0.5, 1.0)
+    x, barriers = draw(offsets), []
+    for _ in range(n):
+        d = draw(st.floats(0.05, 2.0))
+        barriers.append(Barrier(draw(st.floats(-5.0, 5.0)), d, x + d / 2.0))
+        x += d + draw(offsets)
+    doc = [*draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)), x + draw(offsets)]
+    for _ in range(draw(st.integers(0, 2))):
+        if barriers and draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            field = draw(st.sampled_from(["height", "width", "center"]))
+            barriers[i] = dataclasses.replace(barriers[i], **{field: draw(_SPECIAL)})
+        else:
+            doc[draw(st.integers(0, 2))] = draw(_SPECIAL)
+    return (*doc, tuple(barriers))
+
+
+def mirrored(doc):
+    """A document reflected barrier by barrier, as a mirror used to be built."""
+    v_left, v_right, span, barriers = doc
+    return v_right, v_left, span, tuple(
+        Barrier(b.height, b.width, span - b.center) for b in reversed(barriers))
+
+
+def problems_of(doc):
+    try:
+        LayeredStructure(*doc)
+    except StructureError as ex:
+        return ex.problems
+    return []
+
+
+class TestVectorisedValidator:
+    @given(documents())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_reference(self, doc):
+        for d in (doc, mirrored(doc)):
+            assert problems_of(d) == reference_validate(*d)
+        if not reference_validate(*doc):
+            s = LayeredStructure(*doc)
+            assert mirror_structure(s) == LayeredStructure(*mirrored(doc))
+
+    def test_barrier_major_order(self):
+        doc = (0.0, math.nan, 4.0, (Barrier(math.nan, 0.0, 1.0), Barrier(1.0, 1.0, math.inf),
+                                    Barrier(1.0, -1.0, 3.0)))
+        assert problems_of(doc) == reference_validate(*doc) == [
+            "v_left and v_right must be finite, got 0.0 and nan",
+            "barrier 1: width must be positive, got 0.0",
+            "barrier 1: center and height must be finite",
+            "barrier 2: center and height must be finite",
+            "barrier 3: width must be positive, got -1.0",
+        ]
+
+
+def barrier_chain(count, height, width, gap, media):
+    """``scenarios._chain`` built one Barrier at a time, as it used to be."""
+    v_left, v_right, margin = media
+    barriers, x = [], margin
+    for n in range(1, count + 1):
+        d = width(n)
+        barriers.append(Barrier(height(n), d, x + d / 2.0))
+        x += d
+        if n < count:
+            x += gap(n)
+    return LayeredStructure(v_left, v_right, x + margin, tuple(barriers))
+
+
+def barrier_lattice(lat, v_left=0.0, v_right=0.0):
+    """``PeriodicLattice.to_structure`` built one Barrier at a time."""
+    x1 = lat.first_center
+    barriers = tuple(Barrier(lat.barrier_height, lat.barrier_width, x1 + n * lat.period)
+                     for n in range(lat.count))
+    span = barriers[-1].right_edge + (x1 - lat.barrier_width / 2.0)
+    return LayeredStructure(v_left, v_right, span, barriers)
+
+
+def assert_same_structure(s, ref):
+    assert np.array_equal(s.barrier_arrays, ref.barrier_arrays)
+    assert (s.v_left, s.v_right, s.span) == (ref.v_left, ref.v_right, ref.span)
+    assert s.barriers == ref.barriers
+    assert s == ref and hash(s) == hash(ref)
+    assert parse_structure(serialize_structure(s)) == s
+    m = mirror_structure(s)
+    m_ref = LayeredStructure(*mirrored((ref.v_left, ref.v_right, ref.span, ref.barriers)))
+    assert np.array_equal(m.barrier_arrays, m_ref.barrier_arrays)
+    assert m.span == m_ref.span and m.barriers == m_ref.barriers
+    assert m == m_ref and hash(m) == hash(m_ref)
+    assert parse_structure(serialize_structure(m)) == m
+
+
+class TestArrayBuildsAreBitIdentical:
+    """The array builders against the per-Barrier builds they replace."""
+
+    @pytest.mark.parametrize("name, params", [
+        *((name, {}) for name in scenarios.SCENARIOS),
+        ("graded-quadratic", {"count": 30}), ("graded-product", {"count": 60}),
+        ("modulated-sin", {"count": 500}), ("graded-linear", {"count": 0}),
+    ])
+    def test_scenarios(self, monkeypatch, name, params):
+        s = scenarios.build_scenario(name, **params)
+        monkeypatch.setattr(scenarios, "_chain", barrier_chain)
+        monkeypatch.setattr(PeriodicLattice, "to_structure", barrier_lattice)
+        assert_same_structure(s, scenarios.build_scenario(name, **params))
+
+    def test_random_lattices(self, rng):
+        for _ in range(25):
+            width = float(rng.uniform(0.05, 3.0))
+            period = width * float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
+            first = None if rng.random() < 0.5 else width / 2.0 + float(rng.uniform(0, 2))
+            lat = PeriodicLattice(float(rng.uniform(-5, 10)), width, period,
+                                  int(rng.integers(1, 2001)), first)
+            media = tuple(float(v) for v in rng.uniform(-3, 3, 2))
+            assert_same_structure(lat.to_structure(*media), barrier_lattice(lat, *media))
+
+
+class TestValueSemantics:
+    def test_array_or_barriers(self):
+        arrays = np.array([[3.0, 2.0], [1.0, 0.5], [1.0, 3.0]])
+        s = make([Barrier(3, 1, 1), Barrier(2, 0.5, 3)])
+        t = LayeredStructure(0.0, 0.0, 4.0, arrays)
+        assert s == t and hash(s) == hash(t) and s.n_barriers == 2
+        arrays[0, 0] = 9.0  # the structure keeps its own copy
+        assert s == t
+
+    def test_values_compare(self):
+        s = make([Barrier(3, 1, 1)])
+        assert s != make([Barrier(3, 1, 1.5)])
+        assert s != make([Barrier(3, 1, 1)], v2=1.0)
+        assert s != make([])
+        assert make([Barrier(-0.0, 1, 1)]) == make([Barrier(0.0, 1, 1)])
+        assert hash(make([Barrier(-0.0, 1, 1)])) == hash(make([Barrier(0.0, 1, 1)]))
+
+    def test_rejects_misshapen_arrays(self):
+        with pytest.raises(ValueError):
+            LayeredStructure(0.0, 0.0, 4.0, np.ones((2, 3)))
