@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import all_barrier_amplitudes
+from .amplitudes import _factored_trig, all_barrier_amplitudes
 from .structure import (
     LayeredStructure,
     check_energy,
@@ -89,15 +89,31 @@ def _period(lat: PeriodicLattice, energy):
     """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier, elementwise
     over ``energy``; cos beta is the real part of the first.
 
+    Where t underflows inside a thick evanescent barrier, so that
+    e^{-i k0 a}/t is not finite, it is returned as the real ±inf that
+    cos beta tends to (r/t is then inf or nan).  With g = a - d and the
+    factored pieces (m, c, s) of cos/sin(k d) from ``_factored_trig``,
+    e^{-i k0 a}/t = e^m e^{-i k0 g} (c - i A s), A = (k^2 + k0^2)/(2 k k0),
+    so the sign is that of Re[e^{-i k0 g} (c - i A s)], which for real k0
+    and evanescent k is Re[cos(k0 g) c - A sin(k0 g) s].
+
     Raises what :func:`check_energy` raises for an energy it does not
-    admit, and FloatingPointError where t underflows inside a thick
-    evanescent barrier.
+    admit.
     """
     w = compute_wavenumbers(lat.cell, energy)
     check_energy(lat.cell, energy)
     t, r, _ = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return np.exp(-1j * w.k_gap * lat.period) / t, r / t, w.k_gap
+    k0 = w.k_gap
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma, r_over_t = np.exp(-1j * k0 * lat.period) / t, r / t
+    lost = ~np.isfinite(gamma)
+    if lost.any():
+        k = w.k_barrier[..., 0]
+        _, c, s = _factored_trig(k * lat.barrier_width)
+        scaled = np.exp(-1j * k0 * (lat.period - lat.barrier_width)) * (
+            c - 1j * ((k * k + k0 * k0) / (2.0 * k * k0)) * s)
+        gamma = np.where(lost, np.copysign(np.inf, scaled.real), gamma)
+    return gamma, r_over_t, k0
 
 
 def _cos_beta(lat: PeriodicLattice, energy):
@@ -175,6 +191,8 @@ def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     before |1/T_n| does.
     """
     gamma, r_over_t1, k0 = _period(lat, energy)
+    if not cmath.isfinite(gamma):  # one period's t underflowed, and so does T_n
+        return (complex(math.inf, math.inf),) * 2
     try:
         cos_n, ratio = _chebyshev_pair(_phase(energy, float(gamma.real)), n)
     except OverflowError:  # cosh(n Im beta), and with it |1/T_n|

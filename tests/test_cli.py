@@ -27,7 +27,13 @@ from layerscatter import (
     transmission_probability,
     validate_structure,
 )
-from layerscatter.cli import main, parse_structure, serialize_structure
+from layerscatter.cli import (
+    _write_csv,
+    build_parser,
+    main,
+    parse_structure,
+    serialize_structure,
+)
 from layerscatter.scenarios import SCENARIOS, build_scenario
 
 
@@ -631,6 +637,22 @@ class TestBandsCommand:
         energies = [r.split(",")[0] for r in out.read_text().splitlines()[1:]]
         assert energies == [format(e, ".17g") for e in np.linspace(max(lo, 1e-6), hi, steps)]
 
+    def test_underflowed_cell_is_forbidden_everywhere(self):
+        # one period's t underflows to 0 behind a 1e6-high unit barrier; the
+        # scan used to exit 3 with "divide by zero encountered in divide"
+        env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "layerscatter.cli", "bands", "--barrier-height", "1e6",
+             "--barrier-width", "1", "--period", "2", "--energy-range", "0:12:30"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "epsilon,cos_beta,band" and len(lines) == 31
+        rows = [line.split(",") for line in lines[1:]]
+        assert {band for _, _, band in rows} == {"forbidden"}
+        assert {cos_beta for _, cos_beta, _ in rows} == {"inf", "-inf"}
+
     def test_free_lattice_no_edges(self, capsys, tmp_path):
         out = tmp_path / "bands.csv"
         code, stdout, _ = run_cli(
@@ -758,3 +780,61 @@ def test_closed_stdout_exits_quietly(steps):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 141
+
+
+FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 3.0, 0.1, 1e16, 1e-5, np.float64(-1 / 3)]
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("row_format, labels", [
+    ("%.17g,%.17g,%.17g,%.17g", False),  # wavefunction
+    ("%.17g,%.17g,%.17g", False),        # sweep
+    ("%.17g,%.17g,%s", True),            # bands
+], ids=["wavefunction", "sweep", "bands"])
+def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, labels):
+    # rows cross the 4096-row blocks; each column cycles the values at its own offset
+    width = row_format.count("%")
+    cycle = np.array(FORMAT_VALUES)
+    columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(width)]
+    if labels:
+        columns[-1] = np.array(["allowed", "forbidden", "edge"])[np.arange(n) % 3]
+    expected = ["h\n"] + [
+        ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
+        for row in zip(*(c.tolist() for c in columns))]
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), "h", row_format, columns)
+    _write_csv("stdout", "h", row_format, columns)
+    # lists of lines: pytest reports the first differing line, not a text diff
+    assert out.read_text().splitlines(keepends=True) == expected
+    assert capsys.readouterr().out.splitlines(keepends=True) == expected
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # each command's exit code and output in this process equal a fresh
+    # interpreter's, whatever ran before on the shared parser
+    assert build_parser() is build_parser()
+    sweep = ["sweep", "--scenario", "periodic", "--energy-range", "1:5:9"]
+    commands = [
+        [*sweep, "--mirror", "--scenario-params", "v_right=0.5"],
+        [*sweep, "--scenario-params", "v_right=0.5"],
+        [*sweep, "--nudge", "1e-3"],
+        sweep,
+        ["sweep", "--scenario", "periodic"],  # no --energy-range: argparse exits 2
+        ["bands", "--barrier-height", "3", "--barrier-width", "1", "--period", "2",
+         "--energy-range", "1:5:9"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
+    seen = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "layerscatter.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append(captured.out)
+    assert len({*seen[:4]}) == 4 and seen[4] == ""  # the options changed the output

@@ -42,6 +42,16 @@ def half_trace(lat, energy):
     return (np.trace(barrier @ gap) / 2.0).real
 
 
+def scaled_half_trace(lat, energy):
+    """cos beta / cosh(kappa d) below the barrier top, the Kronig-Penney
+    form with tanh(kappa d) in place of sinh(kappa d): finite and of the
+    sign of cos beta even where cos beta itself passes the largest double."""
+    k0, kappa = math.sqrt(energy), math.sqrt(lat.barrier_height - energy)
+    k0g = k0 * (lat.period - lat.barrier_width)
+    return (math.cos(k0g) + (kappa * kappa - k0 * k0) / (2.0 * k0 * kappa)
+            * math.tanh(kappa * lat.barrier_width) * math.sin(k0g))
+
+
 class TestBlochPhase:
     def test_free_lattice_all_allowed(self):
         lat = PeriodicLattice(0.0, 1.0, 2.0)
@@ -218,6 +228,27 @@ class TestBandScan:
         for edge in table.edges:
             i = np.searchsorted(e, edge) - 1
             assert edge == bisect(f, e[i], e[i + 1], xtol=1e-10)
+
+    def test_scaled_reference_is_the_half_trace(self):
+        for e in (0.5, 1.1, 1.7, 2.9):
+            kd = math.sqrt(LAT.barrier_height - e) * LAT.barrier_width
+            assert scaled_half_trace(LAT, e) == pytest.approx(
+                half_trace(LAT, e) / math.cosh(kd), rel=1e-12)
+
+    def test_underflowed_transmission_gives_signed_infinity(self):
+        # t of a 1e6-high unit barrier is about e^{-1000}, which underflows
+        # to 0; cos beta is +-inf with the sign of the scaled half trace,
+        # and no numpy warning is raised (pytest makes one an error)
+        lat = PeriodicLattice(1e6, 1.0, 2.0)
+        table = band_scan(lat, 0.0, 12.0, 12.0 / 29)
+        assert len(table.energies) == 30 and table.edges == ()
+        assert np.isinf(table.cos_beta).all()
+        assert set(table.classification) == {"forbidden"}
+        signs = [math.copysign(1.0, scaled_half_trace(lat, e)) for e in table.energies]
+        assert np.sign(table.cos_beta).tolist() == signs
+        assert {-1.0, 1.0} <= set(signs)  # the sign flips near k0 g = pi
+        assert bloch_phase(lat, 5.0).classification == "forbidden"
+        assert closed_form_prefix(lat, 5.0, 3) == (complex(math.inf, math.inf),) * 2
 
     def test_negative_floor_clamped(self):
         table = band_scan(LAT, -1.0, 1.0, 0.01)
