@@ -5,14 +5,15 @@ map, and embedding between the two outer media.
 Every stage takes the wavenumbers of one energy or of an energy array
 (:func:`compute_wavenumbers`) and works elementwise: leading axes are
 energy, and a per-barrier array carries the barrier as its last axis.
-The single-barrier formula lives in ``_barrier_tr`` alone; the sweep, the
-scalar solve (a batch of one), the band scan and the closed form all
-reach it through :func:`all_barrier_amplitudes`.  The chain is composed
-by joining adjacent segments pairwise, level by level, so a chain of N
-barriers costs ceil(log2 N) array steps and every intermediate amplitude
-keeps modulus <= 1 (the stable S-matrix composition of Ko and Inkson,
-Phys. Rev. B 38, 9945 (1988), as a reduction tree in the sense of
-Blelloch, CMU-CS-90-190 (1990)).
+The single-barrier formula lives in ``_factored_barrier`` alone: the sweep
+and the scalar solve (a batch of one) reach it through
+:func:`all_barrier_amplitudes`, and the band scan and the closed form of
+``periodic`` take one period's half trace and r/t from it directly.  The
+chain is composed by joining adjacent segments pairwise, level by level,
+so a chain of N barriers costs ceil(log2 N) array steps and every
+intermediate amplitude keeps modulus <= 1 (the stable S-matrix
+composition of Ko and Inkson, Phys. Rev. B 38, 9945 (1988), as a
+reduction tree in the sense of Blelloch, CMU-CS-90-190 (1990)).
 
 The stages assume an energy that :func:`check_energy` has admitted and a
 transmitted wave that :func:`check_transmitted_wave` has found representable,
@@ -82,9 +83,23 @@ def _factored_trig(z):
     return m, (ep + em) / 2.0, (ep - em) / 2j
 
 
+def _factored_barrier(k0, kn, width, phase):
+    """(m, e^{-m} (cos - i A sin), phase B e^{-m} sin) of k_n d_n, elementwise,
+    with A = (k_n^2 + k0^2)/(2 k_n k0) and B = (k_n^2 - k0^2)/(2 k_n k0).
+
+    The one source of the single-barrier formula: e^{-i k0 d}/t is e^m times
+    the second piece, and r/t is e^m times the third for phase =
+    i e^{2 i k0 x_n}.  Each piece stays O(1) where cos/sin overflow.
+    """
+    m, c, sn = _factored_trig(kn * width)
+    k2, k02, half_inv = kn * kn, k0 * k0, 0.5 / (kn * k0)
+    c -= 1j * ((k2 + k02) * half_inv) * sn
+    return m, c, phase * ((k2 - k02) * half_inv) * sn
+
+
 def _barrier_tr(k0, kn, width, center):
-    """(t, r, r') of barriers over a zero background: the single-barrier
-    formula, elementwise.
+    """(t, r, r') of barriers over a zero background from the pieces of
+    :func:`_factored_barrier`, elementwise.
 
     ``kn``, ``width`` and ``center`` carry the barrier as their last axis;
     ``k0`` broadcasts against them.  Evanescent barriers are handled by the
@@ -94,12 +109,9 @@ def _barrier_tr(k0, kn, width, center):
     e^{-2i k0 d} c*/c from the factored pieces: t itself underflows to 0
     in a high barrier, where t/t* would be 0/0.
     """
-    m, c, sn = _factored_trig(kn * width)
-    k2, k02, half_inv = kn * kn, k0 * k0, 0.5 / (kn * k0)
-    c -= 1j * ((k2 + k02) * half_inv) * sn  # c is now e^{-m} (cos - iA sin)
+    m, c, rc = _factored_barrier(k0, kn, width, 1j * np.exp(1j * k0 * (2.0 * center - width)))
     inv_c = 1.0 / c
     pw = np.exp(-1j * k0 * width)
-    rc = 1j * np.exp(1j * k0 * (2.0 * center - width)) * ((k2 - k02) * half_inv) * sn
     return pw * np.exp(-m) * inv_c, rc * inv_c, -rc.conjugate() * (pw * pw) * inv_c
 
 

@@ -135,7 +135,7 @@ def _load_structure(args) -> LayeredStructure:
 def _write_csv(path, header: str, row_format: str, columns):
     """Write ``header`` and one ``row_format`` line per row of ``columns``.
 
-    ``columns`` are equal-length arrays, one per ``%`` field of
+    ``columns`` are equal-length arrays or sequences, one per ``%`` field of
     ``row_format``.  Rows are formatted CSV_BLOCK_ROWS at a time, each block
     with one ``%`` over its interleaved values, which costs a fraction of a
     format call per value and keeps the transient tuple small.  Every block
@@ -148,7 +148,8 @@ def _write_csv(path, header: str, row_format: str, columns):
         stop = min(start + CSV_BLOCK_ROWS, n)
         values = [None] * (width * (stop - start))
         for j, col in enumerate(columns):
-            values[j::width] = col[start:stop].tolist()
+            part = col[start:stop]
+            values[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
         blocks.append((row_format + "\n") * (stop - start) % tuple(values))
     if path in (None, "stdout", "-"):
         sys.stdout.writelines(blocks)
@@ -211,7 +212,7 @@ def cmd_bands(args) -> int:
     # grid after the floor: band_scan then scans exactly that grid.
     table = band_scan(lat, lo, hi, (hi - max(lo, ENERGY_FLOOR)) / (steps - 1))
     _write_csv(args.out, "epsilon,cos_beta,band", "%.17g,%.17g,%s",
-               (table.energies, table.cos_beta, np.array(table.classification)))
+               (table.energies, table.cos_beta, table.classification))
     for e in table.edges:
         print(f"edge at epsilon={_fmt(e)}")
     for e in table.skipped:

@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import _factored_trig, all_barrier_amplitudes
+from .amplitudes import _factored_barrier
 from .structure import (
     LayeredStructure,
+    branch_sqrt,
     check_energy,
-    compute_wavenumbers,
     degenerate_energies,
 )
 
@@ -89,36 +89,32 @@ def _period(lat: PeriodicLattice, energy):
     """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier, elementwise
     over ``energy``; cos beta is the real part of the first.
 
-    Where t underflows inside a thick evanescent barrier, so that
-    e^{-i k0 a}/t is not finite, it is returned as the real ±inf that
-    cos beta tends to (r/t is then inf or nan).  With g = a - d and the
-    factored pieces (m, c, s) of cos/sin(k d) from ``_factored_trig``,
-    e^{-i k0 a}/t = e^m e^{-i k0 g} (c - i A s), A = (k^2 + k0^2)/(2 k k0),
-    so the sign is that of Re[e^{-i k0 g} (c - i A s)], which for real k0
-    and evanescent k is Re[cos(k0 g) c - A sin(k0 g) s].
+    Both come straight from the factored pieces (m, c - i A s, B s) of
+    ``_factored_barrier``: with g = a - d,
+    e^{-i k0 a}/t = e^m e^{-i k0 g} (c - i A s) and r/t = e^m i e^{2 i k0 x1} B s.
+    Where e^m overflows, inside a thick evanescent barrier, cos beta is the
+    real ±inf signed by the finite factor Re[e^{-i k0 g} (c - i A s)], even
+    where that factor is ±0 (r/t is then inf or nan).
 
-    Raises what :func:`check_energy` raises for an energy it does not
-    admit.
+    Checks nothing: callers admit ``energy`` with :func:`check_energy`.
     """
-    w = compute_wavenumbers(lat.cell, energy)
-    check_energy(lat.cell, energy)
-    t, r, _ = (x[..., 0] for x in all_barrier_amplitudes(w, lat.cell))
-    k0 = w.k_gap
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gamma, r_over_t = np.exp(-1j * k0 * lat.period) / t, r / t
-    lost = ~np.isfinite(gamma)
-    if lost.any():
-        k = w.k_barrier[..., 0]
-        _, c, s = _factored_trig(k * lat.barrier_width)
-        scaled = np.exp(-1j * k0 * (lat.period - lat.barrier_width)) * (
-            c - 1j * ((k * k + k0 * k0) / (2.0 * k * k0)) * s)
-        gamma = np.where(lost, np.copysign(np.inf, scaled.real), gamma)
+    k0 = branch_sqrt(energy)
+    k = branch_sqrt(np.asarray(energy, dtype=float) - lat.barrier_height)
+    m, c, rb = _factored_barrier(k0, k, lat.barrier_width,
+                                 1j * np.exp(2j * k0 * lat.first_center))
+    scaled = np.exp(-1j * k0 * (lat.period - lat.barrier_width)) * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        em = np.exp(m)
+        gamma, r_over_t = em * scaled, em * rb
+    inf_times_zero = np.isnan(gamma.real)
+    if inf_times_zero.any():
+        gamma = np.where(inf_times_zero, np.copysign(np.inf, scaled.real), gamma)
     return gamma, r_over_t, k0
 
 
 def _cos_beta(lat: PeriodicLattice, energy):
     """Half the trace of one period's transfer matrix, Re(e^{-i k0 a}/t),
-    elementwise over ``energy``."""
+    elementwise over ``energy``, which it does not check."""
     return _period(lat, energy)[0].real
 
 
@@ -140,7 +136,9 @@ def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL)
 
     beta is real in [0, pi] in allowed bands; in forbidden bands it is
     i*arccosh(|cos beta|), plus a real part pi when cos beta < -1.
+    Raises what :func:`check_energy` raises for an energy it does not admit.
     """
+    check_energy(lat.cell, energy)
     return _phase(energy, float(_cos_beta(lat, energy)), edge_tol)
 
 
@@ -190,6 +188,7 @@ def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     few periods short of it: sinh(n Im beta)/sinh(Im beta) can overflow
     before |1/T_n| does.
     """
+    check_energy(lat.cell, energy)
     gamma, r_over_t1, k0 = _period(lat, energy)
     if not cmath.isfinite(gamma):  # one period's t underflowed, and so does T_n
         return (complex(math.inf, math.inf),) * 2
@@ -211,8 +210,9 @@ def decay_rate(lat: PeriodicLattice, energy: float) -> float:
     return 2.0 * phase.beta.imag
 
 
-def _bisect_edges(lat: PeriodicLattice, lo, hi, f_lo, xtol: float) -> np.ndarray:
-    """Roots of |cos beta| - 1 in every bracket [lo, hi] at once.
+def _bisect(fun, lo, hi, sign_lo) -> np.ndarray:
+    """Roots of ``fun`` in every bracket [lo, hi] at once, down to
+    ``EDGE_XTOL``, ``sign_lo`` the sign of ``fun`` at each lo.
 
     Takes the steps of scipy.optimize.bisect (its default rtol of four
     machine epsilons included), one array evaluation per halving.
@@ -220,15 +220,15 @@ def _bisect_edges(lat: PeriodicLattice, lo, hi, f_lo, xtol: float) -> np.ndarray
     rtol = 4.0 * np.finfo(float).eps
     roots = np.empty(len(lo))
     todo = np.arange(len(lo))
-    xa, dm, sign_a = lo, hi - lo, np.sign(f_lo)
+    xa, dm = lo, hi - lo
     while todo.size:
         dm = 0.5 * dm
         xm = xa + dm
-        fm = np.abs(_cos_beta(lat, _off_degenerate(lat, xm, 1e-12))) - 1.0
-        xa = np.where(np.sign(fm) * sign_a >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < xtol + rtol * np.abs(xm))
+        fm = fun(xm)
+        xa = np.where(np.sign(fm) * sign_lo >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < EDGE_XTOL + rtol * np.abs(xm))
         roots[todo[done]] = xm[done]
-        todo, xa, dm, sign_a = todo[~done], xa[~done], dm[~done], sign_a[~done]
+        todo, xa, dm, sign_lo = todo[~done], xa[~done], dm[~done], sign_lo[~done]
     return roots
 
 
@@ -242,8 +242,12 @@ def band_scan(
 
     Scans on the grid of fewest points whose spacing, as ``np.linspace``
     computes it, is <= resolution, then bisects every sign change of
-    |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  Negative energies carry
-    no propagating gap wave, so e_min is clamped to ``ENERGY_FLOOR``.
+    |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  A grid step whose ends
+    are both forbidden but whose cos beta changes sign holds an allowed band
+    unless that band is narrower than ``EDGE_XTOL``: cos beta itself is
+    bisected there, and a root with |cos beta| <= 1 splits the step into two
+    brackets of edges.  Negative energies carry no propagating gap wave, so
+    e_min is clamped to ``ENERGY_FLOOR``.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
@@ -256,16 +260,33 @@ def band_scan(
     grid = np.linspace(e_min, e_max, n_pts)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
+    check_energy(lat.cell, energies)
     values = _cos_beta(lat, energies)
     f = np.abs(values) - 1.0
 
+    # Every bisected point lies inside a bracket of admitted grid energies,
+    # moved off k = 0, so it needs no check.
+    def cos_beta(e):
+        return _cos_beta(lat, _off_degenerate(lat, e, 1e-12))
+
     # An edge at every grid zero of f, and one bisected inside every sign change.
     crossing = np.flatnonzero((f[:-1] == 0.0) | (np.sign(f[:-1]) * np.sign(f[1:]) < 0.0))
-    edges = energies[crossing]
     inside = f[crossing] != 0.0
     i = crossing[inside]
-    edges[inside] = _bisect_edges(lat, energies[i], energies[i + 1], f[i], EDGE_XTOL)
-    edges = edges.tolist()
+    lo, hi, sign_lo = energies[i], energies[i + 1], np.sign(f[i])
+    narrow = np.flatnonzero((f[:-1] > 0.0) & (f[1:] > 0.0)
+                            & (np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
+    if narrow.size:
+        mid = _bisect(cos_beta, energies[narrow], energies[narrow + 1],
+                      np.sign(values[narrow]))
+        band = np.abs(cos_beta(mid)) <= 1.0
+        j, mid = narrow[band], mid[band]
+        # f > 0 at both ends of the step and <= 0 at mid
+        lo = np.concatenate((lo, energies[j], mid))
+        hi = np.concatenate((hi, mid, energies[j + 1]))
+        sign_lo = np.concatenate((sign_lo, np.ones(j.size), -np.ones(j.size)))
+    roots = _bisect(lambda e: np.abs(cos_beta(e)) - 1.0, lo, hi, sign_lo)
+    edges = np.sort(np.concatenate((energies[crossing[~inside]], roots))).tolist()
     if f[-1] == 0.0:
         edges.append(float(energies[-1]))
 

@@ -203,12 +203,18 @@ class WaveNumberSet:
     k_barrier: np.ndarray
 
 
-def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
-    """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch)."""
+def _finite_energy(energy) -> np.ndarray:
+    """``energy`` as a float array, or ValueError where it is not finite."""
     e = np.asarray(energy, dtype=float)
     bad = e[~np.isfinite(e)]
     if bad.size:
         raise ValueError(f"energy must be finite, got {bad[0]}")
+    return e
+
+
+def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
+    """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch)."""
+    e = _finite_energy(energy)
     return WaveNumberSet(
         k_left=branch_sqrt(e - s.v_left),
         k_right=branch_sqrt(e - s.v_right),
@@ -227,9 +233,10 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
 
 def check_energy(s: LayeredStructure, energy) -> None:
     """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
-    order: EvanescentGapError for eps < 0, DegenerateWavenumberError where
-    :func:`degenerate_energies` is set, ArithmeticError for eps <= V1 (no incident wave)."""
-    e = np.asarray(energy, dtype=float).ravel()
+    order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
+    DegenerateWavenumberError where :func:`degenerate_energies` is set,
+    ArithmeticError for eps <= V1 (no incident wave)."""
+    e = _finite_energy(energy).ravel()
     bad = e[e < 0]
     if bad.size:
         raise EvanescentGapError(

@@ -808,6 +808,9 @@ def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, lab
     # lists of lines: pytest reports the first differing line, not a text diff
     assert out.read_text().splitlines(keepends=True) == expected
     assert capsys.readouterr().out.splitlines(keepends=True) == expected
+    if labels:  # ``bands`` hands its labels over as a tuple of str
+        _write_csv("stdout", "h", row_format, [*columns[:-1], tuple(columns[-1].tolist())])
+        assert capsys.readouterr().out.splitlines(keepends=True) == expected
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

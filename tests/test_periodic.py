@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
+from layerscatter.periodic import _period
 
 from conftest import recurrence_prefixes
 
@@ -93,6 +95,30 @@ class TestBlochPhase:
     def test_evanescent_barrier_keeps_cos_beta_real(self):
         ph = bloch_phase(LAT, 1.7)
         assert isinstance(ph.cos_beta, float)
+
+
+class TestPeriodFormula:
+    def test_period_matches_the_chain_formula(self):
+        # the half trace's e^{-i k0 a}/t and r/t equal those of the chain's
+        # single-barrier amplitudes on the lattice's cell, below and above
+        # the barrier top, wherever t is a normal double
+        rng = np.random.default_rng(14)
+        checked = 0
+        for _ in range(60):
+            h, w = rng.uniform(0.5, 400.0), rng.uniform(0.1, 2.0)
+            lat = PeriodicLattice(h, w, w + rng.uniform(0.05, 2.0))
+            energy = np.concatenate((rng.uniform(0.01, h, 20), rng.uniform(h, 4.0 * h, 20)))
+            gamma, r_over_t, k0 = _period(lat, energy)
+            wn = compute_wavenumbers(lat.cell, energy)
+            t, r, _ = (x[..., 0] for x in all_barrier_amplitudes(wn, lat.cell))
+            normal = np.abs(t) >= sys.float_info.min
+            ref_gamma = np.exp(-1j * k0 * lat.period)[normal] / t[normal]
+            ref_r_over_t = r[normal] / t[normal]
+            assert np.all(np.abs(gamma[normal] - ref_gamma) <= 1e-13 * np.abs(ref_gamma))
+            assert np.all(np.abs(r_over_t[normal] - ref_r_over_t)
+                          <= 1e-13 * np.abs(ref_r_over_t))
+            checked += normal.sum()
+        assert checked > 2000
 
 
 class TestClosedFormPrefix:
@@ -249,6 +275,29 @@ class TestBandScan:
         assert {-1.0, 1.0} <= set(signs)  # the sign flips near k0 g = pi
         assert bloch_phase(lat, 5.0).classification == "forbidden"
         assert closed_form_prefix(lat, 5.0, 3) == (complex(math.inf, math.inf),) * 2
+
+    def test_band_inside_one_grid_step(self):
+        # cos beta jumps from about 68.7 to -39.1 over the grid step from 4.81
+        # to 6.25, both ends forbidden; the allowed band between is found,
+        # with the edges a fine grid brackets
+        lat = PeriodicLattice(40.0, 1.0, 2.0)
+        coarse = band_scan(lat, 0.5, 12.0, 1.5)
+        fine = [e for e in band_scan(lat, 0.5, 12.0, 0.001).edges if 4.81 < e < 6.25]
+        assert set(coarse.classification) == {"forbidden"}
+        assert len(coarse.edges) == len(fine) == 2
+        assert np.abs(np.subtract(coarse.edges, fine)).max() < 1e-9
+        assert [label for _, _, label in coarse.intervals] == [
+            "forbidden", "allowed", "forbidden"]
+        assert coarse.intervals[1][:2] == coarse.edges
+
+    def test_band_narrower_than_edge_tolerance_is_not_reported(self):
+        # cos beta flips from +inf to -inf between two grid points of the
+        # 1e6-high lattice; the band between is far narrower than EDGE_XTOL
+        lat = PeriodicLattice(1e6, 1.0, 2.0)
+        table = band_scan(lat, 9.52, 9.93, 0.5)
+        assert table.cos_beta.tolist() == [math.inf, -math.inf]
+        assert table.edges == ()
+        assert table.intervals == ((9.52, 9.93, "forbidden"),)
 
     def test_negative_floor_clamped(self):
         table = band_scan(LAT, -1.0, 1.0, 0.01)
