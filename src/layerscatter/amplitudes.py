@@ -1,6 +1,6 @@
 """Scattering amplitudes on arrays: single interfaces, single barriers, a
-tree of Redheffer star products over a chain, the leftward coefficient
-map, and embedding between the two outer media.
+tree of Redheffer star products over a chain, and embedding between the
+two outer media.
 
 Every stage takes the wavenumbers of one energy or of an energy array
 (:func:`compute_wavenumbers`) and works elementwise: leading axes are
@@ -192,13 +192,6 @@ def prefix_by_matrix(amps):
         ts.append(1.0 / acc[1, 1])
         rs.append(-acc[1, 0] * ts[-1])
     return tuple(ts), tuple(rs)
-
-
-def map_leftward(t, r, x, y):
-    """[[1/t, r*/t*], [r/t, 1/t*]] (x, y): the (e^{+ikx}, e^{-ikx}) coefficients
-    left of a scatterer with left-incidence amplitudes (t, r) from those right of it."""
-    tc = t.conjugate()
-    return (1.0 / t) * x + (r.conjugate() / tc) * y, (r / t) * x + (1.0 / tc) * y
 
 
 def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:

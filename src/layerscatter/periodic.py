@@ -27,6 +27,7 @@ from .structure import (
 EDGE_TOL = 1e-12
 EDGE_XTOL = 1e-10  # energy tolerance of the bisected band edges
 ENERGY_FLOOR = 1e-6  # band scans start here: below 0 the gap wave is evanescent
+_LABELS = np.array(["forbidden", "allowed", "edge"], dtype=object)  # by _classify's code
 
 
 class BandEdgeError(ArithmeticError):
@@ -119,16 +120,16 @@ def _cos_beta(lat: PeriodicLattice, energy):
 
 
 def _off_degenerate(lat: PeriodicLattice, e: np.ndarray, nudge: float) -> np.ndarray:
-    """``e`` with every degenerate point moved up by ``nudge``; cos beta is
-    continuous there."""
-    return np.where(degenerate_energies(lat.cell, e), e + nudge, e)
+    """``e`` with every degenerate point moved up by ``nudge``, or by one ulp
+    where ``nudge`` is below it; cos beta is continuous there."""
+    return np.where(degenerate_energies(lat.cell, e),
+                    np.maximum(e + nudge, np.nextafter(e, np.inf)), e)
 
 
 def _classify(cos_beta, edge_tol: float = EDGE_TOL):
-    """"edge", "allowed" or "forbidden" for each cos beta."""
+    """"edge", "allowed" or "forbidden" for each cos beta; NaN is forbidden."""
     mag = np.abs(cos_beta)
-    return np.where(np.abs(mag - 1.0) < edge_tol, "edge",
-                    np.where(mag <= 1.0, "allowed", "forbidden"))
+    return _LABELS[np.where(np.abs(mag - 1.0) < edge_tol, 2, mag <= 1.0)]
 
 
 def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL) -> BlochPhase:
@@ -261,36 +262,37 @@ def band_scan(
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
     check_energy(lat.cell, energies)
-    values = _cos_beta(lat, energies)
-    f = np.abs(values) - 1.0
 
-    # Every bisected point lies inside a bracket of admitted grid energies,
-    # moved off k = 0, so it needs no check.
+    # Every point, grid or bisected, lies at or above ENERGY_FLOOR and is
+    # moved off k = 0, so it needs no check.  Skipped grid points still
+    # bracket edges, so an edge next to one is not lost.
     def cos_beta(e):
         return _cos_beta(lat, _off_degenerate(lat, e, 1e-12))
 
+    values = cos_beta(grid)
+    f = np.abs(values) - 1.0
     # An edge at every grid zero of f, and one bisected inside every sign change.
     crossing = np.flatnonzero((f[:-1] == 0.0) | (np.sign(f[:-1]) * np.sign(f[1:]) < 0.0))
     inside = f[crossing] != 0.0
     i = crossing[inside]
-    lo, hi, sign_lo = energies[i], energies[i + 1], np.sign(f[i])
+    lo, hi, sign_lo = grid[i], grid[i + 1], np.sign(f[i])
     narrow = np.flatnonzero((f[:-1] > 0.0) & (f[1:] > 0.0)
                             & (np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
     if narrow.size:
-        mid = _bisect(cos_beta, energies[narrow], energies[narrow + 1],
+        mid = _bisect(cos_beta, grid[narrow], grid[narrow + 1],
                       np.sign(values[narrow]))
         band = np.abs(cos_beta(mid)) <= 1.0
         j, mid = narrow[band], mid[band]
         # f > 0 at both ends of the step and <= 0 at mid
-        lo = np.concatenate((lo, energies[j], mid))
-        hi = np.concatenate((hi, mid, energies[j + 1]))
+        lo = np.concatenate((lo, grid[j], mid))
+        hi = np.concatenate((hi, mid, grid[j + 1]))
         sign_lo = np.concatenate((sign_lo, np.ones(j.size), -np.ones(j.size)))
     roots = _bisect(lambda e: np.abs(cos_beta(e)) - 1.0, lo, hi, sign_lo)
-    edges = np.sort(np.concatenate((energies[crossing[~inside]], roots))).tolist()
+    edges = np.sort(np.concatenate((grid[crossing[~inside]], roots))).tolist()
     if f[-1] == 0.0:
-        edges.append(float(energies[-1]))
+        edges.append(float(grid[-1]))
 
-    bounds = np.array([energies[0], *edges, energies[-1]])
+    bounds = np.array([grid[0], *edges, grid[-1]])
     lo, hi = bounds[:-1], bounds[1:]
     keep = hi - lo > 0
     lo, hi = lo[keep], hi[keep]
@@ -299,8 +301,8 @@ def band_scan(
 
     return BandTable(
         energies=energies,
-        cos_beta=values,
-        classification=tuple(_classify(values).tolist()),
+        cos_beta=values[~degenerate],
+        classification=tuple(_classify(values[~degenerate]).tolist()),
         edges=tuple(edges),
         intervals=tuple(zip(lo.tolist(), hi.tolist(), labels.tolist())),
         skipped=tuple(grid[degenerate].tolist()),

@@ -36,9 +36,8 @@ class DegenerateWavenumberError(ValueError):
 class EvanescentGapError(ArithmeticError):
     """The energy is negative, so the zero-potential gaps are evanescent.
 
-    The barriers' right-incidence reflection r' = -r* t/t*, the leftward
-    map and the Bloch phase use conjugate relations that hold only for a
-    real gap wavenumber.
+    The barriers' right-incidence reflection r' = -r* t/t* and the Bloch
+    phase use conjugate relations that hold only for a real gap wavenumber.
     """
 
 

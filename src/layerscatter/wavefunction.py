@@ -1,11 +1,12 @@
 """Region coefficients and piecewise evaluation of psi.
 
-Once the embedded (T, R) is known, the rightmost gap holds T times the
-first column of the right step's matrix, and each barrier carries the
-gap pair on its right onto the gap pair on its left.  Across a
-tunnelling chain that is the direction in which the solution grows, so
-nothing cancels.  The barrier pairs (c_n, d_n) follow from continuity at
-each barrier's left edge.  No linear system is solved on this path.
+The gap coefficients come from the same reflection algebra as the
+star-product tree: a right-to-left pass composes the reflection rho_n of
+everything right of each gap, and a left-to-right pass carries the unit
+incident wave through the barriers with it.  Every factor is bounded, so a
+tiny coefficient is a truly tiny psi, never an overflow.  The barrier
+pairs (c_n, d_n) follow from continuity at each barrier's left edge.  No
+linear system is solved on this path.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import EmbeddedAmplitudes, map_leftward, scattering_amplitudes
+from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
 from .structure import LayeredStructure, WaveNumberSet, region_wavenumbers
 
 
@@ -45,20 +46,26 @@ class ScatteringSolution:
                 cp, cm)
 
 
-def gap_coefficients(amps, iface, embedded: EmbeddedAmplitudes):
+def gap_coefficients(amps, iface):
     """(a_n, b_n) for every zero-potential gap region, n = 1..N+1, at one energy.
 
-    ``amps`` is the barriers' (t, r, r') and ``iface`` the outer steps.  Starts
-    from (a_{N+1}, b_{N+1}) = T (1/t_right, r_right/t_right) and steps
-    leftward across each barrier with :func:`map_leftward`.
+    ``amps`` is the barriers' (t, r, r') and ``iface`` the outer steps.  Right
+    to left, as :func:`~layerscatter.amplitudes._star` joins segments, rho_n =
+    b_n / a_n = r_n + t_n^2 rho_{n+1} / (1 - r'_n rho_{n+1}) from rho_{N+1} =
+    r_right; left to right, a_1 = t_left / (1 + r_left rho_1) and a_{n+1} =
+    t_n a_n / (1 - r'_n rho_{n+1}).  Every factor is bounded: deep in a
+    forbidden band a_n decays to 0 while psi at x = 0 still matches (1, R).
     """
-    t_full = embedded.t_full
-    _, _, t_right, r_right = iface
-    pairs = [(t_full / t_right, t_full * r_right / t_right)]
-    for t, r in zip(reversed(amps[0].tolist()), reversed(amps[1].tolist())):
-        pairs.append(map_leftward(t, r, *pairs[-1]))
-    a, b = zip(*reversed(pairs))
-    return a, b
+    t_left, r_left, _, r_right = (complex(x) for x in iface)
+    ts, rs, rps = (x.tolist() for x in amps)
+    rho = [r_right]
+    for t, r, rp in zip(reversed(ts), reversed(rs), reversed(rps)):
+        rho.append(r + t * t * rho[-1] / (1.0 - rp * rho[-1]))
+    rho.reverse()
+    a = [t_left / (1.0 + r_left * rho[0])]
+    for t, rp, right in zip(ts, rps, rho[1:]):
+        a.append(t * a[-1] / (1.0 - rp * right))
+    return tuple(a), tuple(x * y for x, y in zip(a, rho))
 
 
 def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructure):
@@ -67,36 +74,33 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
     Solving the 2x2 continuity pair directly keeps evanescent barriers
     exact; for propagating barriers it reduces to the interface-amplitude
     combination (k0/kn)[a/t* - b r*/t*] and its partner.  Raises
-    FloatingPointError where e^{-i k_n x} overflows at a barrier far from
-    the origin.
+    FloatingPointError, naming the barrier of largest |Im k_n| x_n, where
+    e^{-i k_n x} overflows at a barrier far from the origin.
     """
     k0, kn = w.k_gap, w.k_barrier
     x0 = s.interface_points()[1:-1:2]  # left edges
     ratio = k0 / kn
-    with np.errstate(over="raise", invalid="raise"):
-        ap = np.array(a[:-1]) * np.exp(1j * k0 * x0)
-        bm = np.array(b[:-1]) * np.exp(-1j * k0 * x0)
-        c = ((1 + ratio) * ap + (1 - ratio) * bm) / 2 * np.exp(-1j * kn * x0)
-        d = ((1 - ratio) * ap + (1 + ratio) * bm) / 2 * np.exp(1j * kn * x0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ap = np.array(a[:-1]) * np.exp(1j * k0 * x0)
+            bm = np.array(b[:-1]) * np.exp(-1j * k0 * x0)
+            c = ((1 + ratio) * ap + (1 - ratio) * bm) / 2 * np.exp(-1j * kn * x0)
+            d = ((1 - ratio) * ap + (1 + ratio) * bm) / 2 * np.exp(1j * kn * x0)
+    except FloatingPointError:
+        growth = np.abs(kn.imag) * x0
+        n = int(np.argmax(growth))
+        raise FloatingPointError(
+            f"barrier {n + 1} of {kn.size}, left edge x = {x0[n]:.6g}: "
+            f"|Im k| x = {growth[n]:.6g} makes its global-origin coefficients "
+            "pass the largest double") from None
     return tuple(c.tolist()), tuple(d.tolist())
 
 
 def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:
     """Full pipeline at one energy: amplitudes and embedding (a batch of
-    one), then every coefficient.
-
-    Raises FloatingPointError where T is below the smallest normal double,
-    as deep in a forbidden band of a long chain: the coefficients start
-    from T, and a subnormal T carries too few significant bits to match the
-    left medium's (1, R) at x = 0, while a T of 0 would make them all vanish.
-    """
+    one), then every coefficient."""
     w, iface, amps, emb = scattering_amplitudes(s, energy)
-    if abs(emb.t_full) < np.finfo(float).tiny:
-        raise FloatingPointError(
-            f"|T| = {abs(emb.t_full):.3g} at energy {energy}: T underflows, so "
-            "the wave function's coefficients, which start from T, are not "
-            "representable")
-    a, b = gap_coefficients(amps, iface, emb)
+    a, b = gap_coefficients(amps, iface)
     c, d = barrier_coefficients(a, b, w, s)
     return ScatteringSolution(
         structure=s, energy=energy, wavenumbers=w, embedded=emb,

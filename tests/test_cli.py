@@ -358,20 +358,27 @@ def test_forbidden_band_sweep_reflects_fully(capsys, tmp_path, count, energy_ran
     assert_total_reflection(out)
 
 
-@pytest.mark.parametrize("count, magnitude", [
-    (2000, "0"),          # T = 0: the coefficients would all vanish
-    (1850, "6.57e-317"),  # subnormal T: too few bits to match (1, R) at x = 0
-])
-def test_forbidden_band_wavefunction_exits_3(capsys, tmp_path, count, magnitude):
-    # the coefficients start from T, though psi on the left is of order 1
+@pytest.mark.parametrize("count", [2000, 1850])  # T = 0, and a subnormal T
+def test_forbidden_band_wavefunction_matches_left_medium(capsys, tmp_path, count):
+    # T underflows deep in a forbidden band, but the gap coefficients come
+    # from bounded reflections, not from T: psi on the left is (1, R).  With
+    # no flux, |psi|^2 + |psi'/k|^2 is |psi|'s peak in a region of real k; it
+    # is 4 left of the chain, at most 4 in every gap and at most
+    # 4 k0^2/k_n^2 in the barriers, as continuity of psi and psi' carries it
+    s = PeriodicLattice(3.0, 1.0, 2.0, count).to_structure()
+    sol = solve_structure(s, 4.6)
+    assert sol.a[0] == pytest.approx(1.0, abs=1e-12)
+    assert sol.b[0] == pytest.approx(sol.embedded.r_full, abs=1e-12)
     out = tmp_path / "wf.csv"
-    code, stdout, err = run_cli(
-        capsys, "wavefunction", "--scenario", "periodic",
-        "--scenario-params", f"count={count}", "--energy", "4.6", "--out", str(out),
-    )
-    assert (code, stdout) == (3, "")
-    assert err.startswith(f"error: |T| = {magnitude} at energy 4.6: T underflows")
-    assert not out.exists()
+    source = ["--scenario", "periodic", "--scenario-params", f"count={count}", "--energy", "4.6"]
+    code, _, err = run_cli(capsys, "wavefunction", *source, "--out", str(out))
+    assert (code, err) == (0, "")
+    x, density = np.loadtxt(str(out), delimiter=",", skiprows=1, usecols=(0, 3)).T
+    assert density[x <= 0.5].max() <= 4.0 * (1.0 + 1e-9)  # the first barrier's left edge
+    assert density.max() <= 4.0 * 4.6 / (4.6 - 3.0) * (1.0 + 1e-9)
+    code, stdout, err = run_cli(capsys, "oracle-check", *source)
+    assert (code, err) == (0, "")
+    assert float(stdout.split("=")[1].split()[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("command", [
@@ -444,33 +451,43 @@ def test_energy_gate_is_one_rule_for_every_command(capsys, tmp_path, doc, energy
     assert lines["wavefunction"].startswith(first_line)
 
 
-def run_underflowed_barrier(*argv):
-    """Run the CLI in a fresh interpreter on a 1e6-high, unit-width barrier,
-    whose t of about e^{-1000} underflows to 0, so that stderr shows any
-    numpy RuntimeWarning as a user would see it."""
-    doc = json.dumps({"v_left": 0, "v_right": 0, "span": 3,
-                      "barriers": [{"height": 1e6, "width": 1, "center": 1.5}]})
+def run_fresh(*argv, stdin=None):
+    """Run the CLI in a fresh interpreter, so that stderr shows any numpy
+    RuntimeWarning as a user would see it."""
     env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "layerscatter.cli", argv[0], "--structure", "-", *argv[1:]],
-        input=doc, capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "layerscatter.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_underflowed_barrier_transmission_exits_3():
-    # the coefficients start from T = 0; solve_structure refuses
-    proc = run_underflowed_barrier("wavefunction", "--energy", "1.5")
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "T underflows" in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
+# A 1e6-high, unit-width barrier, whose t of about e^{-1000} underflows to 0.
+UNDERFLOWED_BARRIER = json.dumps({"v_left": 0, "v_right": 0, "span": 3, "barriers": [
+    {"height": 1e6, "width": 1, "center": 1.5}]})
+
+
+@pytest.mark.parametrize("source, energy, barrier", [
+    (["--structure", "-"], "1.5", "barrier 1 of 1, left edge x = 1: |Im k| x = 999.999"),
+    (["--scenario", "periodic", "--scenario-params", "count=360"], "2.0",
+     "barrier 360 of 360, left edge x = 718.5: |Im k| x = 718.5"),
+], ids=["underflowed-barrier", "periodic-360"])
+def test_global_origin_overflow_names_the_barrier(tmp_path, source, energy, barrier):
+    # e^{-i k_n x} at an evanescent barrier's left edge passes the largest
+    # double, and with it the barrier's global-origin (c_n, d_n); the exact
+    # stderr also shows that no numpy RuntimeWarning is printed
+    out = tmp_path / "wf.csv"
+    proc = run_fresh("wavefunction", *source, "--energy", energy, "--out", str(out),
+                     stdin=UNDERFLOWED_BARRIER)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"error: {barrier} makes its global-origin coefficients "
+                           "pass the largest double\n")
+    assert not out.exists()
 
 
 def test_underflowed_barrier_sweep_reflects_fully(tmp_path):
     # r' of the barrier comes from its factored pieces, not from t/t* = 0/0,
     # so the sweep gives T = 0 and R = 1 (it exited 3 with the recurrence)
     out = tmp_path / "sweep.csv"
-    proc = run_underflowed_barrier("sweep", "--energy-range", "1:2:3", "--out", str(out))
+    proc = run_fresh("sweep", "--structure", "-", "--energy-range", "1:2:3", "--out", str(out),
+                     stdin=UNDERFLOWED_BARRIER)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert_total_reflection(out)
 

@@ -17,7 +17,7 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
-from layerscatter.periodic import _period
+from layerscatter.periodic import _classify, _period
 
 from conftest import recurrence_prefixes
 
@@ -289,6 +289,28 @@ class TestBandScan:
         assert [label for _, _, label in coarse.intervals] == [
             "forbidden", "allowed", "forbidden"]
         assert coarse.intervals[1][:2] == coarse.edges
+
+    def test_edge_next_to_a_skipped_last_point(self):
+        # the grid ends on 40.0, the barrier height, which the table skips;
+        # the scan brackets on cos beta there, moved off k = 0, so the edge
+        # at 39.824 (a 0.001 grid finds 39.82419321590662) is not lost
+        table = band_scan(PeriodicLattice(40.0, 1.0, 2.0), 0.5, 40.0, 1.5)
+        assert table.skipped == (40.0,) and table.energies[-1] < 40.0
+        assert table.edges[-1] == pytest.approx(39.82419321590662, abs=1e-9)
+        assert table.intervals[-1] == (table.edges[-1], 40.0, "allowed")
+
+    def test_degenerate_point_below_one_ulp_of_nudge(self):
+        # 1e6 + 1e-12 == 1e6: the degenerate grid point moves by one ulp
+        # instead, so k = 0 never reaches the formula (a RuntimeWarning,
+        # which pytest makes an error, would show it)
+        table = band_scan(PeriodicLattice(1e6, 1.0, 2.0), 999990.0, 1000010.0, 1.0)
+        assert table.skipped == (1e6,)
+        assert len(table.edges) == 2 and all(e > 1e6 for e in table.edges)
+
+    def test_nan_is_labelled_forbidden(self):
+        labels = _classify(np.array([math.nan, 0.5, 1.0, -1.0 + 1e-13, 2.0, -math.inf]))
+        assert labels.tolist() == ["forbidden", "allowed", "edge", "edge", "forbidden",
+                                   "forbidden"]
 
     def test_band_narrower_than_edge_tolerance_is_not_reported(self):
         # cos beta flips from +inf to -inf between two grid points of the

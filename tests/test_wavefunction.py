@@ -9,6 +9,7 @@ from layerscatter import (
     Barrier,
     LayeredStructure,
     PeriodicLattice,
+    decay_rate,
     default_grid,
     evaluate_dpsi,
     evaluate_psi,
@@ -46,12 +47,26 @@ class TestGapCoefficients:
 
     def test_smallest_normal_transmission_keeps_left_match(self):
         # |T| = 2.3e-308 at N = 1800, eps = 4.6 is just above the smallest
-        # normal double, which solve_structure admits; below it T carries
-        # too few bits, and a1, b1 missed (1, R) by up to tens of percent
+        # normal double, where coefficients carried leftward from T would
+        # have few bits left; the reflections they come from need no T
         sol = solve_structure(PeriodicLattice(3.0, 1.0, 2.0, 1800).to_structure(), 4.6)
         assert np.finfo(float).tiny <= abs(sol.embedded.t_full) < 1e-307
         assert sol.a[0] == pytest.approx(1.0, abs=1e-11)
         assert sol.b[0] == pytest.approx(sol.embedded.r_full, abs=1e-11)
+
+    def test_forbidden_band_decay_at_5000_periods(self):
+        # T underflows to 0 near N = 1800, yet the gap coefficients decay as
+        # the Bloch wave does, |a_n| ~ e^{-n Im beta}, until they reach the
+        # smallest subnormal (5e-324) past n of about 1900
+        lat = PeriodicLattice(3.0, 1.0, 2.0, 5000)
+        sol = solve_structure(lat.to_structure(), 4.6)
+        a = np.array(sol.a)
+        assert np.isfinite(a).all() and np.isfinite(sol.b).all()
+        assert a[0] == pytest.approx(1.0, abs=1e-12)
+        assert sol.b[0] == pytest.approx(sol.embedded.r_full, abs=1e-12)
+        slope = math.log(abs(a[1500] / a[1000])) / 500
+        assert slope == pytest.approx(-decay_rate(lat, 4.6) / 2, rel=1e-12)
+        assert np.abs(a[1900:]).max() <= 1e-300
 
     def test_single_barrier_against_frozen_oracle(self):
         # frozen from the dense matching solve for eps=4, u=3, d=1, x=1.5
