@@ -125,6 +125,17 @@ def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
     return k
 
 
+def region_origins(s: LayeredStructure) -> np.ndarray:
+    """(o+, o-) of all 2N+3 regions, laid out as :func:`region_wavenumbers`, for
+    psi = c+ e^{ik(x - o+)} + c- e^{-ik(x - o-)}.  A barrier's waves start at its
+    own edges, o+ = x_L and o- = x_R, so neither passes modulus 1 inside it (Li,
+    JOSA A 13, 1024 (1996)); media and gaps keep origin 0, so a, b, R, T do too."""
+    x = s.interface_points()
+    o = np.zeros((2, x.size + 1))
+    o[:, 2:-1:2] = x[1:-1].reshape(-1, 2).T
+    return o
+
+
 def validate_structure(s: LayeredStructure) -> LayeredStructure:
     """Check ordering/extent constraints; return ``s`` unchanged if valid.
 

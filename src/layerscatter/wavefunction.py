@@ -4,9 +4,10 @@ The gap coefficients come from the same reflection algebra as the
 star-product tree: a right-to-left pass composes the reflection rho_n of
 everything right of each gap, and a left-to-right pass carries the unit
 incident wave through the barriers with it.  Every factor is bounded, so a
-tiny coefficient is a truly tiny psi, never an overflow.  The barrier
-pairs (c_n, d_n) follow from continuity at each barrier's left edge.  No
-linear system is solved on this path.
+tiny coefficient is a truly tiny psi, never an overflow.  A barrier's
+waves start at its own edges, so C_n follows from continuity at its left
+edge and D_n at its right edge, and neither wave passes modulus 1 inside
+it.  No linear system is solved on this path.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
-from .structure import LayeredStructure, WaveNumberSet, region_wavenumbers
+from .structure import LayeredStructure, WaveNumberSet, region_origins, region_wavenumbers
 
 
 @dataclass(frozen=True)
@@ -29,21 +30,22 @@ class ScatteringSolution:
     embedded: EmbeddedAmplitudes
     a: tuple  # gap coefficients a_1..a_{N+1}
     b: tuple
-    c: tuple  # barrier coefficients c_1..c_N
-    d: tuple
+    c: tuple  # barrier coefficients C_1..C_N, at each barrier's left edge
+    d: tuple  # D_1..D_N, at each barrier's right edge
 
     @cached_property
     def regions(self):
-        """(interface points, k, c+, c-) with psi = c+ e^{ikx} + c- e^{-ikx} in region i,
-        left of point i, in the layout of :func:`region_wavenumbers`: (1, R) in the
-        left medium, (a_n, b_n) in gap n, (c_n, d_n) in barrier n, (T, 0) on the right."""
+        """(interface points, k, c+, c-, o+, o-) with psi = c+ e^{ik(x - o+)} +
+        c- e^{-ik(x - o-)} in region i, left of point i, laid out as
+        :func:`region_wavenumbers` and :func:`region_origins`: (1, R) in the left
+        medium, (a_n, b_n) in gap n, (C_n, D_n) in barrier n, (T, 0) on the right."""
         cp, cm = np.empty((2, 2 * self.structure.n_barriers + 3), dtype=complex)
         cp[0], cm[0] = 1.0, self.embedded.r_full
         cp[1:-1:2], cm[1:-1:2] = self.a, self.b
         cp[2:-1:2], cm[2:-1:2] = self.c, self.d
         cp[-1], cm[-1] = self.embedded.t_full, 0.0
         return (self.structure.interface_points(), region_wavenumbers(self.wavenumbers),
-                cp, cm)
+                cp, cm, *region_origins(self.structure))
 
 
 def gap_coefficients(amps, iface):
@@ -69,30 +71,16 @@ def gap_coefficients(amps, iface):
 
 
 def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructure):
-    """(c_n, d_n) inside every barrier from continuity at its left edge.
-
-    Solving the 2x2 continuity pair directly keeps evanescent barriers
-    exact; for propagating barriers it reduces to the interface-amplitude
-    combination (k0/kn)[a/t* - b r*/t*] and its partner.  Raises
-    FloatingPointError, naming the barrier of largest |Im k_n| x_n, where
-    e^{-i k_n x} overflows at a barrier far from the origin.
+    """(C_n, D_n) of psi = C_n e^{ik_n(x - x_L)} + D_n e^{-ik_n(x - x_R)} in every
+    barrier: C_n is the right-going part (psi + psi'/(ik_n))/2 of gap n's wave
+    at x_L, D_n the left-going part (psi - psi'/(ik_n))/2 of gap n + 1's at x_R.
+    No exponential of k_n is taken, so nothing grows however opaque the barrier.
     """
-    k0, kn = w.k_gap, w.k_barrier
-    x0 = s.interface_points()[1:-1:2]  # left edges
-    ratio = k0 / kn
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            ap = np.array(a[:-1]) * np.exp(1j * k0 * x0)
-            bm = np.array(b[:-1]) * np.exp(-1j * k0 * x0)
-            c = ((1 + ratio) * ap + (1 - ratio) * bm) / 2 * np.exp(-1j * kn * x0)
-            d = ((1 - ratio) * ap + (1 + ratio) * bm) / 2 * np.exp(1j * kn * x0)
-    except FloatingPointError:
-        growth = np.abs(kn.imag) * x0
-        n = int(np.argmax(growth))
-        raise FloatingPointError(
-            f"barrier {n + 1} of {kn.size}, left edge x = {x0[n]:.6g}: "
-            f"|Im k| x = {growth[n]:.6g} makes its global-origin coefficients "
-            "pass the largest double") from None
+    k0 = w.k_gap
+    x = region_origins(s)[:, 2:-1:2]  # each barrier's x_L in row 0, its x_R in row 1
+    ap = np.array((a[:-1], a[1:])) * np.exp(1j * k0 * x)
+    bm = np.array((b[:-1], b[1:])) * np.exp(-1j * k0 * x)
+    c, d = (ap + bm + [[1.0], [-1.0]] * (k0 / w.k_barrier) * (ap - bm)) / 2
     return tuple(c.tolist()), tuple(d.tolist())
 
 
@@ -115,12 +103,12 @@ def _wave(c, phase):
 
 
 def _psi_dpsi(sol: ScatteringSolution, x, region):
-    """(psi, psi') at x from ``region``'s plane waves; FloatingPointError on overflow."""
-    _, k, cp, cm = sol.regions
+    """(psi, psi') at x from ``region``'s e^{+-ik(x - o+-)}; FloatingPointError on overflow."""
+    _, k, cp, cm, op, om = sol.regions
     k = k[region]
     with np.errstate(over="raise", invalid="raise"):
-        plus = _wave(cp[region], 1j * k * x)
-        minus = _wave(cm[region], -1j * k * x)
+        plus = _wave(cp[region], 1j * k * (x - op[region]))
+        minus = _wave(cm[region], -1j * k * (x - om[region]))
         return plus + minus, 1j * k * (plus - minus)
 
 

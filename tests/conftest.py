@@ -1,5 +1,7 @@
+import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +103,56 @@ def recurrence_prefixes(amps):
     t, r = amps[:2]
     keep = np.tri(t.shape[-1] + 1, t.shape[-1], -1, dtype=bool)
     return reference_prefix((np.where(keep, t, 1.0), np.where(keep, r, 0.0)))
+
+
+def reference_psi(s, energy, xs, dps=80):
+    """psi at each x of ``xs`` for unit left incidence, by transfer integration
+    at ``dps`` digits: the exact-edge referee for the wave function.
+
+    The barrier edges are c +- w/2 of the stored doubles, taken exactly, and
+    every k is the root of the stored energy and potentials; nothing comes
+    from the float :meth:`~LayeredStructure.interface_points`.  (psi, psi')
+    starts as the transmitted wave e^{ik_R (x - span)} at the span and is
+    carried leftward region by region, the direction in which the physical
+    solution grows, then scaled so that the left medium's incident wave is
+    e^{ik_L x}.  Each x is evaluated from the right end of its region, and
+    in the right medium as the transmitted wave itself.
+    """
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        heights, widths, centers = ([mpf(v) for v in row] for row in s.barrier_arrays.tolist())
+        edges = [mpf(0)]
+        for w, c in zip(widths, centers):
+            edges += [c - w / 2, c + w / 2]
+        edges.append(mpf(s.span))
+        e = mpf(energy)
+        k_gap = mpmath.sqrt(mpmath.mpc(e))
+        ks = [mpmath.sqrt(mpmath.mpc(e - s.v_left)), k_gap]
+        for h in heights:
+            ks += [mpmath.sqrt(mpmath.mpc(e - h)), k_gap]
+        ks.append(mpmath.sqrt(mpmath.mpc(e - s.v_right)))
+
+        def carry(state, k, u):  # (psi, psi') at distance u from ``state``'s point
+            psi, dpsi = state
+            cos, sin = mpmath.cos(k * u), mpmath.sin(k * u)
+            return psi * cos + dpsi * sin / k, dpsi * cos - k * psi * sin
+
+        states = [(mpmath.mpc(1), 1j * ks[-1])]  # at the span, then leftward
+        for i in range(len(edges) - 1, 0, -1):
+            states.append(carry(states[-1], ks[i], edges[i - 1] - edges[i]))
+        states.reverse()  # states[i] at edges[i], the right end of region i
+        psi0, dpsi0 = states[0]
+        incident = (psi0 + dpsi0 / (1j * ks[0])) / 2
+        out = []
+        for x in np.asarray(xs, dtype=float).tolist():
+            x = mpf(x)
+            i = bisect.bisect_right(edges, x)
+            if i == len(edges):
+                psi = mpmath.exp(1j * ks[-1] * (x - edges[-1]))
+            else:
+                psi = carry(states[i], ks[i], x - edges[i])[0]
+            out.append(complex(psi / incident))
+        return np.array(out)
 
 
 def criterion_1_cases():

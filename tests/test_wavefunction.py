@@ -18,9 +18,10 @@ from layerscatter import (
     solve_structure,
 )
 from layerscatter.scenarios import build_scenario
+from layerscatter.structure import mirror_structure
 from layerscatter.wavefunction import psi_one_sided
 
-from conftest import random_structure
+from conftest import random_structure, reference_psi
 
 
 def continuity_error(sol):
@@ -78,10 +79,11 @@ class TestGapCoefficients:
 
 class TestBarrierCoefficients:
     def test_transparent_barrier(self):
+        # C_1 starts at the left edge x_L = 1.5 and D_1 at the right edge x_R = 2.5
         s = LayeredStructure(0, 0, 4.0, (Barrier(0.0, 1.0, 2.0),))
         sol = solve_structure(s, 4.0)
-        assert sol.c[0] == pytest.approx(sol.a[0], rel=1e-13)
-        assert sol.d[0] == pytest.approx(sol.b[0], abs=1e-13)
+        assert sol.c[0] == pytest.approx(sol.a[0] * cmath.exp(2j * 1.5), rel=1e-13)
+        assert sol.d[0] == pytest.approx(sol.b[0] * cmath.exp(-2j * 2.5), abs=1e-13)
 
     def test_evanescent_barrier_continuity(self):
         s = LayeredStructure(0, 0, 3.0, (Barrier(5.0, 1.0, 1.5),))
@@ -179,6 +181,30 @@ class TestEvaluatePsi:
                     assert wr == pytest.approx(ref, abs=1e-10 * max(1.0, abs(ref)))
 
 
+def opaque_barrier(kappa_d, center=1.5, energy=1.5):
+    """A unit-width barrier with kappa d = ``kappa_d`` at ``energy``, in free space."""
+    return LayeredStructure(0, 0, 2 * center, (Barrier(energy + kappa_d ** 2, 1.0, center),))
+
+
+class TestExactEdgeReferee:
+    @pytest.mark.parametrize("s, energy", [
+        *((opaque_barrier(kd), 1.5) for kd in (9.5, 31.5, 100.0, 426.0, 1000.0)),
+        (opaque_barrier(300.0, center=400.0), 1.5),
+        (LayeredStructure(0, 0, 1.2, (Barrier(2000.0, 1.0, 0.6),)), 9.0),
+        (mirror_structure(build_scenario("graded-quadratic")), 1.2),
+    ], ids=["kd=9.5", "kd=31.5", "kd=100", "kd=426", "kd=1000", "kd=300-at-400",
+            "h=2000", "mirrored-graded-quadratic"])
+    def test_psi_on_default_grid_and_inside(self, s, energy):
+        # Opaque barriers, where the growing wave's true coefficient lies far
+        # below the rounding of the decaying one's, and the deep-tunnelling
+        # mirrored graded-quadratic (condition 2e23 with global origins)
+        sol = solve_structure(s, energy)
+        x = s.interface_points()  # and 1000 points from the first edge to the last
+        grid = np.union1d(default_grid(sol), np.linspace(x[1], x[-2], 1000))
+        ref = reference_psi(s, energy, grid)
+        assert np.abs(evaluate_psi(sol, grid) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestSampling:
     def test_free_space_density(self):
         sol = solve_structure(LayeredStructure(0, 0, 4.0, ()), 4.0)
@@ -187,19 +213,24 @@ class TestSampling:
         assert np.allclose(rows[:, 3], 1.0)
 
     def test_matches_pointwise_reference(self, rng):
-        # scalar loop over the coefficients, region found by bisection
+        # scalar loop over the coefficients, region found by bisection; a
+        # barrier's waves start at its own edges c -+ w/2, every other origin is 0
         for _ in range(10):
             s, e = random_structure(rng)
             sol = solve_structure(s, e)
             w = sol.wavenumbers
-            terms = [(w.k_left, 1.0, sol.embedded.r_full)]
-            for n in range(s.n_barriers):
-                terms += [(w.k_gap, sol.a[n], sol.b[n]), (w.k_barrier[n], sol.c[n], sol.d[n])]
-            terms += [(w.k_gap, sol.a[-1], sol.b[-1]), (w.k_right, sol.embedded.t_full, 0.0)]
+            terms = [(w.k_left, 1.0, sol.embedded.r_full, 0.0, 0.0)]
+            for n, (_, width, center) in enumerate(s.barrier_arrays.T.tolist()):
+                terms += [(w.k_gap, sol.a[n], sol.b[n], 0.0, 0.0),
+                          (w.k_barrier[n], sol.c[n], sol.d[n],
+                           center - width / 2, center + width / 2)]
+            terms += [(w.k_gap, sol.a[-1], sol.b[-1], 0.0, 0.0),
+                      (w.k_right, sol.embedded.t_full, 0.0, 0.0, 0.0)]
             pts = s.interface_points()
             for x, re_psi, im_psi, abs2 in sample_density(sol, default_grid(sol))[::7]:
-                k, cp, cm = terms[bisect.bisect_right(pts, x)]
-                plus, minus = cp * cmath.exp(1j * k * x), cm * cmath.exp(-1j * k * x)
+                k, cp, cm, op, om = terms[bisect.bisect_right(pts, x)]
+                plus = cp * cmath.exp(1j * k * (x - op))
+                minus = cm * cmath.exp(-1j * k * (x - om))
                 tol = 1e-12 * max(1.0, abs(plus) + abs(minus))
                 assert abs(complex(re_psi, im_psi) - (plus + minus)) <= tol
                 assert abs2 == pytest.approx(abs(plus + minus) ** 2, rel=1e-12, abs=1e-24)
