@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .structure import (
     degenerate_energies,
     mirror_structure,
 )
-from .wavefunction import default_grid, sample_density, solve_structure
+from .wavefunction import default_grid, grid_bounds, sample_density, solve_structure
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -41,18 +42,6 @@ EXIT_ORACLE = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a process killed by the signal reports
 
 CSV_BLOCK_ROWS = 4096  # rows formatted by one % in _write_csv
-
-
-def serialize_structure(s: LayeredStructure) -> str:
-    """JSON text that :func:`parse_structure` restores bit-exactly."""
-    doc = {
-        "v_left": s.v_left,
-        "v_right": s.v_right,
-        "span": s.span,
-        "barriers": [{"height": h, "width": w, "center": c}
-                     for h, w, c in zip(*s.barrier_arrays.tolist())],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_structure(text: str) -> LayeredStructure:
@@ -182,10 +171,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _grid_options(args, s: LayeredStructure):
+    """(x_min, x_max) of ``wavefunction``'s grid, checked with --grid-points
+    before any solve: finite bounds a finite distance apart and at least one
+    point, or a ValueError naming the option."""
+    for option, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
+    x_min, x_max = grid_bounds(s.span, args.x_min, args.x_max)
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(
+            f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    return x_min, x_max
+
+
 def cmd_wavefunction(args) -> int:
     s = _load_structure(args)
+    x_min, x_max = _grid_options(args, s)
     sol = solve_structure(s, args.energy)
-    grid = default_grid(sol, args.x_min, args.x_max, args.grid_points)
+    grid = default_grid(sol, x_min, x_max, args.grid_points)
     rows = sample_density(sol, grid)
     _write_csv(args.out, "x,re_psi,im_psi,abs2_psi", "%.17g,%.17g,%.17g,%.17g", rows.T)
     t = transmission_probability(sol.embedded, sol.wavenumbers)

@@ -14,14 +14,14 @@ one-norm condition number is estimated from the band LU factors (LAPACK
 zgbcon) and reported so callers can relax comparison tolerances in
 deep-tunneling regimes.  zgbcon is the next limit on large N: its scaled
 triangular solves (zlatbs) make it grow faster than linearly past about
-N = 1000.
+N = 1000.  scipy.linalg, which wraps these LAPACK routines, is imported by
+the first solve, so importing the package loads numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .structure import (
     DegenerateWavenumberError,
@@ -148,6 +148,8 @@ def solve_matching_system(m: MatchingSystem) -> OracleSolution:
     MatchingSolveError, an ArithmeticError, where a pivot is exactly zero,
     the solution is not finite or LAPACK refuses an argument.
     """
+    from scipy.linalg import lapack
+
     lu, piv, info = lapack.zgbtrf(m.band, KL, KU)
     _lapack_ok("zgbtrf", info)
 

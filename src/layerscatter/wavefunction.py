@@ -122,16 +122,12 @@ def evaluate_dpsi(sol: ScatteringSolution, x):
     return _psi_dpsi(sol, x, np.searchsorted(sol.regions[0], x, side="right"))[1]
 
 
-def psi_one_sided(sol: ScatteringSolution, interface: int):
-    """(psi, psi') evaluated from both regions meeting at interface point.
-
-    ``interface`` indexes the 2N+2 matching points left to right.  The
-    regions are chosen by that index, not by position, so a zero-width
-    gap between touching barriers keeps its own region.
-    Returns ((psi_left, dpsi_left), (psi_right, dpsi_right)).
-    """
-    x = sol.regions[0][interface]
-    return _psi_dpsi(sol, x, interface), _psi_dpsi(sol, x, interface + 1)
+def grid_bounds(span: float, x_min: float | None = None,
+                x_max: float | None = None) -> tuple[float, float]:
+    """(x_min, x_max) of the sampling grid: a bound not given lies a quarter
+    span beyond the structure's edge on its side."""
+    return (-0.25 * span if x_min is None else x_min,
+            1.25 * span if x_max is None else x_max)
 
 
 def default_grid(
@@ -140,15 +136,9 @@ def default_grid(
     x_max: float | None = None,
     points: int | None = None,
 ) -> np.ndarray:
-    """Sampling grid: 40 points per shortest wavelength, at least 1000.
-
-    Defaults span a quarter-span margin on each side of the structure.
-    """
-    span = sol.structure.span
-    if x_min is None:
-        x_min = -0.25 * span
-    if x_max is None:
-        x_max = 1.25 * span
+    """Sampling grid: 40 points per shortest wavelength, at least 1000,
+    between the bounds of :func:`grid_bounds`."""
+    x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max)
     if points is None:
         k_max = np.abs(sol.regions[1].real).max()
         points = 1000

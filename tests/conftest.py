@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 
 from layerscatter import Barrier, LayeredStructure
 from layerscatter.structure import EDGE_ULPS
+from layerscatter.wavefunction import _psi_dpsi
 
 
 def random_structure(rng, max_barriers=10, heights=(-5.0, 5.0), widths=(0.2, 2.0),
@@ -65,6 +67,30 @@ def reference_validate(v_left, v_right, span, barriers):
             if a.right_edge > b.left_edge + slack:
                 problems.append(f"overlap between barriers {i} and {i + 1}")
     return problems
+
+
+def serialize_structure(s):
+    """JSON text that :func:`layerscatter.cli.parse_structure` restores bit-exactly."""
+    doc = {
+        "v_left": s.v_left,
+        "v_right": s.v_right,
+        "span": s.span,
+        "barriers": [{"height": h, "width": w, "center": c}
+                     for h, w, c in zip(*s.barrier_arrays.tolist())],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def psi_one_sided(sol, interface):
+    """(psi, psi') evaluated from both regions meeting at interface point.
+
+    ``interface`` indexes the 2N+2 matching points left to right.  The
+    regions are chosen by that index, not by position, so a zero-width
+    gap between touching barriers keeps its own region.
+    Returns ((psi_left, dpsi_left), (psi_right, dpsi_right)).
+    """
+    x = sol.regions[0][interface]
+    return _psi_dpsi(sol, x, interface), _psi_dpsi(sol, x, interface + 1)
 
 
 def reference_prefix(amps):

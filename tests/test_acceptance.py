@@ -27,9 +27,8 @@ from layerscatter import (
     transmission_probability,
 )
 from layerscatter.scenarios import SCENARIO_ENERGIES, build_scenario
-from layerscatter.wavefunction import psi_one_sided
 
-from conftest import criterion_1_cases, recurrence_prefixes
+from conftest import criterion_1_cases, psi_one_sided, recurrence_prefixes
 
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
 KN_NUDGE = 1e-9  # documented workaround for energies exactly at a barrier height

@@ -34,11 +34,10 @@ from layerscatter.cli import (
     build_parser,
     main,
     parse_structure,
-    serialize_structure,
 )
 from layerscatter.scenarios import SCENARIOS, build_scenario
 
-from conftest import reference_psi
+from conftest import reference_psi, serialize_structure
 
 
 def run_cli(capsys, *argv):
@@ -505,6 +504,34 @@ def test_oracle_check_on_far_evanescent_barriers(source, energy, s):
     assert "tolerance 1e-09" in proc.stdout
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--x-min=-1e308", "--x-max", "1e308"],
+     "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),
+    (["--x-min=-inf"], "--x-min must be finite, got -inf"),
+    (["--x-max", "inf"], "--x-max must be finite, got inf"),
+    (["--x-min", "nan"], "--x-min must be finite, got nan"),
+    (["--grid-points", "0"], "--grid-points must be at least 1, got 0"),
+    (["--grid-points=-3"], "--grid-points must be at least 1, got -3"),
+], ids=["range-overflows", "x-min-inf", "x-max-inf", "x-min-nan", "no-points", "negative-points"])
+def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
+    # exit 2 with one line naming the option: no numpy RuntimeWarning, no
+    # CSV of NaN rows or of a header alone
+    out = tmp_path / "wf.csv"
+    proc = run_fresh("wavefunction", "--scenario", "periodic", "--energy", "4.6",
+                     *options, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_wavefunction_grid_of_one_point(capsys, tmp_path):
+    out = tmp_path / "wf.csv"
+    code, _, err = run_cli(capsys, "wavefunction", "--scenario", "periodic", "--energy", "4.6",
+                           "--x-min", "1", "--x-max", "1", "--grid-points", "1",
+                           "--out", str(out))
+    assert (code, err) == (0, "")
+    assert out.read_text().splitlines()[1].startswith("1,")
+
+
 def test_underflowed_barrier_sweep_reflects_fully(tmp_path):
     # r' of the barrier comes from its factored pieces, not from t/t* = 0/0,
     # so the sweep gives T = 0 and R = 1 (it exited 3 with the recurrence)
@@ -884,3 +911,51 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
         seen.append(captured.out)
     assert len({*seen[:4]}) == 4 and seen[4] == ""  # the options changed the output
+
+
+def run_python(script, cwd):
+    """Run ``script`` in a fresh interpreter: pytest's own process has
+    scipy.linalg loaded by the LinAlgWarning filter of pyproject.toml."""
+    env = dict(os.environ, PYTHONPATH=str(Path(layerscatter.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy(tmp_path):
+    proc = run_python(f"import sys, layerscatter, layerscatter.cli; print({LOADED_SCIPY})",
+                      tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_pipeline_commands_run_without_scipy(tmp_path):
+    # only the oracle solves with scipy's LAPACK wrappers
+    commands = [
+        ["validate", "--scenario", "periodic"],
+        ["sweep", "--scenario", "graded-linear", "--energy-range", "2.5:12:50",
+         "--out", "sweep.csv"],
+        ["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--out", "wf.csv"],
+        ["bands", "--barrier-height", "3", "--barrier-width", "1", "--period", "2",
+         "--energy-range", "0.01:8:80", "--out", "bands.csv"],
+    ]
+    proc = run_python(
+        "import json, sys\nfrom layerscatter.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        f"print(json.dumps([codes, {LOADED_SCIPY}]))", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+    assert {p.name for p in tmp_path.iterdir()} == {"sweep.csv", "wf.csv", "bands.csv"}
+
+
+def test_oracle_check_imports_scipy_when_it_solves(tmp_path):
+    proc = run_python(
+        f"import sys\nfrom layerscatter.cli import main\nprint({LOADED_SCIPY} == [])\n"
+        "code = main(['oracle-check', '--scenario', 'modulated-sin', '--energy', '5.0'])\n"
+        "print(code, 'scipy.linalg' in sys.modules)", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, discrepancy, residual, after = proc.stdout.splitlines()
+    assert (before, after) == ("True", "0 True")
+    assert discrepancy.startswith("max relative discrepancy = ")
+    assert residual.startswith("residual = ")

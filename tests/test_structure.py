@@ -17,9 +17,9 @@ from layerscatter import (
     validate_structure,
 )
 from layerscatter import scenarios
-from layerscatter.cli import parse_structure, serialize_structure
+from layerscatter.cli import parse_structure
 
-from conftest import random_structure, reference_validate
+from conftest import random_structure, reference_validate, serialize_structure
 
 
 def make(barriers, span=4.0, v1=0.0, v2=0.0):

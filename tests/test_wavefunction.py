@@ -19,9 +19,8 @@ from layerscatter import (
 )
 from layerscatter.scenarios import build_scenario
 from layerscatter.structure import mirror_structure
-from layerscatter.wavefunction import psi_one_sided
 
-from conftest import random_structure, reference_psi
+from conftest import psi_one_sided, random_structure, reference_psi
 
 
 def continuity_error(sol):
