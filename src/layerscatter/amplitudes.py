@@ -15,16 +15,16 @@ intermediate amplitude keeps modulus <= 1 (the stable S-matrix
 composition of Ko and Inkson, Phys. Rev. B 38, 9945 (1988), as a
 reduction tree in the sense of Blelloch, CMU-CS-90-190 (1990)).
 
-The stages assume an energy that :func:`check_energy` has admitted and a
-transmitted wave that :func:`check_transmitted_wave` has found representable,
-which :func:`scattering_amplitudes` checks once; they check nothing themselves.
+The stages assume an energy that :func:`check_energy` has admitted, which
+:func:`scattering_amplitudes` checks once; they check nothing themselves.
 
 Conventions
 -----------
-All amplitudes are defined for unit left-incidence in global
-coordinates.  The reflection amplitude of an interface at x0 between
-wavenumbers p (left) and q (right) is ((p-q)/(p+q)) exp{i 2 p x0}; the
-transmission amplitude is (2p/(p+q)) exp{i (p-q) x0}.  A barrier of
+All amplitudes are defined for unit left-incidence e^{ipx} from origin 0.
+An interface at x0 between wavenumbers p (left) and q (right) reflects
+((p-q)/(p+q)) exp{i 2 p x0} and transmits (2p/(p+q)) exp{i p x0} into the
+wave e^{iq(x - x0)} that starts there, so the full structure transmits into
+T e^{i k_right (x - span)} (:func:`~layerscatter.structure.region_origins`).  A barrier of
 width d_n centred at x_n over a zero-potential background has
 
     1/t_n   = exp{i k0 d_n} [cos k_n d_n - i (k_n^2+k0^2)/(2 k_n k0) sin k_n d_n]
@@ -45,22 +45,23 @@ from .structure import (
     LayeredStructure,
     WaveNumberSet,
     check_energy,
-    check_transmitted_wave,
     compute_wavenumbers,
 )
 
 
 @dataclass(frozen=True)
 class EmbeddedAmplitudes:
-    """Full-structure amplitudes between the two dissimilar outer media."""
+    """Full-structure amplitudes between the two dissimilar outer media: R of
+    e^{-i k_left x} left of x = 0, T of e^{i k_right (x - span)} right of the span."""
 
     t_full: complex
     r_full: complex
 
 
 def _step(p, q, x0: float):
-    """(t, r) for a potential step at x0, incidence from the p side."""
-    t = 2.0 * p / (p + q) * np.exp(1j * (p - q) * x0)
+    """(t, r) for a potential step at x0, incidence e^{ipx} from the p side:
+    t belongs to e^{iq(x - x0)}, so |t| <= 2 for real p > 0."""
+    t = 2.0 * p / (p + q) * np.exp(1j * p * x0)
     r = (p - q) / (p + q) * np.exp(2j * p * x0)
     return t, r
 
@@ -204,9 +205,10 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
     right-incidence pair, r' = -r_left and t' = 1 - r_left = 2 k_gap /
     (k_left + k_gap).  Medium 2 carries no leftward wave, so only the right
     step's left-incidence (t, r) enters and an evanescent right medium needs
-    no special casing.  Deep in a forbidden band T underflows to 0 and
-    |R| = 1.  Raises ArithmeticError where T or R is not finite, as where the
-    right step's transmission overflows.
+    no special casing: its t_right, taken at the span, has modulus <= 2.  Deep
+    in a forbidden band T underflows to 0 and |R| = 1.  Raises ArithmeticError
+    where T or R is not finite, as where a bound state behind an opaque chain
+    makes a denominator vanish.
     """
     t_c, r_c, rp_c = prefix
     t_left, r_left, t_right, r_right = iface
@@ -231,7 +233,6 @@ def scattering_amplitudes(s: LayeredStructure, energy):
     ``energy``, a float or an array: all a sweep reads."""
     w = compute_wavenumbers(s, energy)
     check_energy(s, energy)
-    check_transmitted_wave(w, s)
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)
@@ -240,15 +241,11 @@ def scattering_amplitudes(s: LayeredStructure, energy):
 def transmission_probability(emb: EmbeddedAmplitudes, w: WaveNumberSet):
     """Flux-normalized transmission (Re k_right / k_left) |T|^2 in [0, 1].
 
-    An evanescent right medium (Re k_right = 0) carries no flux: 0 there,
-    where |T|^2 itself may overflow.
+    An evanescent right medium (Re k_right = 0) carries no flux: 0 there.
     """
     if np.any(w.k_left.imag != 0) or np.any(w.k_left.real <= 0):
         raise ValueError("no propagating incident wave: k_left must be real positive")
-    t = np.abs(emb.t_full)
-    open_right = w.k_right.real > 0
-    flux = np.square(t, out=np.zeros_like(t), where=open_right)
-    return (w.k_right.real / w.k_left.real * flux)[()]
+    return (w.k_right.real / w.k_left.real * np.abs(emb.t_full) ** 2)[()]
 
 
 def reflection_probability(emb: EmbeddedAmplitudes):

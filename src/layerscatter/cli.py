@@ -30,10 +30,11 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     StructureError,
-    degenerate_energies,
     mirror_structure,
+    off_degenerate,
 )
-from .wavefunction import default_grid, grid_bounds, sample_density, solve_structure
+from .wavefunction import MAX_GRID_POINTS, default_grid, grid_bounds
+from .wavefunction import sample_density, solve_structure
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -173,8 +174,8 @@ def cmd_validate(args) -> int:
 
 def _grid_options(args, s: LayeredStructure):
     """(x_min, x_max) of ``wavefunction``'s grid, checked with --grid-points
-    before any solve: finite bounds a finite distance apart and at least one
-    point, or a ValueError naming the option."""
+    before any solve: finite bounds a finite distance apart and 1 to
+    ``MAX_GRID_POINTS`` points, or a ValueError naming the option."""
     for option, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
@@ -182,8 +183,9 @@ def _grid_options(args, s: LayeredStructure):
     if not math.isfinite(x_max - x_min):
         raise ValueError(
             f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
-    if args.grid_points is not None and args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_points is not None and not 1 <= args.grid_points <= MAX_GRID_POINTS:
+        bound = "at least 1" if args.grid_points < 1 else f"at most {MAX_GRID_POINTS}"
+        raise ValueError(f"--grid-points must be {bound}, got {args.grid_points}")
     return x_min, x_max
 
 
@@ -203,8 +205,7 @@ def cmd_wavefunction(args) -> int:
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
     energies = np.linspace(*_energy_range(args.energy_range))
-    nudged = np.where(degenerate_energies(s, energies), energies + args.nudge, energies)
-    w, _, _, emb = scattering_amplitudes(s, nudged)
+    w, _, _, emb = scattering_amplitudes(s, off_degenerate(s, energies, args.nudge))
     t = transmission_probability(emb, w)
     r = reflection_probability(emb)
     _write_csv(args.out, "epsilon,T_prob,R_prob", "%.17g,%.17g,%.17g", (energies, t, r))

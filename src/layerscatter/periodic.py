@@ -22,6 +22,7 @@ from .structure import (
     branch_sqrt,
     check_energy,
     degenerate_energies,
+    off_degenerate,
 )
 
 EDGE_TOL = 1e-12
@@ -117,13 +118,6 @@ def _cos_beta(lat: PeriodicLattice, energy):
     """Half the trace of one period's transfer matrix, Re(e^{-i k0 a}/t),
     elementwise over ``energy``, which it does not check."""
     return _period(lat, energy)[0].real
-
-
-def _off_degenerate(lat: PeriodicLattice, e: np.ndarray, nudge: float) -> np.ndarray:
-    """``e`` with every degenerate point moved up by ``nudge``, or by one ulp
-    where ``nudge`` is below it; cos beta is continuous there."""
-    return np.where(degenerate_energies(lat.cell, e),
-                    np.maximum(e + nudge, np.nextafter(e, np.inf)), e)
 
 
 def _classify(cos_beta, edge_tol: float = EDGE_TOL):
@@ -264,10 +258,10 @@ def band_scan(
     check_energy(lat.cell, energies)
 
     # Every point, grid or bisected, lies at or above ENERGY_FLOOR and is
-    # moved off k = 0, so it needs no check.  Skipped grid points still
-    # bracket edges, so an edge next to one is not lost.
+    # moved off k = 0, where cos beta is continuous, so it needs no check.
+    # Skipped grid points still bracket edges, so an edge next to one is not lost.
     def cos_beta(e):
-        return _cos_beta(lat, _off_degenerate(lat, e, 1e-12))
+        return _cos_beta(lat, off_degenerate(lat.cell, e, 1e-12))
 
     values = cos_beta(grid)
     f = np.abs(values) - 1.0
@@ -297,7 +291,7 @@ def band_scan(
     keep = hi - lo > 0
     lo, hi = lo[keep], hi[keep]
     mid = 0.5 * (lo + hi)
-    labels = _classify(_cos_beta(lat, _off_degenerate(lat, mid, 1e-9)))
+    labels = _classify(_cos_beta(lat, off_degenerate(lat.cell, mid, 1e-9)))
 
     return BandTable(
         energies=energies,

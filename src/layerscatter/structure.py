@@ -129,10 +129,13 @@ def region_origins(s: LayeredStructure) -> np.ndarray:
     """(o+, o-) of all 2N+3 regions, laid out as :func:`region_wavenumbers`, for
     psi = c+ e^{ik(x - o+)} + c- e^{-ik(x - o-)}.  A barrier's waves start at its
     own edges, o+ = x_L and o- = x_R, so neither passes modulus 1 inside it (Li,
-    JOSA A 13, 1024 (1996)); media and gaps keep origin 0, so a, b, R, T do too."""
+    JOSA A 13, 1024 (1996)); the transmitted wave starts at the span, o+ = span, so
+    T carries no e^{kappa span} however evanescent the right medium; the left medium
+    and the gaps keep origin 0, so R, a_n and b_n do too."""
     x = s.interface_points()
     o = np.zeros((2, x.size + 1))
     o[:, 2:-1:2] = x[1:-1].reshape(-1, 2).T
+    o[0, -1] = s.span
     return o
 
 
@@ -241,6 +244,15 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
     return (e == 0.0) | (e[..., None] == s.barrier_arrays[0]).any(axis=-1)
 
 
+def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:
+    """``energy`` with every point of :func:`degenerate_energies` moved to
+    energy + nudge, or one ulp in the nudge's direction where that sum rounds
+    back to the energy.  A zero nudge moves nothing."""
+    e = np.asarray(energy, dtype=float)
+    moved = np.where(e + nudge == e, np.nextafter(e, math.copysign(math.inf, nudge)), e + nudge)
+    return np.where(degenerate_energies(s, e) & (nudge != 0), moved, e)
+
+
 def check_energy(s: LayeredStructure, energy) -> None:
     """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
     order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
@@ -265,12 +277,3 @@ def check_energy(s: LayeredStructure, energy) -> None:
             f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
         )
 
-
-def check_transmitted_wave(w: WaveNumberSet, s: LayeredStructure) -> None:
-    """Raise FloatingPointError where the right step's transmission, a factor
-    of T, or its exponential alone would pass the largest double, compared in
-    log form: t = 2 k_gap/(k_gap + k_right) e^{i (k_gap - k_right) span}."""
-    log_wave = (w.k_right - w.k_gap).imag * s.span
-    log_t = np.log(np.abs(2.0 * w.k_gap / (w.k_gap + w.k_right))) + log_wave
-    if np.any(np.maximum(log_wave, log_t) >= np.log(np.finfo(float).max)):
-        raise FloatingPointError("the right medium's e^{ikx} vanishes at the span: T overflows")

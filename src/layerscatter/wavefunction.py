@@ -19,6 +19,8 @@ import numpy as np
 from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
 from .structure import LayeredStructure, WaveNumberSet, region_origins, region_wavenumbers
 
+MAX_GRID_POINTS = 10**7  # the most samples a grid may hold: 4 float64 columns, 320 MB
+
 
 @dataclass(frozen=True)
 class ScatteringSolution:
@@ -137,14 +139,20 @@ def default_grid(
     points: int | None = None,
 ) -> np.ndarray:
     """Sampling grid: 40 points per shortest wavelength, at least 1000,
-    between the bounds of :func:`grid_bounds`."""
+    between the bounds of :func:`grid_bounds`.  A ValueError refuses a default
+    count above ``MAX_GRID_POINTS`` before anything is allocated."""
     x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max)
     if points is None:
         k_max = np.abs(sol.regions[1].real).max()
         points = 1000
         if k_max > 0:
             wavelength = 2.0 * np.pi / k_max
-            points = max(1000, int(np.ceil(40.0 * (x_max - x_min) / wavelength)))
+            needed = np.ceil(40.0 * (x_max - x_min) / wavelength)  # inf past the largest double
+            if needed > MAX_GRID_POINTS:
+                raise ValueError(f"--x-min {x_min} to --x-max {x_max} needs more than "
+                                 f"{MAX_GRID_POINTS} points at 40 per wavelength: narrow "
+                                 "them or set --grid-points")
+            points = max(1000, int(needed))
     return np.linspace(x_min, x_max, points)
 
 

@@ -51,7 +51,8 @@ class TestInterfaceAmplitudes:
     def test_right_step_with_phases(self):
         s = LayeredStructure(0.0, 3.0, 1.0, ())
         w, (_, _, t_right, r_right), _ = setup(s, 4.0)  # k0=2, k02=1, span=1
-        assert t_right == pytest.approx(4 / 3 * cmath.exp(1j))
+        # t belongs to the wave e^{ik02 (x - span)} that starts at the step
+        assert t_right == pytest.approx(4 / 3 * cmath.exp(2j))
         assert r_right == pytest.approx(1 / 3 * cmath.exp(4j))
 
     def test_degenerate_sum_rejected(self):
@@ -343,7 +344,8 @@ class TestEmbedding:
         ia = interface_amplitudes(w, s)
         t_n, r_n, _ = pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
         emb = embed_in_media(pre, ia)
-        assert emb.t_full == pytest.approx(t_n, rel=1e-14)
+        # T is counted from the span, T_N from the origin: T = T_N e^{ik0 span}
+        assert emb.t_full == pytest.approx(t_n * np.exp(1j * w.k_gap * s.span), rel=1e-14)
         assert emb.r_full == pytest.approx(r_n, rel=1e-14)
 
     def test_step_reflection_magnitude(self):

@@ -29,6 +29,7 @@ from layerscatter import (
     transmission_probability,
     validate_structure,
 )
+from layerscatter.amplitudes import scattering_amplitudes
 from layerscatter.cli import (
     _write_csv,
     build_parser,
@@ -306,6 +307,25 @@ class TestSweepCommand:
         assert row[1] == pytest.approx(t, abs=1e-12)
         assert row[2] == pytest.approx(reflection_probability(sol.embedded), abs=1e-12)
 
+    def test_degenerate_point_below_one_ulp_of_nudge(self, capsys, tmp_path):
+        # 1e8 + 1e-9 == 1e8: the grid point on the barrier height moves by one
+        # ulp instead, as the band scan's do, rather than exit 3 at k = 0
+        doc = {"v_left": 0, "v_right": 0, "span": 3,
+               "barriers": [{"height": 1e8, "width": 1, "center": 1.5}]}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--structure", str(f),
+                               "--energy-range", "99999999:100000001:3", "--out", str(out))
+        assert (code, err) == (0, "")
+        row = np.loadtxt(str(out), delimiter=",", skiprows=1)[1]
+        # a batch of one, as the sweep computes: numpy's scalar and array
+        # loops may differ in the last bit
+        w, _, _, emb = scattering_amplitudes(parse_structure(json.dumps(doc)),
+                                             np.array([np.nextafter(1e8, np.inf)]))
+        assert row.tolist() == [1e8, *transmission_probability(emb, w),
+                                *reflection_probability(emb)]
+
     def test_single_barrier_high_energy_transparent(self, capsys, tmp_path):
         doc = {"v_left": 0, "v_right": 0, "span": 2,
                "barriers": [{"height": 1.0, "width": 1.0, "center": 1.0}]}
@@ -512,7 +532,9 @@ def test_oracle_check_on_far_evanescent_barriers(source, energy, s):
     (["--x-min", "nan"], "--x-min must be finite, got nan"),
     (["--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["--grid-points=-3"], "--grid-points must be at least 1, got -3"),
-], ids=["range-overflows", "x-min-inf", "x-max-inf", "x-min-nan", "no-points", "negative-points"])
+    (["--grid-points", "10000001"], "--grid-points must be at most 10000000, got 10000001"),
+], ids=["range-overflows", "x-min-inf", "x-max-inf", "x-min-nan", "no-points", "negative-points",
+        "too-many-points"])
 def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
     # exit 2 with one line naming the option: no numpy RuntimeWarning, no
     # CSV of NaN rows or of a header alone
@@ -520,6 +542,23 @@ def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
     proc = run_fresh("wavefunction", "--scenario", "periodic", "--energy", "4.6",
                      *options, "--out", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, bounds", [
+    (["--x-max", "1e9"], "--x-min -4.0 to --x-max 1000000000.0"),
+    (["--x-max", "1e20"], "--x-min -4.0 to --x-max 1e+20"),
+    (["--x-min=-1e307", "--x-max", "1e307"], "--x-min -1e+307 to --x-max 1e+307"),
+], ids=["1e9", "1e20", "count-overflows"])
+def test_wavefunction_default_grid_above_the_limit_exits_2(capsys, tmp_path, options, bounds):
+    # the default count, 40 points per wavelength, is refused before numpy
+    # is asked for it: one line naming the options, and no CSV
+    out = tmp_path / "wf.csv"
+    code, stdout, err = run_cli(capsys, "wavefunction", "--scenario", "periodic",
+                                "--energy", "4.6", *options, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {bounds} needs more than 10000000 points at 40 per wavelength: "
+                   "narrow them or set --grid-points\n")
     assert not out.exists()
 
 
@@ -547,8 +586,8 @@ def test_underflowed_barrier_sweep_reflects_fully(tmp_path):
     ["sweep", "--energy-range", "2:3:2"],
 ], ids=["wavefunction", "sweep"])
 def test_evanescent_right_medium_carries_no_flux(capsys, tmp_path, command):
-    # |k_right| span = 500: e^{ikx} at the span is representable, but |T|^2
-    # overflows; the flux (Re k_right = 0) |T|^2 is 0, not 0 * inf = nan
+    # |k_right| span = 500: an evanescent right medium carries no flux, so
+    # T_prob is 0 and R_prob 1
     f = tmp_path / "s.json"
     f.write_text(json.dumps({"v_left": 0, "v_right": 1740, "span": 12, "barriers": [
         {"height": 1, "width": 1, "center": 10}]}))
@@ -563,18 +602,56 @@ def test_evanescent_right_medium_carries_no_flux(capsys, tmp_path, command):
         assert abs(r_prob - 1.0) <= 1e-12
 
 
+# Strongly evanescent right media: kappa * span = 12000, 720 and 709.5, where
+# e^{ikx} counted from x = 0 vanishes at the span and T counted from there
+# would pass the largest double.  T counted from the span stays O(1).
+def evanescent_right_medium(tmp_path, v_right, span=12):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"v_left": 0, "v_right": v_right, "span": span, "barriers": [
+        {"height": 1, "width": 1, "center": 10}]}))
+    return f
+
+
+def assert_wavefunction_reflects_fully(capsys, tmp_path, f, energy):
+    """wavefunction on ``f`` exits 0 with T = 0, |R - 1| <= 1e-12 and psi
+    within 1e-12 of max |psi| of the exact-edge referee."""
+    out = tmp_path / "wf.csv"
+    code, stdout, err = run_cli(capsys, "wavefunction", "--structure", str(f),
+                                "--energy", str(energy), "--out", str(out))
+    assert (code, err) == (0, "")
+    t_prob, r_prob = (float(x.split("=")[1]) for x in stdout.split())
+    assert t_prob == 0.0
+    assert abs(r_prob - 1.0) <= 1e-12
+    x, re_psi, im_psi = np.loadtxt(str(out), delimiter=",", skiprows=1, usecols=(0, 1, 2)).T
+    psi = re_psi + 1j * im_psi
+    every = max(1, x.size // 500)
+    ref = reference_psi(parse_structure(f.read_text()), energy, x[::every])
+    assert np.abs(psi[::every] - ref).max() <= 1e-12 * np.abs(psi).max()
+
+
+def assert_sweep_reflects_fully(capsys, tmp_path, f, energy_range):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--structure", str(f),
+                           "--energy-range", energy_range, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert_total_reflection(out)
+
+
 @pytest.mark.parametrize("v_right", [1e6, 3602.0], ids=["zero", "subnormal"])
 def test_oracle_check_with_vanishing_transmitted_wave_exits_3(capsys, tmp_path, v_right):
-    # e^{ikx} of a strongly evanescent right medium underflows at the span
-    # (kappa * span = 12000 or 720), so T = O(1) / e^{ikx} overflows
-    f = tmp_path / "s.json"
-    f.write_text(json.dumps({"v_left": 0, "v_right": v_right, "span": 12, "barriers": [
-        {"height": 1, "width": 1, "center": 10}]}))
+    # the oracle's T column starts at the span too: a well-conditioned
+    # agreement at the strict tolerance, and T = 0, R = 1 from both sides
+    f = evanescent_right_medium(tmp_path, v_right)
     code, stdout, err = run_cli(capsys, "oracle-check", "--structure", str(f),
                                 "--energy", "2")
-    assert code == 3
-    assert stdout == ""
-    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
+    assert (code, err) == (0, "")
+    assert "tolerance 1e-09" in stdout
+    s = parse_structure(f.read_text())
+    sol = solve_structure(s, 2.0)
+    ora = oracle_solution(s, 2.0)
+    for emb in (sol.embedded, ora):
+        assert transmission_probability(emb, sol.wavenumbers) == 0.0
+        assert abs(reflection_probability(emb) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scenario, params, expected", [
@@ -605,36 +682,26 @@ def test_bad_scenario_parameter_exits_2(capsys, tmp_path, scenario, params, expe
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [
-    ["wavefunction", "--energy", "2"],
-    ["sweep", "--energy-range", "2:3:2"],
-], ids=["wavefunction", "sweep"])
+@pytest.mark.parametrize("command", ["wavefunction", "sweep"])
 def test_vanishing_transmitted_wave_exits_3(capsys, tmp_path, command):
-    # as oracle-check above: e^{ikx} of the right medium underflows at the span
-    f = tmp_path / "s.json"
-    f.write_text(json.dumps({"v_left": 0, "v_right": 1e6, "span": 12, "barriers": [
-        {"height": 1, "width": 1, "center": 10}]}))
-    code, stdout, err = run_cli(capsys, *command, "--structure", str(f))
-    assert code == 3
-    assert stdout == ""
-    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
+    # as oracle-check above: kappa * span = 12000
+    f = evanescent_right_medium(tmp_path, 1e6)
+    if command == "wavefunction":
+        assert_wavefunction_reflects_fully(capsys, tmp_path, f, 2.0)
+    else:
+        assert_sweep_reflects_fully(capsys, tmp_path, f, "2:3:2")
 
 
-@pytest.mark.parametrize("command", [
-    ["wavefunction", "--energy", "10000"],
-    ["sweep", "--energy-range", "10000:10000.5:2"],
-], ids=["wavefunction", "sweep"])
+@pytest.mark.parametrize("command", ["wavefunction", "sweep"])
 def test_right_step_overflow_exits_3(capsys, tmp_path, command):
-    # kappa * span = 709.5 keeps e^{ikx} above 1/DBL_MAX at the span, but the
-    # right step's factor 2 k_gap / (k_gap + k_right), of modulus 1.99,
-    # carries its transmission past the largest double
-    f = tmp_path / "s.json"
-    f.write_text(json.dumps({"v_left": 0, "v_right": 10100, "span": 70.95, "barriers": [
-        {"height": 1, "width": 1, "center": 10}]}))
-    code, stdout, err = run_cli(capsys, *command, "--structure", str(f))
-    assert code == 3
-    assert stdout == ""
-    assert err == "error: the right medium's e^{ikx} vanishes at the span: T overflows\n"
+    # kappa * span = 709.5: e^{kappa span} alone is below the largest double,
+    # but not times the right step's factor 2 k_gap / (k_gap + k_right), of
+    # modulus 1.99, as a T counted from x = 0 would carry it
+    f = evanescent_right_medium(tmp_path, 10100, span=70.95)
+    if command == "wavefunction":
+        assert_wavefunction_reflects_fully(capsys, tmp_path, f, 10000.0)
+    else:
+        assert_sweep_reflects_fully(capsys, tmp_path, f, "10000:10000.5:2")
 
 
 def test_wavefunction_far_from_origin_matches_reference(capsys, tmp_path):
@@ -798,7 +865,8 @@ class TestOracleCheckCommand:
         assert code == 0, out
 
     def test_evanescent_right_medium(self, capsys):
-        # |t_full| is about 5e9 here, the barrier coefficients at most 33
+        # an evanescent right medium: |t_full| is 3.7e-8 here, the largest
+        # barrier coefficient 0.47
         code, out, _ = run_cli(
             capsys, "oracle-check", "--scenario", "graded-quadratic", "--mirror",
             "--energy", "1.01",

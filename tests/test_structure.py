@@ -18,6 +18,7 @@ from layerscatter import (
 )
 from layerscatter import scenarios
 from layerscatter.cli import parse_structure
+from layerscatter.structure import off_degenerate
 
 from conftest import random_structure, reference_validate, serialize_structure
 
@@ -139,6 +140,18 @@ class TestWavenumbers:
     def test_rejects_nonfinite_energy(self):
         with pytest.raises(ValueError):
             compute_wavenumbers(make([]), math.inf)
+
+    @pytest.mark.parametrize("nudge, moved", [
+        (1e-9, np.nextafter(1e8, math.inf)),  # 1e8 + 1e-9 rounds back to 1e8
+        (-1e-9, np.nextafter(1e8, -math.inf)),
+        (0.5, 1e8 + 0.5),
+        (-0.5, 1e8 - 0.5),
+        (0.0, 1e8),
+    ])
+    def test_off_degenerate_is_one_nudge_rule(self, nudge, moved):
+        # the degenerate points 0 and 1e8 move, 2 stays put
+        e = np.array([0.0, 1e8, 2.0])
+        assert off_degenerate(make([Barrier(1e8, 1, 1)]), e, nudge).tolist() == [nudge, moved, 2.0]
 
 
 class TestMirror:

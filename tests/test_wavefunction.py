@@ -1,5 +1,6 @@
 import bisect
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from layerscatter import (
     Barrier,
     LayeredStructure,
     PeriodicLattice,
+    compare_with_pipeline,
     decay_rate,
     default_grid,
     evaluate_dpsi,
@@ -19,6 +21,7 @@ from layerscatter import (
 )
 from layerscatter.scenarios import build_scenario
 from layerscatter.structure import mirror_structure
+from layerscatter.wavefunction import grid_bounds
 
 from conftest import psi_one_sided, random_structure, reference_psi
 
@@ -203,6 +206,22 @@ class TestExactEdgeReferee:
         ref = reference_psi(s, energy, grid)
         assert np.abs(evaluate_psi(sol, grid) - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_evanescent_right_media(self):
+        # Right media up to 1e5 above the energy behind spans stretched up
+        # to 20x, kappa * span up to about 1e4: T counted from the span stays
+        # O(1), so psi matches the referee and the oracle is well conditioned
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            s, e = random_structure(rng)
+            s = dataclasses.replace(s, v_right=e + 10 ** rng.uniform(-1, 5),
+                                    span=s.span * rng.uniform(1, 20))
+            x = np.linspace(*grid_bounds(s.span), 64)
+            ref = reference_psi(s, e, x)
+            psi = evaluate_psi(solve_structure(s, e), x)
+            assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max(), (s, e)
+            worst, condition, _ = compare_with_pipeline(s, e)
+            assert condition <= 1e8 and worst <= 1e-9, (s, e, condition, worst)
+
 
 class TestSampling:
     def test_free_space_density(self):
@@ -213,7 +232,8 @@ class TestSampling:
 
     def test_matches_pointwise_reference(self, rng):
         # scalar loop over the coefficients, region found by bisection; a
-        # barrier's waves start at its own edges c -+ w/2, every other origin is 0
+        # barrier's waves start at its own edges c -+ w/2 and the transmitted
+        # wave at the span; every other origin is 0
         for _ in range(10):
             s, e = random_structure(rng)
             sol = solve_structure(s, e)
@@ -224,7 +244,7 @@ class TestSampling:
                           (w.k_barrier[n], sol.c[n], sol.d[n],
                            center - width / 2, center + width / 2)]
             terms += [(w.k_gap, sol.a[-1], sol.b[-1], 0.0, 0.0),
-                      (w.k_right, sol.embedded.t_full, 0.0, 0.0, 0.0)]
+                      (w.k_right, sol.embedded.t_full, 0.0, s.span, 0.0)]
             pts = s.interface_points()
             for x, re_psi, im_psi, abs2 in sample_density(sol, default_grid(sol))[::7]:
                 k, cp, cm, op, om = terms[bisect.bisect_right(pts, x)]
