@@ -20,18 +20,20 @@ The stages assume an energy that :func:`check_energy` has admitted, which
 
 Conventions
 -----------
-All amplitudes are defined for unit left-incidence e^{ipx} from origin 0.
-An interface at x0 between wavenumbers p (left) and q (right) reflects
+All amplitudes are for unit left-incidence e^{ipx} from origin 0.  An
+interface at x0 between wavenumbers p (left) and q (right) reflects
 ((p-q)/(p+q)) exp{i 2 p x0} and transmits (2p/(p+q)) exp{i p x0} into the
-wave e^{iq(x - x0)} that starts there, so the full structure transmits into
-T e^{i k_right (x - span)} (:func:`~layerscatter.structure.region_origins`).  A barrier of
-width d_n centred at x_n over a zero-potential background has
+wave e^{iq(x - x0)} that starts there.  The chain is made of segments in
+their own reference planes (Li, JOSA A 13, 1024 (1996)): segment n is the gap
+g_n left of barrier n and then barrier n, from x_R(n-1) (0 for n = 1) to its
+right edge x_R(n).  In its own planes x_L and x_R a barrier of width d_n has
 
-    1/t_n   = exp{i k0 d_n} [cos k_n d_n - i (k_n^2+k0^2)/(2 k_n k0) sin k_n d_n]
-    r_n/t_n = i exp{i 2 k0 x_n} (k_n^2-k0^2)/(2 k_n k0) sin k_n d_n
+    1/t_b   = cos k_n d_n - i (k_n^2+k0^2)/(2 k_n k0) sin k_n d_n = e^m c
+    r_b/t_b = i (k_n^2-k0^2)/(2 k_n k0) sin k_n d_n              = i e^m B s
 
-(the reflection phase exp{i 2 k0 x_n}, with the sign above, is the one
-consistent with the banded boundary-matching solve; see the tests).
+and r'_b = r_b by symmetry; the segment has (t, r, r') = (e^{i k0 g_n} t_b,
+e^{2 i k0 g_n} r_b, r_b), whatever its position.  The right step sits at
+span - x_R(N), so T belongs to e^{i k_right (x - span)} and R to origin 0.
 """
 from __future__ import annotations
 
@@ -67,64 +69,56 @@ def _step(p, q, x0: float):
 
 
 def interface_amplitudes(w: WaveNumberSet, s: LayeredStructure):
-    """(t_left, r_left, t_right, r_right): the steps medium 1 -> gap at x=0
-    and gap -> medium 2 at x=span, read by the embedding and the coefficients."""
-    return (*_step(w.k_left, w.k_gap, 0.0), *_step(w.k_gap, w.k_right, s.span))
+    """(t_left, r_left, t_right, r_right): the steps medium 1 -> gap at x=0 and
+    gap -> medium 2 at x=span, the latter from x_R(N), where the chain ends."""
+    x_r = s.barrier_arrays[2, -1] + s.barrier_arrays[1, -1] / 2.0 if s.n_barriers else 0.0
+    return (*_step(w.k_left, w.k_gap, 0.0), *_step(w.k_gap, w.k_right, s.span - x_r))
 
 
-def _factored_trig(z):
-    """(m, cos(z)/e^m, sin(z)/e^m) with m = |Im z|, elementwise and overflow-free.
+def _factored_barrier(k0, kn, width):
+    """(m, c, B s) of barriers, elementwise: m = |Im k_n| d_n, c = e^{-m} (cos -
+    i A sin) and B s = e^{-m} B sin of k_n d_n, A and B = (k_n^2 +- k0^2)/(2 k_n k0).
 
-    For strongly evanescent layers cos/sin grow like e^{|Im z|}; the
-    factored pieces stay O(1) so ratios of them never overflow.
+    The one source of the single-barrier formula (see Conventions).  ``k0`` is
+    real and each k_n real or purely imaginary, so A sin and B sin are real: only
+    real cos, sin and e^{-2m} are taken, and each piece stays O(1).
     """
-    m = np.abs(z.imag)
-    ep = np.exp(1j * z - m)   # |.| <= 1
-    em = np.exp(-1j * z - m)  # |.| <= 1
-    return m, (ep + em) / 2.0, (ep - em) / 2j
+    kr, ki = kn.real, kn.imag  # one of them is 0
+    m = ki * width
+    h = 0.5 * np.exp(-2.0 * m)
+    c = np.empty(m.shape, dtype=complex)
+    np.multiply(np.cos(kr * width), 0.5 + h, out=c.real)  # e^{-m} cos k_n d_n
+    sn = np.sin(kr * width) + (0.5 - h)
+    sn *= 0.5 / ((kr + ki) * k0)  # e^{-m} sin(k_n d_n) / (2 k_n k0), real either way
+    k2, k02 = kr * kr - ki * ki, k0 * k0
+    np.multiply(-(k2 + k02), sn, out=c.imag)
+    return m, c, (k2 - k02) * sn
 
 
-def _factored_barrier(k0, kn, width, phase):
-    """(m, e^{-m} (cos - i A sin), phase B e^{-m} sin) of k_n d_n, elementwise,
-    with A = (k_n^2 + k0^2)/(2 k_n k0) and B = (k_n^2 - k0^2)/(2 k_n k0).
-
-    The one source of the single-barrier formula: e^{-i k0 d}/t is e^m times
-    the second piece, and r/t is e^m times the third for phase =
-    i e^{2 i k0 x_n}.  Each piece stays O(1) where cos/sin overflow.
+def _barrier_tr(k0, kn, width, gap):
+    """(t, r, r') of segments, each a gap of length ``gap`` and then a barrier,
+    elementwise, with the barrier as the last axis and ``k0`` real: t_b = e^{-m}/c
+    and r_b = i B s/c from :func:`_factored_barrier`, turned by the gap phase
+    e^{i k0 g}, the one complex exponential.  A thick barrier's t_b underflows to 0.
     """
-    m, c, sn = _factored_trig(kn * width)
-    k2, k02, half_inv = kn * kn, k0 * k0, 0.5 / (kn * k0)
-    c -= 1j * ((k2 + k02) * half_inv) * sn
-    return m, c, phase * ((k2 - k02) * half_inv) * sn
-
-
-def _barrier_tr(k0, kn, width, center):
-    """(t, r, r') of barriers over a zero background from the pieces of
-    :func:`_factored_barrier`, elementwise.
-
-    ``kn``, ``width`` and ``center`` carry the barrier as their last axis;
-    ``k0`` broadcasts against them.  Evanescent barriers are handled by the
-    same complex expressions; the decaying exponential is factored out so
-    thick tunnelling barriers do not overflow.  The right-incidence
-    reflection of a lossless barrier, r' = -r* t/t*, takes t/t* =
-    e^{-2i k0 d} c*/c from the factored pieces: t itself underflows to 0
-    in a high barrier, where t/t* would be 0/0.
-    """
-    m, c, rc = _factored_barrier(k0, kn, width, 1j * np.exp(1j * k0 * (2.0 * center - width)))
+    m, c, bs = _factored_barrier(k0, kn, width)
     inv_c = 1.0 / c
-    pw = np.exp(-1j * k0 * width)
-    return pw * np.exp(-m) * inv_c, rc * inv_c, -rc.conjugate() * (pw * pw) * inv_c
+    rb = inv_c * (1j * bs)
+    ph = np.exp(1j * (k0 * gap))
+    return ph * (np.exp(-m) * inv_c), ph * ph * rb, rb
 
 
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
-    """(t, r, r') of every barrier over a zero background, arrays whose last
-    axis is the barrier."""
+    """(t, r, r') of every segment, gap n and then barrier n, over a zero
+    background, arrays whose last axis is the barrier.  The gaps come from centre
+    differences, which neighbours give nearly exactly wherever they sit."""
     _, widths, centers = s.barrier_arrays
-    return _barrier_tr(np.asarray(w.k_gap)[..., None], w.k_barrier, widths, centers)
+    gaps = np.diff(centers, prepend=0.0) - (widths + np.append(0.0, widths[:-1])) / 2.0
+    return _barrier_tr(np.asarray(w.k_gap).real[..., None], w.k_barrier, widths, gaps)
 
 
 def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):
-    """(t_n, r_n, r'_n) for barrier ``n`` (0-based) over a zero background."""
+    """(t_n, r_n, r'_n) of segment ``n`` (0-based), as :func:`all_barrier_amplitudes`."""
     return tuple(x[..., n] for x in all_barrier_amplitudes(w, s))
 
 
@@ -134,18 +128,19 @@ def _star(a, b):
     (t, r) and right incidence (t' = t, r'), elementwise.
 
     Every input has modulus <= 1 and so has every output: |r'_a r_b| < 1
-    wherever either segment transmits, so ``den`` stays away from zero.
+    wherever either segment transmits, so 1 - r'_a r_b stays away from zero.
     """
     ta, ra, pa = a
     tb, rb, pb = b
-    den = 1.0 - pa * rb
-    return ta * tb / den, ra + ta * ta * rb / den, pb + tb * tb * pa / den
+    inv = 1.0 / (1.0 - pa * rb)
+    return ta * tb * inv, ra + ta * ta * rb * inv, pb + tb * tb * pa * inv
 
 
 def prefix_by_recurrence(amps):
-    """(T_N, R_N, R'_N) of the whole chain over a zero background.
+    """(T_N, R_N, R'_N) of the whole chain over a zero background, between
+    the planes 0 and x_R(N).
 
-    ``amps`` is the barriers' (t, r, r') from :func:`all_barrier_amplitudes`.
+    ``amps`` is the segments' (t, r, r') from :func:`all_barrier_amplitudes`.
     Adjacent segments are joined pairwise by :func:`_star`, level by level
     over the barrier axis, an odd last segment riding up to the next level
     unchanged: ceil(log2 N) array steps, each elementwise over the leading
@@ -178,7 +173,9 @@ def _inverse_matrix(t: complex, r: complex) -> np.ndarray:
 
 def prefix_by_matrix(amps):
     """(T_0..T_N, R_0..R_N) via the ordered 2x2 transfer-matrix product,
-    at one energy: ``amps`` is the barriers' (t, r, r'), of which r' is unused.
+    at one energy: ``amps`` is the segments' (t, r, r'), of which r' is unused.
+    Each segment's right plane is the next one's left plane, so the product
+    needs no phase between factors: T_n starts at x_R(n) and R_n at 0.
 
     Redundant with :func:`prefix_by_recurrence` by construction; kept
     as an independent code path for cross-checking.
@@ -205,7 +202,7 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
     right-incidence pair, r' = -r_left and t' = 1 - r_left = 2 k_gap /
     (k_left + k_gap).  Medium 2 carries no leftward wave, so only the right
     step's left-incidence (t, r) enters and an evanescent right medium needs
-    no special casing: its t_right, taken at the span, has modulus <= 2.  Deep
+    no special casing: its t_right, taken at span - x_R(N), has modulus <= 2.  Deep
     in a forbidden band T underflows to 0 and |R| = 1.  Raises ArithmeticError
     where T or R is not finite, as where a bound state behind an opaque chain
     makes a denominator vanish.
@@ -229,7 +226,7 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
 
 
 def scattering_amplitudes(s: LayeredStructure, energy):
-    """(wavenumbers, outer steps, barrier (t, r), embedded T and R) at
+    """(wavenumbers, outer steps, segment (t, r, r'), embedded T and R) at
     ``energy``, a float or an array: all a sweep reads."""
     w = compute_wavenumbers(s, energy)
     check_energy(s, energy)

@@ -8,10 +8,11 @@ system directly.  Each interface's two rows touch only the four unknowns of
 its two regions, so the matrix has lower and upper bandwidth 2: it is
 assembled straight into LAPACK band storage and solved by banded LU
 (zgbtrf, zgbtrs) in O(N) time and memory, with no dense matrix formed.
-A barrier's columns start at its own edges and T's at the span, as the
-solver's waves do, so no entry passes max |k| in modulus, no exponential can
-overflow and no column shrinks with the span.  The one-norm condition number
-is estimated from the band LU factors (LAPACK zgbcon) and reported so
+A barrier's columns start at its own edges, a gap's at its left end and T's
+at the span, as the solver's waves do, so no entry passes max |k| in modulus,
+no exponential can overflow, no column shrinks with the span and no gap
+column carries a phase of the gap's position.  The one-norm condition
+number is estimated from the band LU factors (LAPACK zgbcon) and reported so
 callers can relax comparison tolerances in deep-tunneling regimes.  zgbcon
 is the next limit on large N: its scaled triangular solves (zlatbs) make it
 grow faster than linearly past about N = 1000.  scipy.linalg, which wraps

@@ -87,37 +87,41 @@ class BandTable:
     skipped: tuple    # grid energies skipped for k=0 degeneracy
 
 
+def _pieces(lat: PeriodicLattice, energy):
+    """(k0, m, c, B s) of the lattice's barrier from ``_factored_barrier``,
+    elementwise over ``energy``, which it does not check."""
+    e = np.asarray(energy, dtype=float)
+    k0 = np.sqrt(e)  # real at every admitted energy
+    return k0, *_factored_barrier(k0, branch_sqrt(e - lat.barrier_height), lat.barrier_width)
+
+
 def _period(lat: PeriodicLattice, energy):
-    """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier, elementwise
-    over ``energy``; cos beta is the real part of the first.
-
-    Both come straight from the factored pieces (m, c - i A s, B s) of
-    ``_factored_barrier``: with g = a - d,
-    e^{-i k0 a}/t = e^m e^{-i k0 g} (c - i A s) and r/t = e^m i e^{2 i k0 x1} B s.
-    Where e^m overflows, inside a thick evanescent barrier, cos beta is the
-    real ±inf signed by the finite factor Re[e^{-i k0 g} (c - i A s)], even
-    where that factor is ±0 (r/t is then inf or nan).
-
-    Checks nothing: callers admit ``energy`` with :func:`check_energy`.
+    """(e^{-i k0 a}/t, r/t, k0) of the lattice's first barrier for waves from
+    origin 0, elementwise over ``energy``: with g = a - d, e^{-i k0 a}/t =
+    e^m e^{-i k0 g} c and r/t = e^m i e^{2 i k0 x1} B s from :func:`_pieces`.
+    Either is inf or nan where e^m overflows, in a thick evanescent barrier.
     """
-    k0 = branch_sqrt(energy)
-    k = branch_sqrt(np.asarray(energy, dtype=float) - lat.barrier_height)
-    m, c, rb = _factored_barrier(k0, k, lat.barrier_width,
-                                 1j * np.exp(2j * k0 * lat.first_center))
-    scaled = np.exp(-1j * k0 * (lat.period - lat.barrier_width)) * c
+    k0, m, c, bs = _pieces(lat, energy)
     with np.errstate(over="ignore", invalid="ignore"):
         em = np.exp(m)
-        gamma, r_over_t = em * scaled, em * rb
-    inf_times_zero = np.isnan(gamma.real)
-    if inf_times_zero.any():
-        gamma = np.where(inf_times_zero, np.copysign(np.inf, scaled.real), gamma)
-    return gamma, r_over_t, k0
+        gamma = em * (np.exp(-1j * k0 * (lat.period - lat.barrier_width)) * c)
+        return gamma, em * (1j * np.exp(2j * k0 * lat.first_center) * bs), k0
 
 
 def _cos_beta(lat: PeriodicLattice, energy):
-    """Half the trace of one period's transfer matrix, Re(e^{-i k0 a}/t),
-    elementwise over ``energy``, which it does not check."""
-    return _period(lat, energy)[0].real
+    """Half the trace of one period's transfer matrix, Re(e^{-i k0 a}/t) =
+    e^m (cos(k0 g) Re c + sin(k0 g) Im c), elementwise over ``energy``.  Where
+    e^m overflows it is the ±inf signed by the finite factor, even where that is ±0.
+    """
+    k0, m, c, _ = _pieces(lat, energy)
+    k0g = k0 * (lat.period - lat.barrier_width)
+    scaled = np.cos(k0g) * c.real + np.sin(k0g) * c.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_beta = np.exp(m) * scaled
+    inf_times_zero = np.isnan(cos_beta)
+    if inf_times_zero.any():
+        cos_beta = np.where(inf_times_zero, np.copysign(np.inf, scaled), cos_beta)
+    return cos_beta
 
 
 def _classify(cos_beta, edge_tol: float = EDGE_TOL):

@@ -129,11 +129,12 @@ def region_origins(s: LayeredStructure) -> np.ndarray:
     """(o+, o-) of all 2N+3 regions, laid out as :func:`region_wavenumbers`, for
     psi = c+ e^{ik(x - o+)} + c- e^{-ik(x - o-)}.  A barrier's waves start at its
     own edges, o+ = x_L and o- = x_R, so neither passes modulus 1 inside it (Li,
-    JOSA A 13, 1024 (1996)); the transmitted wave starts at the span, o+ = span, so
-    T carries no e^{kappa span} however evanescent the right medium; the left medium
-    and the gaps keep origin 0, so R, a_n and b_n do too."""
+    JOSA A 13, 1024 (1996)); a gap's waves start at its left end, where the
+    chain's segments meet, so a_n and b_n carry no phase of the gap's position;
+    T's at the span, so T carries no e^{kappa span}; the left medium's, and R's, at 0."""
     x = s.interface_points()
     o = np.zeros((2, x.size + 1))
+    o[:, 1:-1:2] = x[0:-1:2]
     o[:, 2:-1:2] = x[1:-1].reshape(-1, 2).T
     o[0, -1] = s.span
     return o
@@ -202,7 +203,9 @@ def branch_sqrt(x):
     purely imaginary root with positive imaginary part, so exp{ikx}
     decays rightward in evanescent regions.
     """
-    return np.sqrt(np.asarray(x, dtype=complex))
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(np.abs(x))
+    return np.where(x < 0, 1j * root, root)[()]
 
 
 @dataclass(frozen=True)

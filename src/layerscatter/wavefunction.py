@@ -4,8 +4,9 @@ The gap coefficients come from the same reflection algebra as the
 star-product tree: a right-to-left pass composes the reflection rho_n of
 everything right of each gap, and a left-to-right pass carries the unit
 incident wave through the barriers with it.  Every factor is bounded, so a
-tiny coefficient is a truly tiny psi, never an overflow.  A barrier's
-waves start at its own edges, so C_n follows from continuity at its left
+tiny coefficient is a truly tiny psi, never an overflow.  A gap's waves
+start at its left end, where its segment of the chain starts, and a
+barrier's at its own edges, so C_n follows from continuity at its left
 edge and D_n at its right edge, and neither wave passes modulus 1 inside
 it.  No linear system is solved on this path.
 """
@@ -24,13 +25,14 @@ MAX_GRID_POINTS = 10**7  # the most samples a grid may hold: 4 float64 columns, 
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Everything needed to evaluate psi anywhere for unit left-incidence."""
+    """Everything needed to evaluate psi anywhere for unit left-incidence, each
+    region's waves from its origins in :func:`region_origins`."""
 
     structure: LayeredStructure
     energy: float
     wavenumbers: WaveNumberSet
     embedded: EmbeddedAmplitudes
-    a: tuple  # gap coefficients a_1..a_{N+1}
+    a: tuple  # gap coefficients a_1..a_{N+1}, at each gap's left end
     b: tuple
     c: tuple  # barrier coefficients C_1..C_N, at each barrier's left edge
     d: tuple  # D_1..D_N, at each barrier's right edge
@@ -53,7 +55,8 @@ class ScatteringSolution:
 def gap_coefficients(amps, iface):
     """(a_n, b_n) for every zero-potential gap region, n = 1..N+1, at one energy.
 
-    ``amps`` is the barriers' (t, r, r') and ``iface`` the outer steps.  Right
+    ``amps`` is the segments' (t, r, r'), each from its gap's left end, and ``iface``
+    the outer steps, so (a_n, b_n) belong to waves from gap n's left end.  Right
     to left, as :func:`~layerscatter.amplitudes._star` joins segments, rho_n =
     b_n / a_n = r_n + t_n^2 rho_{n+1} / (1 - r'_n rho_{n+1}) from rho_{N+1} =
     r_right; left to right, a_1 = t_left / (1 + r_left rho_1) and a_{n+1} =
@@ -79,7 +82,8 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
     No exponential of k_n is taken, so nothing grows however opaque the barrier.
     """
     k0 = w.k_gap
-    x = region_origins(s)[:, 2:-1:2]  # each barrier's x_L in row 0, its x_R in row 1
+    o = region_origins(s)  # x_L - p_n in row 0, x_R - p_{n+1} = 0 in row 1
+    x = o[:, 2:-1:2] - np.array((o[0, 1:-2:2], o[0, 3:-1:2]))
     ap = np.array((a[:-1], a[1:])) * np.exp(1j * k0 * x)
     bm = np.array((b[:-1], b[1:])) * np.exp(-1j * k0 * x)
     c, d = (ap + bm + [[1.0], [-1.0]] * (k0 / w.k_barrier) * (ap - bm)) / 2

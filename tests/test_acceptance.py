@@ -118,8 +118,10 @@ def test_criterion_3_triple_agreement():
         pb = prefix_by_matrix(amps)
         for n in range(1, 101):
             inv_t, r_over_t = closed_form_prefix(LAT, e, n)
-            t_c = 1.0 / inv_t
-            r_c = r_over_t * t_c
+            # the closed form's T_n starts at 0, the chain's at x_R(n)
+            x_r = s.barrier_arrays[2, n - 1] + s.barrier_arrays[1, n - 1] / 2.0
+            t_c = np.exp(1j * w.k_gap * x_r) / inv_t
+            r_c = r_over_t / inv_t
             for t, r in ((pa[0][n], pa[1][n]), (pb[0][n], pb[1][n])):
                 worst = max(worst, abs(t - t_c) / abs(t_c))
                 worst = max(worst, abs(r - r_c) / max(abs(r_c), 1.0))

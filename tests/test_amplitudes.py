@@ -27,7 +27,7 @@ from layerscatter import (
 from layerscatter.amplitudes import _inverse_matrix, scattering_amplitudes
 from layerscatter.structure import degenerate_energies
 
-from conftest import random_structure, recurrence_prefixes, reference_prefix
+from conftest import random_structure, recurrence_prefixes, reference_prefix, reference_psi
 
 
 def setup(s, e):
@@ -69,7 +69,8 @@ class TestBarrierAmplitudes:
         s = LayeredStructure(0.0, 0.0, 4.0, (Barrier(0.0, 1.0, 2.0),))
         w = compute_wavenumbers(s, 4.0)
         t, r, _ = barrier_amplitudes(w, s, 0)
-        assert t == pytest.approx(1.0)
+        # the segment runs from 0 to the barrier's right edge x_R = 2.5
+        assert t == pytest.approx(np.exp(1j * w.k_gap * 2.5))
         assert r == pytest.approx(0.0)
 
     def test_tunneling_magnitude(self):
@@ -344,8 +345,10 @@ class TestEmbedding:
         ia = interface_amplitudes(w, s)
         t_n, r_n, _ = pre = prefix_by_recurrence(all_barrier_amplitudes(w, s))
         emb = embed_in_media(pre, ia)
-        # T is counted from the span, T_N from the origin: T = T_N e^{ik0 span}
-        assert emb.t_full == pytest.approx(t_n * np.exp(1j * w.k_gap * s.span), rel=1e-14)
+        # T is counted from the span, T_N from the last barrier's right edge
+        # x_R = 2.5: T = T_N e^{ik0 (span - x_R)}
+        assert emb.t_full == pytest.approx(t_n * np.exp(1j * w.k_gap * (s.span - 2.5)),
+                                           rel=1e-14)
         assert emb.r_full == pytest.approx(r_n, rel=1e-14)
 
     def test_step_reflection_magnitude(self):
@@ -391,6 +394,22 @@ class TestEmbedding:
                 interface_amplitudes(w, s),
             )
             assert abs(emb.r_full) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTranslation:
+    @pytest.mark.parametrize("x0", [0.0, 31.0, 1000.0, 1e5])
+    def test_cavity_amplitudes_do_not_drift_with_position(self, x0):
+        # two 1e6-high barriers 0.08 apart, a cavity of high finesse, with the
+        # pair moved to x0: |T| and |R| against the exact-edge referee, whose
+        # psi is T at the span and 1 + R at 0
+        s = LayeredStructure(0.0, 121.0, x0 + 5.92, np.array(
+            [[1e6, 1e6], [3.84, 1.0], [x0 + 0.5 + 3.84 / 2, x0 + 4.42 + 0.5]]))
+        eps = 1e6 + 0.351
+        _, _, _, emb = scattering_amplitudes(s, eps)
+        t_ref = abs(reference_psi(s, eps, [s.span])[0])
+        r_ref = abs(reference_psi(s, eps, [0.0])[0] - 1.0)
+        assert abs(abs(emb.t_full) - t_ref) <= 1e-13 * t_ref
+        assert abs(abs(emb.r_full) - r_ref) <= 1e-13
 
 
 class TestProbabilities:

@@ -18,10 +18,13 @@ from hypothesis import strategies as st
 import layerscatter
 from layerscatter import (
     Barrier,
+    EmbeddedAmplitudes,
     LayeredStructure,
     PeriodicLattice,
+    ScatteringSolution,
     StructureError,
     closed_form_prefix,
+    compute_wavenumbers,
     evaluate_psi,
     oracle_solution,
     reflection_probability,
@@ -705,8 +708,10 @@ def test_right_step_overflow_exits_3(capsys, tmp_path, command):
 
 
 def test_wavefunction_far_from_origin_matches_reference(capsys, tmp_path):
-    # 360 evanescent barriers reaching x = 720: every 8th psi row against the
-    # exact-edge mpmath referee, which shares no basis with the solver
+    # 360 evanescent barriers reaching x = 720: every 8th psi row, and the
+    # oracle's psi from its own a..d on the same rows, against the exact-edge
+    # mpmath referee, which shares no basis with either; each gap's waves start
+    # at its own left end, so neither carries a phase of the gap's position
     out = tmp_path / "wf.csv"
     code, _, err = run_cli(
         capsys, "wavefunction", "--scenario", "periodic", "--scenario-params", "count=360",
@@ -715,8 +720,15 @@ def test_wavefunction_far_from_origin_matches_reference(capsys, tmp_path):
     assert (code, err) == (0, "")
     x, re_psi, im_psi = np.loadtxt(str(out), delimiter=",", skiprows=1, usecols=(0, 1, 2)).T
     psi = re_psi + 1j * im_psi
-    ref = reference_psi(build_scenario("periodic", count=360), 2.0, x[::8])
-    assert np.abs(psi[::8] - ref).max() <= 1e-12 * np.abs(ref).max()
+    s = build_scenario("periodic", count=360)
+    ref = reference_psi(s, 2.0, x[::8])
+    assert np.abs(psi[::8] - ref).max() <= 2e-13 * np.abs(ref).max()
+    ora = oracle_solution(s, 2.0)
+    oracle_psi = evaluate_psi(ScatteringSolution(
+        structure=s, energy=2.0, wavenumbers=compute_wavenumbers(s, 2.0),
+        embedded=EmbeddedAmplitudes(t_full=ora.t_full, r_full=ora.r_full),
+        a=ora.a, b=ora.b, c=ora.c, d=ora.d), x[::8])
+    assert np.abs(oracle_psi - ref).max() <= 2e-13 * np.abs(ref).max()
 
 
 def test_sweep_needs_only_amplitudes(capsys, tmp_path):

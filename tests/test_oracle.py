@@ -26,18 +26,20 @@ from conftest import criterion_1_cases, random_structure
 def reference_matching_system(s, energy):
     """The matching system written out entry by entry: regions as (k, column
     of c+, column of c-, origin of c+, origin of c-), one cmath exponential per
-    wave and interface.  A barrier's waves start at its own edges c -+ w/2 and
-    the transmitted wave at the span; every other region's at 0."""
+    wave and interface.  A barrier's waves start at its own edges c -+ w/2, a
+    gap's at its left end and the transmitted wave at the span; the left
+    medium's at 0."""
     w = compute_wavenumbers(s, energy)
     size = 4 * s.n_barriers + 4
     regions = [(w.k_left, [None, 0], 0.0, 0.0)]  # incident (fixed), R
-    col = 1
+    col, gap_start = 1, 0.0
     for n, (_, width, center) in enumerate(s.barrier_arrays.T.tolist()):
-        regions.append((w.k_gap, [col, col + 1], 0.0, 0.0))
+        regions.append((w.k_gap, [col, col + 1], gap_start, gap_start))
         regions.append((w.k_barrier[n], [col + 2, col + 3],
                         center - width / 2, center + width / 2))
+        gap_start = center + width / 2
         col += 4
-    regions.append((w.k_gap, [col, col + 1], 0.0, 0.0))
+    regions.append((w.k_gap, [col, col + 1], gap_start, gap_start))
     regions.append((w.k_right, [col + 2, None], s.span, 0.0))  # T, no leftward wave
     mat = np.zeros((size, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)

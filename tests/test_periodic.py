@@ -32,6 +32,12 @@ def recurrence_prefix(lat, energy, count):
     return recurrence_prefixes(all_barrier_amplitudes(w, s))
 
 
+def right_edge(lat, n):
+    """x_R(n), the plane where the chain's segment n ends and its T_n starts;
+    the closed form's T_n starts at 0, so T_n(chain) = T_n(closed) e^{i k0 x_R(n)}."""
+    return lat.first_center + (n - 1) * lat.period + lat.barrier_width / 2.0
+
+
 def half_trace(lat, energy):
     """cos beta as half the trace of one period's (psi, psi') transfer matrix."""
 
@@ -101,7 +107,8 @@ class TestPeriodFormula:
     def test_period_matches_the_chain_formula(self):
         # the half trace's e^{-i k0 a}/t and r/t equal those of the chain's
         # single-barrier amplitudes on the lattice's cell, below and above
-        # the barrier top, wherever t is a normal double
+        # the barrier top, wherever t is a normal double; the chain's t starts
+        # at the barrier's right edge, _period's at 0
         rng = np.random.default_rng(14)
         checked = 0
         for _ in range(60):
@@ -112,6 +119,7 @@ class TestPeriodFormula:
             wn = compute_wavenumbers(lat.cell, energy)
             t, r, _ = (x[..., 0] for x in all_barrier_amplitudes(wn, lat.cell))
             normal = np.abs(t) >= sys.float_info.min
+            t = t * np.exp(-1j * k0 * right_edge(lat, 1))
             ref_gamma = np.exp(-1j * k0 * lat.period)[normal] / t[normal]
             ref_r_over_t = r[normal] / t[normal]
             assert np.all(np.abs(gamma[normal] - ref_gamma) <= 1e-13 * np.abs(ref_gamma))
@@ -128,6 +136,7 @@ class TestClosedFormPrefix:
         from layerscatter import barrier_amplitudes
 
         t1, r1, _ = barrier_amplitudes(w, s, 0)
+        t1 = t1 * np.exp(-1j * w.k_gap * right_edge(LAT, 1))
         inv_t, r_over_t = closed_form_prefix(LAT, 4.9, 1)
         assert inv_t == pytest.approx(1.0 / t1, rel=1e-13)
         assert r_over_t == pytest.approx(r1 / t1, rel=1e-13)
@@ -137,8 +146,9 @@ class TestClosedFormPrefix:
         ts, rs = recurrence_prefix(LAT, energy, 8)
         for n in range(1, 9):
             inv_t, r_over_t = closed_form_prefix(LAT, energy, n)
-            assert abs(inv_t - 1.0 / ts[n]) <= 1e-10 * abs(inv_t)
-            assert abs(r_over_t - rs[n] / ts[n]) <= 1e-10 * max(abs(r_over_t), 1.0)
+            t_n = ts[n] * cmath.exp(-1j * math.sqrt(energy) * right_edge(LAT, n))
+            assert abs(inv_t - 1.0 / t_n) <= 1e-10 * abs(inv_t)
+            assert abs(r_over_t - rs[n] / t_n) <= 1e-10 * max(abs(r_over_t), 1.0)
 
     def test_forbidden_band_decay_slope(self):
         # ln |T_n|^2 decreases at 2*Im(beta) per period asymptotically
@@ -158,6 +168,7 @@ class TestClosedFormPrefix:
         import cmath
 
         t1, _, _ = barrier_amplitudes(w, s, 0)
+        t1 = t1 * cmath.exp(-1j * w.k_gap * right_edge(LAT, 1))
         mu = (cmath.exp(-1j * w.k_gap * LAT.period) / t1).imag
         ph = bloch_phase(LAT, 4.9)
         bound = abs(closed_form_prefix(LAT, 4.9, 1)[0]) * (

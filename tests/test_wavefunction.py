@@ -72,10 +72,12 @@ class TestGapCoefficients:
         assert np.abs(a[1900:]).max() <= 1e-300
 
     def test_single_barrier_against_frozen_oracle(self):
-        # frozen from the dense matching solve for eps=4, u=3, d=1, x=1.5
+        # frozen from the dense matching solve for eps=4, u=3, d=1, x=1.5 with
+        # gap 2's waves from origin 0; they start at its left end x_R = 2
         s = LayeredStructure(0, 0, 3.0, (Barrier(3.0, 1.0, 1.5),))
         sol = solve_structure(s, 4.0)
-        assert sol.a[1] == pytest.approx(0.5232022521621968 - 0.664392933272984j, abs=1e-10)
+        assert sol.a[1] == pytest.approx(
+            (0.5232022521621968 - 0.664392933272984j) * cmath.exp(2j * 2.0), abs=1e-10)
         assert sol.b[1] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -232,18 +234,20 @@ class TestSampling:
 
     def test_matches_pointwise_reference(self, rng):
         # scalar loop over the coefficients, region found by bisection; a
-        # barrier's waves start at its own edges c -+ w/2 and the transmitted
-        # wave at the span; every other origin is 0
+        # barrier's waves start at its own edges c -+ w/2, a gap's at its left
+        # end and the transmitted wave at the span; the left medium's at 0
         for _ in range(10):
             s, e = random_structure(rng)
             sol = solve_structure(s, e)
             w = sol.wavenumbers
             terms = [(w.k_left, 1.0, sol.embedded.r_full, 0.0, 0.0)]
+            gap_start = 0.0
             for n, (_, width, center) in enumerate(s.barrier_arrays.T.tolist()):
-                terms += [(w.k_gap, sol.a[n], sol.b[n], 0.0, 0.0),
+                terms += [(w.k_gap, sol.a[n], sol.b[n], gap_start, gap_start),
                           (w.k_barrier[n], sol.c[n], sol.d[n],
                            center - width / 2, center + width / 2)]
-            terms += [(w.k_gap, sol.a[-1], sol.b[-1], 0.0, 0.0),
+                gap_start = center + width / 2
+            terms += [(w.k_gap, sol.a[-1], sol.b[-1], gap_start, gap_start),
                       (w.k_right, sol.embedded.t_full, 0.0, s.span, 0.0)]
             pts = s.interface_points()
             for x, re_psi, im_psi, abs2 in sample_density(sol, default_grid(sol))[::7]:
