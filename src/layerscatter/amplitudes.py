@@ -8,7 +8,12 @@ energy, and a per-barrier array carries the barrier as its last axis.
 The single-barrier formula lives in ``_factored_barrier`` alone: the sweep
 and the scalar solve (a batch of one) reach it through
 :func:`all_barrier_amplitudes`, and the band scan and the closed form of
-``periodic`` take one period's half trace and r/t from it directly.  The
+``periodic`` take one period's half trace and r/t from it directly.
+:func:`all_barrier_amplitudes` takes real cos and sin, e^{-2m}, e^{-m} and the
+complex 1/c once per (energy, distinct (height, width)) and the one complex
+exponential, the gap phase, once per (energy, distinct gap length), then
+gathers them to the segments: a lattice of identical, evenly spaced barriers
+runs the formula once per energy, however long it is.  The
 chain is composed by joining adjacent segments pairwise, level by level,
 so a chain of N barriers costs ceil(log2 N) array steps and every
 intermediate amplitude keeps modulus <= 1 (the stable S-matrix
@@ -95,26 +100,58 @@ def _factored_barrier(k0, kn, width):
     return m, c, (k2 - k02) * sn
 
 
-def _barrier_tr(k0, kn, width, gap):
-    """(t, r, r') of segments, each a gap of length ``gap`` and then a barrier,
-    elementwise, with the barrier as the last axis and ``k0`` real: t_b = e^{-m}/c
-    and r_b = i B s/c from :func:`_factored_barrier`, turned by the gap phase
-    e^{i k0 g}, the one complex exponential.  A thick barrier's t_b underflows to 0.
-    """
-    m, c, bs = _factored_barrier(k0, kn, width)
-    inv_c = 1.0 / c
-    rb = inv_c * (1j * bs)
-    ph = np.exp(1j * (k0 * gap))
-    return ph * (np.exp(-m) * inv_c), ph * ph * rb, rb
+def _distinct(*keys):
+    """(first, inverse) of the distinct entries of the equal-length 1-D
+    ``keys``, taken together: ``first`` indexes one entry of each distinct value
+    and ``key[first][inverse]`` gives back every ``key``.  None where no value
+    repeats.  One ``lexsort`` and one pass comparing sorted neighbours."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)  # where a sorted entry starts a value
+    new[:1] = True
+    for key in keys:
+        sorted_key = key[order]
+        new[1:] |= sorted_key[1:] != sorted_key[:-1]
+    if new.all():
+        return None
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _spread(x, distinct):
+    """``x``, whose last axis runs over the distinct entries of :func:`_distinct`,
+    spread back over every entry, C-ordered; ``x`` itself where none repeats."""
+    return x if distinct is None else np.take(x, distinct[1], axis=-1)
 
 
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
     """(t, r, r') of every segment, gap n and then barrier n, over a zero
     background, arrays whose last axis is the barrier.  The gaps come from centre
-    differences, which neighbours give nearly exactly wherever they sit."""
-    _, widths, centers = s.barrier_arrays
+    differences, which neighbours give nearly exactly wherever they sit.
+
+    t_b = e^{-m}/c and r_b = i B s/c come from :func:`_factored_barrier` once per
+    distinct (height, width) and the gap phase e^{i k0 g}, the one complex
+    exponential, once per distinct gap length; ``np.take`` spreads both back to
+    the segments, so each segment gets the bits its own evaluation would give.
+    A thick barrier's t_b underflows to 0.
+    """
+    heights, widths, centers = s.barrier_arrays
     gaps = np.diff(centers, prepend=0.0) - (widths + np.append(0.0, widths[:-1])) / 2.0
-    return _barrier_tr(np.asarray(w.k_gap).real[..., None], w.k_barrier, widths, gaps)
+    k0 = np.asarray(w.k_gap).real[..., None]
+    kn = w.k_barrier
+    barriers, distinct_gaps = _distinct(widths, heights), _distinct(gaps)
+    if barriers:
+        kn, widths = np.take(kn, barriers[0], axis=-1), widths[barriers[0]]
+    if distinct_gaps:
+        gaps = gaps[distinct_gaps[0]]
+    m, c, bs = _factored_barrier(k0, kn, widths)
+    inv_c = 1.0 / c
+    rb = _spread(inv_c * (1j * bs), barriers)
+    ph = _spread(np.exp(1j * (k0 * gaps)), distinct_gaps)
+    # The products keep the per-segment formula's operands in its order: numpy's
+    # complex product is not bitwise commutative, and numpy may compute into,
+    # and so swap in, a large temporary operand.
+    return ph * _spread(np.exp(-m) * inv_c, barriers), ph * ph * rb, rb
 
 
 def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):

@@ -16,6 +16,10 @@ import numpy as np
 # to 2 ulps over random touching lattices, chains and their mirrors.
 EDGE_ULPS = 8
 
+# Below this energy k0 |k_n| may fall under 0.5/DBL_MAX (2^-1025); from it on,
+# k0 |k_n| >= sqrt(eps ulp(eps)/2) > 2^-1024 (:func:`degenerate_energies`).
+TINY_ENERGY = 1e-300
+
 
 class StructureError(ValueError):
     """Raised when a layered structure violates its geometric constraints.
@@ -242,9 +246,21 @@ def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
 def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
     """Where k = 0 in the gaps (eps = 0) or inside a barrier (eps equal to
     its height), elementwise over ``energy``: there e^{+ikx} and e^{-ikx}
-    coincide, so the plane-wave pieces are degenerate."""
+    coincide, so the plane-wave pieces are degenerate.  Also where k0 |k_n| <=
+    0.5/DBL_MAX in a barrier, so that the barrier kernel's 1/(2 k_n k0) passes the
+    largest double.  As |eps - u| >= ulp(eps)/2 wherever they differ, only
+    energies in (0, TINY_ENERGY) can reach that, and only they are checked."""
     e = np.asarray(energy, dtype=float)
-    return (e == 0.0) | (e[..., None] == s.barrier_arrays[0]).any(axis=-1)
+    heights = s.barrier_arrays[0]
+    bad = (e[..., None] == heights).any(axis=-1)
+    if e.min(initial=TINY_ENERGY) >= TINY_ENERGY:  # no eps = 0 and no tiny eps
+        return bad
+    tiny = np.asarray((e > 0.0) & (e < TINY_ENERGY))
+    bad = np.asarray(bad | (e == 0.0))
+    et = e[tiny][:, None]
+    k0_kn = np.sqrt(et) * np.sqrt(np.abs(et - heights))
+    bad[tiny] |= (k0_kn <= 0.5 / np.finfo(float).max).any(axis=-1)
+    return bad[()]
 
 
 def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:

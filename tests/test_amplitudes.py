@@ -24,8 +24,9 @@ from layerscatter import (
     reflection_probability,
     transmission_probability,
 )
-from layerscatter.amplitudes import _inverse_matrix, scattering_amplitudes
-from layerscatter.structure import degenerate_energies
+from layerscatter import amplitudes
+from layerscatter.amplitudes import _factored_barrier, _inverse_matrix, scattering_amplitudes
+from layerscatter.structure import degenerate_energies, mirror_structure
 
 from conftest import random_structure, recurrence_prefixes, reference_prefix, reference_psi
 
@@ -105,6 +106,99 @@ class TestBarrierAmplitudes:
         assert math.isfinite(abs(t)) and math.isfinite(abs(r))
         assert abs(r) == pytest.approx(1.0, abs=1e-12)
         assert abs(t) < 1e-100
+
+
+def per_segment_amplitudes(w, s):
+    """(t, r, r') with the single-barrier formula and the gap phase taken on
+    every (energy, segment) pair, as one expression per output: the reference
+    for the evaluation over distinct barriers and gaps."""
+    _, widths, centers = s.barrier_arrays
+    gaps = np.diff(centers, prepend=0.0) - (widths + np.append(0.0, widths[:-1])) / 2.0
+    k0 = np.asarray(w.k_gap).real[..., None]
+    m, c, bs = _factored_barrier(k0, w.k_barrier, widths)
+    inv_c = 1.0 / c
+    rb = inv_c * (1j * bs)
+    ph = np.exp(1j * (k0 * gaps))
+    return ph * (np.exp(-m) * inv_c), ph * ph * rb, rb
+
+
+def _lattice(count=64):
+    return PeriodicLattice(3.0, 1.0, 2.0, count).to_structure()
+
+
+def _edited(s, row, index, value):
+    arrays = s.barrier_arrays.copy()
+    arrays[row, index] = value
+    return LayeredStructure(s.v_left, s.v_right, s.span, arrays)
+
+
+def _superlattice(periods=16):
+    # ABAB...: a 3-high unit barrier and a 5-high half-unit one, 2 apart
+    n = 2 * periods
+    centers = 1.0 + 2.0 * np.arange(n)
+    return LayeredStructure(0.0, 0.0, 2.0 * n, np.array(
+        [np.tile([3.0, 5.0], periods), np.tile([1.0, 0.5], periods), centers]))
+
+
+DISTINCT_CASES = {
+    "lattice": _lattice(),
+    "one-height-changed": _edited(_lattice(), 0, 17, 3.5),
+    "one-barrier-moved": _edited(_lattice(), 2, 17, 35.3),
+    "superlattice": _superlattice(),
+    "mirrored-lattice": mirror_structure(_lattice(63)),
+    "random-chain": random_structure(np.random.default_rng(5), max_barriers=12)[0],  # 8, unlike
+    "no-barriers": LayeredStructure(0.0, 0.0, 4.0, ()),
+}
+
+
+class TestDistinctBarriersAndGaps:
+    """all_barrier_amplitudes evaluates the formula once per distinct barrier and
+    gap; its outputs are bitwise those of the formula on every segment."""
+
+    @pytest.mark.parametrize("name", list(DISTINCT_CASES))
+    @pytest.mark.parametrize("energy", [
+        # below 3, between 3 and 5 and above 5: evanescent and propagating mixed
+        np.array([[0.7, 2.9, 3.1], [4.6, 5.2, 9.4]]), 4.6,
+    ], ids=["mixed-array", "scalar"])
+    def test_bitwise_equal_to_per_segment_formula(self, name, energy):
+        s = DISTINCT_CASES[name]
+        w = compute_wavenumbers(s, energy)
+        got = all_barrier_amplitudes(w, s)
+        for x, y in zip(got, per_segment_amplitudes(w, s)):
+            assert x.shape == y.shape == np.shape(energy) + (s.n_barriers,)
+            assert np.array_equal(x, y)
+            assert x.flags.c_contiguous
+
+    def test_bitwise_equal_on_a_long_chain_and_a_wide_grid(self):
+        # arrays past numpy's temporary-reuse size, which changes the order of
+        # the complex products' operands, and the T and R the tree makes of them
+        s = _lattice(2000)
+        e = np.linspace(0.5, 12.0, 300)
+        e[degenerate_energies(s, e)] += 1e-9
+        w = compute_wavenumbers(s, e)
+        got, ref = all_barrier_amplitudes(w, s), per_segment_amplitudes(w, s)
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+            assert x.flags.c_contiguous
+        for x, y in zip(prefix_by_recurrence(got), prefix_by_recurrence(ref)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("s, distinct", [
+        (_lattice(2000), 1),
+        (_superlattice(), 2),
+        (_edited(_lattice(), 0, 17, 3.5), 2),
+        (DISTINCT_CASES["random-chain"], DISTINCT_CASES["random-chain"].n_barriers),
+    ], ids=["lattice-2000", "superlattice", "one-height-changed", "random-chain"])
+    def test_formula_runs_once_per_distinct_barrier(self, monkeypatch, s, distinct):
+        shapes = []
+
+        def recording(k0, kn, width):
+            shapes.append(np.shape(kn))
+            return _factored_barrier(k0, kn, width)
+
+        monkeypatch.setattr(amplitudes, "_factored_barrier", recording)
+        all_barrier_amplitudes(compute_wavenumbers(s, np.array([2.0, 4.6, 6.1, 7.3])), s)
+        assert shapes == [(4, distinct)]
 
 
 class TestPrefixSequences:

@@ -527,6 +527,49 @@ def test_oracle_check_on_far_evanescent_barriers(source, energy, s):
     assert "tolerance 1e-09" in proc.stdout
 
 
+# A zero-height barrier, so that k0 |k_n| = eps: at 1e-310 and 5e-324 that lies
+# below 0.5/DBL_MAX, where the barrier formula's 1/(2 k_n k0) overflows.
+TINY_ENERGY_BARRIER = json.dumps({"v_left": 0, "v_right": 0, "span": 3, "barriers": [
+    {"height": 0, "width": 1, "center": 1.5}]})
+
+
+@pytest.mark.parametrize("energy", ["1e-310", "5e-324"])
+def test_tiny_energy_is_degenerate_for_every_command(tmp_path, energy):
+    # the energy rule treats it as k = 0: sweep nudges the point and exits 0,
+    # wavefunction and oracle-check exit 3 with the gate's one line, and no
+    # numpy RuntimeWarning reaches stderr
+    out = tmp_path / "sweep.csv"
+    proc = run_fresh("sweep", "--structure", "-", f"--energy-range={energy}:1:3",
+                     "--out", str(out), stdin=TINY_ENERGY_BARRIER)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert rows[0, 0] == float(energy) and np.isfinite(rows).all()
+    for argv in (["wavefunction", "--out", str(tmp_path / "wf.csv")], ["oracle-check"]):
+        proc = run_fresh(*argv, "--structure", "-", f"--energy={energy}",
+                         stdin=TINY_ENERGY_BARRIER)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == [
+            f"error: energy {float(energy)} makes k = 0 in a gap or a barrier, "
+            "where the plane waves are degenerate; nudge the energy"]
+    assert not (tmp_path / "wf.csv").exists()
+
+
+def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
+    # at 1e-308, k0 |k_n| = 1e-308 > 0.5/DBL_MAX: every command solves there,
+    # and sweep keeps the point where it is
+    f = tmp_path / "s.json"
+    f.write_text(TINY_ENERGY_BARRIER)
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "sweep", "--structure", str(f),
+                           "--energy-range=1e-308:1:3", "--nudge", "0", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert np.loadtxt(str(out), delimiter=",", skiprows=1)[0].tolist() == [1e-308, 1.0, 0.0]
+    for argv in (["wavefunction", "--out", str(out)], ["oracle-check"]):
+        code, stdout, err = run_cli(capsys, *argv, "--structure", str(f), "--energy=1e-308")
+        assert (code, err) == (0, "")
+    assert stdout.startswith("max relative discrepancy")
+
+
 @pytest.mark.parametrize("options, message", [
     (["--x-min=-1e308", "--x-max", "1e308"],
      "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),

@@ -18,7 +18,7 @@ from layerscatter import (
 )
 from layerscatter import scenarios
 from layerscatter.cli import parse_structure
-from layerscatter.structure import off_degenerate
+from layerscatter.structure import TINY_ENERGY, degenerate_energies, off_degenerate
 
 from conftest import random_structure, reference_validate, serialize_structure
 
@@ -152,6 +152,34 @@ class TestWavenumbers:
         # the degenerate points 0 and 1e8 move, 2 stays put
         e = np.array([0.0, 1e8, 2.0])
         assert off_degenerate(make([Barrier(1e8, 1, 1)]), e, nudge).tolist() == [nudge, moved, 2.0]
+
+
+    def test_tiny_energies_where_the_barrier_kernel_overflows_are_degenerate(self):
+        # exactly where 0.5 / (|k_n| k0) of amplitudes._factored_barrier passes
+        # the largest double, k_n = 0 included; a negative energy is left to
+        # the gate's own EvanescentGapError
+        heights = [0.0, 1e-310, -1e-300, 3.0, 5e-324]
+        s = make([Barrier(h, 0.5, 0.5 + i) for i, h in enumerate(heights)], span=6.0)
+        q = 0.5 / np.finfo(float).max
+        e = np.concatenate(([q, np.nextafter(q, 1.0), 1e-308, TINY_ENERGY],
+                            np.geomspace(5e-324, 1e-296, 500), heights[1:2] + heights[4:]))
+        w = compute_wavenumbers(s, e)
+        with np.errstate(divide="ignore", over="ignore"):
+            overflows = np.isinf(0.5 / ((w.k_barrier.real + w.k_barrier.imag) * w.k_gap.real[:, None]))
+        flagged = degenerate_energies(s, e)
+        assert flagged.tolist() == overflows.any(axis=-1).tolist()
+        assert flagged.any() and not flagged[e >= 1e-308].any()
+        # under a zero-height barrier k0 |k_n| = eps: 0.5/eps overflows up to q
+        zero = make([Barrier(0.0, 1.0, 2.0)])
+        assert degenerate_energies(zero, e[:3]).tolist() == [True, False, False]
+        assert degenerate_energies(zero, 1e-310) and not degenerate_energies(zero, -1e-310)
+
+    def test_no_energy_from_the_tiny_bound_on_can_overflow_the_kernel(self):
+        # |eps - u| >= ulp(eps)/2 wherever they differ, so from TINY_ENERGY on
+        # k0 |k_n| stays above 0.5/DBL_MAX and no barrier needs the check
+        e = np.geomspace(TINY_ENERGY, 1e-200, 2000)
+        for u in (np.nextafter(e, 0.0), np.nextafter(e, 1.0)):
+            assert (np.sqrt(e) * np.sqrt(np.abs(e - u)) > 2.0 * 0.5 / np.finfo(float).max).all()
 
 
 class TestMirror:
