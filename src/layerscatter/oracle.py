@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structure import (
-    DegenerateWavenumberError,
     LayeredStructure,
     check_energy,
     compute_wavenumbers,
-    degenerate_energies,
     region_origins,
     region_wavenumbers,
 )
@@ -93,10 +91,10 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
     origins o+- from :func:`region_origins`, in their columns 2i - 1 .. 2i + 2.
     Column -1, the incident wave, goes to the rhs; column 4N + 4, the right
     medium's e^{-ikx}, is absent and never exponentiated, as it may overflow.
+    Raises what :func:`check_energy` raises for an energy it does not admit.
     """
+    check_energy(s, energy)
     w = compute_wavenumbers(s, energy)
-    if degenerate_energies(s, energy):
-        raise DegenerateWavenumberError("k = 0 in a region: the matching system is singular")
     x = s.interface_points()
     ik = 1j * region_wavenumbers(w)
     op, om = region_origins(s)
@@ -188,10 +186,9 @@ def compare_with_pipeline(s: LayeredStructure, energy: float):
     scaled by its own largest oracle magnitude, floored at 1, so a large
     t_full cannot hide an error in the barrier coefficients.
     Returns (max_relative_discrepancy, oracle condition estimate,
-    oracle residual).  The energy gate runs first, so a refused energy gets
-    the message every other command prints.
+    oracle residual).  The oracle's assembly runs the energy gate first, so a
+    refused energy gets the message every other command prints.
     """
-    check_energy(s, energy)
     ora = oracle_solution(s, energy)
     sol = solve_structure(s, energy)
     families = [(ora.r_full, sol.embedded.r_full), (ora.t_full, sol.embedded.t_full),

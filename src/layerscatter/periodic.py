@@ -138,11 +138,7 @@ def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL)
     Raises what :func:`check_energy` raises for an energy it does not admit.
     """
     check_energy(lat.cell, energy)
-    return _phase(energy, float(_cos_beta(lat, energy)), edge_tol)
-
-
-def _phase(energy: float, c: float, edge_tol: float = EDGE_TOL) -> BlochPhase:
-    """The :class:`BlochPhase` of cos beta = ``c``."""
+    c = float(_cos_beta(lat, energy))
     label = str(_classify(c, edge_tol))
     if label == "edge":
         beta = complex(0.0 if c > 0 else math.pi, 0.0)
@@ -187,12 +183,12 @@ def closed_form_prefix(lat: PeriodicLattice, energy: float, n: int):
     few periods short of it: sinh(n Im beta)/sinh(Im beta) can overflow
     before |1/T_n| does.
     """
-    check_energy(lat.cell, energy)
+    phase = bloch_phase(lat, energy)
     gamma, r_over_t1, k0 = _period(lat, energy)
     if not cmath.isfinite(gamma):  # one period's t underflowed, and so does T_n
         return (complex(math.inf, math.inf),) * 2
     try:
-        cos_n, ratio = _chebyshev_pair(_phase(energy, float(gamma.real)), n)
+        cos_n, ratio = _chebyshev_pair(phase, n)
     except OverflowError:  # cosh(n Im beta), and with it |1/T_n|
         cos_n = ratio = math.inf
     k0a = k0 * lat.period
@@ -259,7 +255,6 @@ def band_scan(
     grid = np.linspace(e_min, e_max, n_pts)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
-    check_energy(lat.cell, energies)
 
     # Every point, grid or bisected, lies at or above ENERGY_FLOOR and is
     # moved off k = 0, where cos beta is continuous, so it needs no check.
