@@ -53,6 +53,7 @@ from .structure import (
     WaveNumberSet,
     check_energy,
     compute_wavenumbers,
+    region_lengths,
 )
 
 
@@ -126,8 +127,8 @@ def _spread(x, distinct):
 
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
     """(t, r, r') of every segment, gap n and then barrier n, over a zero
-    background, arrays whose last axis is the barrier.  The gaps come from centre
-    differences, which neighbours give nearly exactly wherever they sit.
+    background, arrays whose last axis is the barrier.  The gaps are those of
+    :func:`region_lengths`, the oracle's and the barrier coefficients' too.
 
     t_b = e^{-m}/c and r_b = i B s/c come from :func:`_factored_barrier` once per
     distinct (height, width) and the gap phase e^{i k0 g}, the one complex
@@ -135,8 +136,8 @@ def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
     the segments, so each segment gets the bits its own evaluation would give.
     A thick barrier's t_b underflows to 0.
     """
-    heights, widths, centers = s.barrier_arrays
-    gaps = np.diff(centers, prepend=0.0) - (widths + np.append(0.0, widths[:-1])) / 2.0
+    heights, widths, _ = s.barrier_arrays
+    gaps = region_lengths(s)[1:-2:2]
     k0 = np.asarray(w.k_gap).real[..., None]
     kn = w.k_barrier
     barriers, distinct_gaps = _distinct(widths, heights), _distinct(gaps)

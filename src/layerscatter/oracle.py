@@ -1,7 +1,9 @@
 """Brute-force verifier: banded solve of the full boundary-matching system.
 
-Independent of the star-product pipeline, with which it shares only
-the region layout of :func:`~layerscatter.structure.region_wavenumbers`:
+Independent of the star-product pipeline, with which it shares only the
+energy rule of :func:`~layerscatter.structure.check_energy`, the region
+layout of :func:`~layerscatter.structure.region_wavenumbers` and the region
+lengths of :func:`~layerscatter.structure.region_lengths`:
 it writes out value and derivative continuity of the piecewise plane-wave
 ansatz at every interface and solves the resulting (4N+4)-square complex
 system directly.  Each interface's two rows touch only the four unknowns of
@@ -11,7 +13,10 @@ assembled straight into LAPACK band storage and solved by banded LU
 A barrier's columns start at its own edges, a gap's at its left end and T's
 at the span, as the solver's waves do, so no entry passes max |k| in modulus,
 no exponential can overflow, no column shrinks with the span and no gap
-column carries a phase of the gap's position.  The one-norm condition
+column carries a phase of the gap's position.  Every offset x - o within a
+region is read from the region lengths, not taken as a difference of rounded
+edges, so the oracle and the solver measure each gap alike, however far from
+the origin it lies.  The one-norm condition
 number is estimated from the band LU factors (LAPACK zgbcon) and reported so
 callers can relax comparison tolerances in deep-tunneling regimes.  zgbcon
 is the next limit on large N: its scaled triangular solves (zlatbs) make it
@@ -29,7 +34,7 @@ from .structure import (
     LayeredStructure,
     check_energy,
     compute_wavenumbers,
-    region_origins,
+    region_lengths,
     region_wavenumbers,
 )
 from .wavefunction import solve_structure
@@ -87,31 +92,34 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
     """Two rows (value, derivative) per interface of the piecewise ansatz.
 
     Interface i joins regions i and i + 1: rows 2i and 2i + 1 hold the 2x4
-    block of +-e^{+-ik(x - o+-)} and +-ik e^{+-ik(x - o+-)}, with each region's
-    origins o+- from :func:`region_origins`, in their columns 2i - 1 .. 2i + 2.
+    block of +-e^{+-ik(x - o+-)} and +-ik e^{+-ik(x - o+-)}, with the origins o+-
+    of :func:`region_origins`, in their columns 2i - 1 .. 2i + 2.  Each x - o+-
+    comes from :func:`region_lengths`, not from a difference of edges: a region's
+    length at its right end and 0 at its left end, except that a barrier's
+    e^{-ikx}, which starts at x_R, reads 0 there and -w at x_L.
     Column -1, the incident wave, goes to the rhs; column 4N + 4, the right
     medium's e^{-ikx}, is absent and never exponentiated, as it may overflow.
     Raises what :func:`check_energy` raises for an energy it does not admit.
     """
     check_energy(s, energy)
-    w = compute_wavenumbers(s, energy)
-    x = s.interface_points()
-    ik = 1j * region_wavenumbers(w)
-    op, om = region_origins(s)
+    ik = 1j * region_wavenumbers(compute_wavenumbers(s, energy))
+    plus = region_lengths(s)  # x - o+ at each region's right end
+    minus_right, minus_left = plus.copy(), np.zeros_like(plus)  # x - o- at either end
+    minus_right[2:-1:2], minus_left[2:-1:2] = 0.0, -plus[2:-1:2]
     ik_l, ik_r = ik[:-1], ik[1:]
-    block = np.zeros((x.size, 2, 4), dtype=complex)
-    block[:, 0, 0] = np.exp(ik_l * (x - op[:-1]))
-    block[:, 0, 1] = np.exp(-ik_l * (x - om[:-1]))
-    block[:, 0, 2] = -np.exp(ik_r * (x - op[1:]))
-    block[:-1, 0, 3] = -np.exp(-ik_r[:-1] * (x[:-1] - om[1:-1]))
+    block = np.zeros((ik_l.size, 2, 4), dtype=complex)
+    block[:, 0, 0] = np.exp(ik_l * plus[:-1])
+    block[:, 0, 1] = np.exp(-ik_l * minus_right[:-1])
+    block[:, 0, 2] = -1.0  # e^{ik(x - o+)} at the right region's left end
+    block[:-1, 0, 3] = -np.exp(-ik_r[:-1] * minus_left[1:-1])
     block[:, 1] = block[:, 0] * np.column_stack((ik_l, -ik_l, ik_r, -ik_r))
 
-    i = np.arange(x.size)[:, None, None]
+    i = np.arange(ik_l.size)[:, None, None]
     rows, cols = np.broadcast_arrays(2 * i + np.arange(2)[:, None], 2 * i - 1 + np.arange(4))
-    inside = (cols >= 0) & (cols < 2 * x.size)
-    band = np.zeros((2 * KL + KU + 1, 2 * x.size), dtype=complex)
+    inside = (cols >= 0) & (cols < 2 * ik_l.size)
+    band = np.zeros((2 * KL + KU + 1, 2 * ik_l.size), dtype=complex)
     band[_DIAG + rows[inside] - cols[inside], cols[inside]] = block[inside]
-    rhs = np.zeros(2 * x.size, dtype=complex)
+    rhs = np.zeros(2 * ik_l.size, dtype=complex)
     rhs[:2] = -block[0, :, 0]
     return MatchingSystem(band=band, rhs=rhs)
 

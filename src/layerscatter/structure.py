@@ -129,13 +129,30 @@ def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
     return k
 
 
+def region_lengths(s: LayeredStructure) -> np.ndarray:
+    """Length of all 2N+3 regions, laid out as :func:`region_wavenumbers`: 0 for
+    the two media, each barrier's width as stored, gap n <= N from centre
+    differences, (c_n - c_{n-1}) - (w_n + w_{n-1})/2, which neighbours give nearly
+    exactly wherever they sit, and gap N+1 = span - x_R(N).  The solver's segments
+    and barrier coefficients and the oracle's matching system all take their
+    distances within a region from here, so they measure one geometry."""
+    _, widths, centers = s.barrier_arrays
+    length = np.zeros(2 * widths.size + 3)
+    length[1:-2:2] = np.diff(centers, prepend=0.0) - (widths + np.append(0.0, widths[:-1])) / 2.0
+    length[2:-1:2] = widths
+    length[-2] = s.span - (centers[-1] + widths[-1] / 2.0) if widths.size else s.span
+    return length
+
+
 def region_origins(s: LayeredStructure) -> np.ndarray:
     """(o+, o-) of all 2N+3 regions, laid out as :func:`region_wavenumbers`, for
     psi = c+ e^{ik(x - o+)} + c- e^{-ik(x - o-)}.  A barrier's waves start at its
     own edges, o+ = x_L and o- = x_R, so neither passes modulus 1 inside it (Li,
     JOSA A 13, 1024 (1996)); a gap's waves start at its left end, where the
     chain's segments meet, so a_n and b_n carry no phase of the gap's position;
-    T's at the span, so T carries no e^{kappa span}; the left medium's, and R's, at 0."""
+    T's at the span, so T carries no e^{kappa span}; the left medium's, and R's, at 0.
+    psi sampling places its waves by these; distances within a region come from
+    :func:`region_lengths`."""
     x = s.interface_points()
     o = np.zeros((2, x.size + 1))
     o[:, 1:-1:2] = x[0:-1:2]
@@ -275,8 +292,9 @@ def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:
 def check_energy(s: LayeredStructure, energy) -> None:
     """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
     order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
-    DegenerateWavenumberError where :func:`degenerate_energies` is set,
-    ArithmeticError for eps <= V1 (no incident wave)."""
+    DegenerateWavenumberError where :func:`degenerate_energies` is set, with a
+    line of its own for a tiny energy where no k is 0, and ArithmeticError for
+    eps <= V1 (no incident wave)."""
     e = _finite_energy(energy).ravel()
     bad = e[e < 0]
     if bad.size:
@@ -286,10 +304,12 @@ def check_energy(s: LayeredStructure, energy) -> None:
         )
     bad = e[degenerate_energies(s, e)]
     if bad.size:
-        raise DegenerateWavenumberError(
-            f"energy {bad[0]} makes k = 0 in a gap or a barrier, "
-            "where the plane waves are degenerate; nudge the energy"
-        )
+        if bad[0] == 0.0 or (bad[0] == s.barrier_arrays[0]).any():
+            cause = "makes k = 0 in a gap or a barrier, where the plane waves are degenerate"
+        else:
+            cause = ("is so small that k0 |k_n| <= 0.5/DBL_MAX in a barrier, "
+                     "where the barrier formula's 1/(2 k_n k0) overflows")
+        raise DegenerateWavenumberError(f"energy {bad[0]} {cause}; nudge the energy")
     bad = e[e <= s.v_left]
     if bad.size:
         raise ArithmeticError(

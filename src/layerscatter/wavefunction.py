@@ -18,7 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
-from .structure import LayeredStructure, WaveNumberSet, region_origins, region_wavenumbers
+from .structure import (
+    LayeredStructure,
+    WaveNumberSet,
+    region_lengths,
+    region_origins,
+    region_wavenumbers,
+)
 
 MAX_GRID_POINTS = 10**7  # the most samples a grid may hold: 4 float64 columns, 320 MB
 
@@ -82,10 +88,9 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
     No exponential of k_n is taken, so nothing grows however opaque the barrier.
     """
     k0 = w.k_gap
-    o = region_origins(s)  # x_L - p_n in row 0, x_R - p_{n+1} = 0 in row 1
-    x = o[:, 2:-1:2] - np.array((o[0, 1:-2:2], o[0, 3:-1:2]))
-    ap = np.array((a[:-1], a[1:])) * np.exp(1j * k0 * x)
-    bm = np.array((b[:-1], b[1:])) * np.exp(-1j * k0 * x)
+    g = region_lengths(s)[1:-2:2]  # x_L - p_n, and x_R - p_{n+1} = 0
+    ap = np.array((a[:-1] * np.exp(1j * k0 * g), a[1:]))
+    bm = np.array((b[:-1] * np.exp(-1j * k0 * g), b[1:]))
     c, d = (ap + bm + [[1.0], [-1.0]] * (k0 / w.k_barrier) * (ap - bm)) / 2
     return tuple(c.tolist()), tuple(d.tolist())
 

@@ -535,9 +535,10 @@ TINY_ENERGY_BARRIER = json.dumps({"v_left": 0, "v_right": 0, "span": 3, "barrier
 
 @pytest.mark.parametrize("energy", ["1e-310", "5e-324"])
 def test_tiny_energy_is_degenerate_for_every_command(tmp_path, energy):
-    # the energy rule treats it as k = 0: sweep nudges the point and exits 0,
-    # wavefunction and oracle-check exit 3 with the gate's one line, and no
-    # numpy RuntimeWarning reaches stderr
+    # the energy rule refuses it as it refuses k = 0, with a line that names
+    # its own cause: sweep nudges the point and exits 0, wavefunction and
+    # oracle-check exit 3 with the gate's one line, and no numpy
+    # RuntimeWarning reaches stderr
     out = tmp_path / "sweep.csv"
     proc = run_fresh("sweep", "--structure", "-", f"--energy-range={energy}:1:3",
                      "--out", str(out), stdin=TINY_ENERGY_BARRIER)
@@ -549,8 +550,9 @@ def test_tiny_energy_is_degenerate_for_every_command(tmp_path, energy):
                          stdin=TINY_ENERGY_BARRIER)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.splitlines() == [
-            f"error: energy {float(energy)} makes k = 0 in a gap or a barrier, "
-            "where the plane waves are degenerate; nudge the energy"]
+            f"error: energy {float(energy)} is so small that k0 |k_n| <= 0.5/DBL_MAX "
+            "in a barrier, where the barrier formula's 1/(2 k_n k0) overflows; "
+            "nudge the energy"]
     assert not (tmp_path / "wf.csv").exists()
 
 

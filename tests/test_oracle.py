@@ -25,36 +25,41 @@ from conftest import criterion_1_cases, random_structure
 
 def reference_matching_system(s, energy):
     """The matching system written out entry by entry: regions as (k, column
-    of c+, column of c-, origin of c+, origin of c-), one cmath exponential per
-    wave and interface.  A barrier's waves start at its own edges c -+ w/2, a
-    gap's at its left end and the transmitted wave at the span; the left
-    medium's at 0."""
+    of c+, column of c-, length, whether a barrier), one cmath exponential per
+    wave and interface.  x - o is a region's length at its right end and 0 at
+    its left end, but a barrier's e^{-ikx} starts at its right edge and reads
+    0 there and -w at its left edge.  Gap n is (c_n - c_{n-1}) - (w_n +
+    w_{n-1})/2 and the last gap span - (c_N + w_N/2); the media have length 0."""
     w = compute_wavenumbers(s, energy)
     size = 4 * s.n_barriers + 4
-    regions = [(w.k_left, [None, 0], 0.0, 0.0)]  # incident (fixed), R
-    col, gap_start = 1, 0.0
+    regions = [(w.k_left, [None, 0], 0.0, False)]  # incident (fixed), R
+    col, prev_center, prev_width = 1, 0.0, 0.0
     for n, (_, width, center) in enumerate(s.barrier_arrays.T.tolist()):
-        regions.append((w.k_gap, [col, col + 1], gap_start, gap_start))
-        regions.append((w.k_barrier[n], [col + 2, col + 3],
-                        center - width / 2, center + width / 2))
-        gap_start = center + width / 2
+        gap = (center - prev_center) - (width + prev_width) / 2.0
+        regions.append((w.k_gap, [col, col + 1], gap, False))
+        regions.append((w.k_barrier[n], [col + 2, col + 3], width, True))
+        prev_center, prev_width = center, width
         col += 4
-    regions.append((w.k_gap, [col, col + 1], gap_start, gap_start))
-    regions.append((w.k_right, [col + 2, None], s.span, 0.0))  # T, no leftward wave
+    last = s.span - (prev_center + prev_width / 2.0) if s.n_barriers else s.span
+    regions.append((w.k_gap, [col, col + 1], last, False))
+    regions.append((w.k_right, [col + 2, None], 0.0, False))  # T, no leftward wave
     mat = np.zeros((size, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)
-    for i, x in enumerate(s.interface_points()):
-        for (k, (cp, cm), op, om), sign in ((regions[i], 1.0), (regions[i + 1], -1.0)):
-            plus = cmath.exp(1j * k * (x - op))
-            minus = cmath.exp(-1j * k * (x - om))
+    for i in range(size // 2):
+        left, right = regions[i], regions[i + 1]
+        ends = ((left, left[2], 0.0 if left[3] else left[2], 1.0),  # its right end
+                (right, 0.0, -right[2] if right[3] else 0.0, -1.0))  # its left end
+        for (k, (cp, cm), _, _), x_op, x_om, sign in ends:
+            plus = cmath.exp(1j * k * x_op)
+            minus = cmath.exp(-1j * k * x_om)
             if cp is not None:
                 mat[2 * i, cp] += sign * plus
                 mat[2 * i + 1, cp] += sign * 1j * k * plus
             if cm is not None:
                 mat[2 * i, cm] += sign * minus
                 mat[2 * i + 1, cm] += sign * (-1j) * k * minus
-        if i == 0:  # the incident unit wave lives in the left medium
-            plus = cmath.exp(1j * w.k_left * x)
+        if i == 0:  # the incident unit wave lives in the left medium, e^{ik x} at x = 0
+            plus = cmath.exp(1j * w.k_left * 0.0)
             rhs[0] -= plus
             rhs[1] -= 1j * w.k_left * plus
     return mat, rhs
@@ -270,3 +275,16 @@ class TestPipelineEquivalence:
         with mock.patch("layerscatter.oracle.solve_structure", skewed):
             worst, _, _ = compare_with_pipeline(s, energy)
         assert worst > 1e-3
+
+
+class TestTranslation:
+    @pytest.mark.parametrize("x0", [0.0, 31.0, 1000.0, 1e5])
+    def test_cavity_agreement_does_not_drift_with_position(self, x0):
+        # the high-finesse cavity of test_amplitudes' TestTranslation: two
+        # 1e6-high barriers 0.08 apart, moved to x0.  The oracle and the
+        # pipeline measure every gap alike, so k0 = 1000 meets no gap that
+        # the two sides round apart
+        s = LayeredStructure(0.0, 121.0, x0 + 5.92, np.array(
+            [[1e6, 1e6], [3.84, 1.0], [x0 + 0.5 + 3.84 / 2, x0 + 4.42 + 0.5]]))
+        worst, _, _ = compare_with_pipeline(s, 1e6 + 0.351)
+        assert worst <= 1e-12

@@ -11,14 +11,27 @@ from layerscatter import (
     LayeredStructure,
     PeriodicLattice,
     StructureError,
+    assemble_matching_system,
+    bloch_phase,
     branch_sqrt,
+    closed_form_prefix,
+    compare_with_pipeline,
     compute_wavenumbers,
     mirror_structure,
+    oracle_solution,
+    solve_structure,
     validate_structure,
 )
+from layerscatter.amplitudes import scattering_amplitudes
 from layerscatter import scenarios
 from layerscatter.cli import parse_structure
-from layerscatter.structure import TINY_ENERGY, degenerate_energies, off_degenerate
+from layerscatter.structure import (
+    TINY_ENERGY,
+    DegenerateWavenumberError,
+    check_energy,
+    degenerate_energies,
+    off_degenerate,
+)
 
 from conftest import random_structure, reference_validate, serialize_structure
 
@@ -346,3 +359,55 @@ class TestValueSemantics:
     def test_rejects_misshapen_arrays(self):
         with pytest.raises(ValueError):
             LayeredStructure(0.0, 0.0, 4.0, np.ones((2, 3)))
+
+
+class TestOneEnergyRule:
+    # Every entry point that solves refuses an energy with check_energy's own
+    # exception type and line; a lattice's entry points with those of its cell.
+    S = LayeredStructure(1.0, 0.0, 4.0, np.array([[0.0, 3.0], [1.0, 0.5], [1.0, 2.5]]))
+    ENERGIES = [math.nan, -1.0, 0.0, 3.0, 1e-310, 0.5, 1.0]  # 3.0: a height; 1.0: V1
+    IDS = ["nan", "negative", "zero", "height", "tiny", "below-v1", "at-v1"]
+
+    @staticmethod
+    def assert_refused_as_the_rule(expect, call):
+        with pytest.raises(Exception) as rule:
+            expect()
+        with pytest.raises(Exception) as got:
+            call()
+        assert (type(got.value), str(got.value)) == (type(rule.value), str(rule.value))
+
+    @pytest.mark.parametrize("energy", ENERGIES, ids=IDS)
+    @pytest.mark.parametrize("entry", [
+        assemble_matching_system, oracle_solution, compare_with_pipeline,
+        scattering_amplitudes, solve_structure], ids=lambda f: f.__name__)
+    def test_structure_entry_points(self, entry, energy):
+        self.assert_refused_as_the_rule(lambda: check_energy(self.S, energy),
+                                        lambda: entry(self.S, energy))
+
+    @pytest.mark.parametrize("lat, energy", [
+        (PeriodicLattice(3.0, 1.0, 2.0), math.nan),
+        (PeriodicLattice(3.0, 1.0, 2.0), -1.0),
+        (PeriodicLattice(3.0, 1.0, 2.0), 0.0),
+        (PeriodicLattice(3.0, 1.0, 2.0), 3.0),
+        (PeriodicLattice(0.0, 1.0, 2.0), 1e-310),
+    ], ids=["nan", "negative", "zero", "height", "tiny"])
+    @pytest.mark.parametrize("entry", [bloch_phase, lambda lat, e: closed_form_prefix(lat, e, 5)],
+                             ids=["bloch_phase", "closed_form_prefix"])
+    def test_lattice_entry_points(self, entry, lat, energy):
+        self.assert_refused_as_the_rule(lambda: check_energy(lat.cell, energy),
+                                        lambda: entry(lat, energy))
+
+    def test_tiny_energy_names_its_own_cause(self):
+        # no k is 0 at 1e-310 under a zero-height barrier, only k0 |k_n| is tiny;
+        # 0 and a barrier height keep the k = 0 line
+        lines = {}
+        for e in (1e-310, 0.0, 3.0):
+            with pytest.raises(DegenerateWavenumberError) as info:
+                check_energy(self.S, e)
+            lines[e] = str(info.value)
+        assert lines[1e-310] == (
+            "energy 1e-310 is so small that k0 |k_n| <= 0.5/DBL_MAX in a barrier, "
+            "where the barrier formula's 1/(2 k_n k0) overflows; nudge the energy")
+        for e in (0.0, 3.0):
+            assert lines[e] == (f"energy {e} makes k = 0 in a gap or a barrier, "
+                                "where the plane waves are degenerate; nudge the energy")
