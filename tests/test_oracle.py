@@ -24,32 +24,32 @@ from conftest import criterion_1_cases, random_structure
 
 
 def reference_matching_system(s, energy):
-    """The matching system written out entry by entry: regions as (k, column
-    of c+, column of c-, length, whether a barrier), one cmath exponential per
-    wave and interface.  x - o is a region's length at its right end and 0 at
-    its left end, but a barrier's e^{-ikx} starts at its right edge and reads
-    0 there and -w at its left edge.  Gap n is (c_n - c_{n-1}) - (w_n +
-    w_{n-1})/2 and the last gap span - (c_N + w_N/2); the media have length 0."""
+    """The matching system written out entry by entry: regions as (k, columns
+    of c+ and c-, (x - o+, x - o-) at the region's left end and at its right
+    end), one cmath exponential per wave and interface.  x - o is a region's
+    length at its right end and 0 at its left end, but a barrier's e^{-ikx}
+    starts at its right edge and reads 0 there and -w at its left edge.  Gap n
+    is (c_n - c_{n-1}) - (w_n + w_{n-1})/2 and the last gap span - (c_N +
+    w_N/2); the media have length 0."""
     w = compute_wavenumbers(s, energy)
     size = 4 * s.n_barriers + 4
-    regions = [(w.k_left, [None, 0], 0.0, False)]  # incident (fixed), R
+    regions = [(w.k_left, [None, 0], None, (0.0, 0.0))]  # incident (fixed), R
     col, prev_center, prev_width = 1, 0.0, 0.0
     for n, (_, width, center) in enumerate(s.barrier_arrays.T.tolist()):
         gap = (center - prev_center) - (width + prev_width) / 2.0
-        regions.append((w.k_gap, [col, col + 1], gap, False))
-        regions.append((w.k_barrier[n], [col + 2, col + 3], width, True))
+        regions.append((w.k_gap, [col, col + 1], (0.0, 0.0), (gap, gap)))
+        regions.append((w.k_barrier[n], [col + 2, col + 3], (0.0, -width), (width, 0.0)))
         prev_center, prev_width = center, width
         col += 4
     last = s.span - (prev_center + prev_width / 2.0) if s.n_barriers else s.span
-    regions.append((w.k_gap, [col, col + 1], last, False))
-    regions.append((w.k_right, [col + 2, None], 0.0, False))  # T, no leftward wave
+    regions.append((w.k_gap, [col, col + 1], (0.0, 0.0), (last, last)))
+    regions.append((w.k_right, [col + 2, None], (0.0, 0.0), None))  # T, no leftward wave
     mat = np.zeros((size, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)
-    for i in range(size // 2):
-        left, right = regions[i], regions[i + 1]
-        ends = ((left, left[2], 0.0 if left[3] else left[2], 1.0),  # its right end
-                (right, 0.0, -right[2] if right[3] else 0.0, -1.0))  # its left end
-        for (k, (cp, cm), _, _), x_op, x_om, sign in ends:
+    for i in range(size // 2):  # interface i: region i's right end, region i + 1's left end
+        (k_l, cols_l, _, at_right), (k_r, cols_r, at_left, _) = regions[i], regions[i + 1]
+        for k, (cp, cm), (x_op, x_om), sign in ((k_l, cols_l, at_right, 1.0),
+                                                (k_r, cols_r, at_left, -1.0)):
             plus = cmath.exp(1j * k * x_op)
             minus = cmath.exp(-1j * k * x_om)
             if cp is not None:
@@ -58,7 +58,7 @@ def reference_matching_system(s, energy):
             if cm is not None:
                 mat[2 * i, cm] += sign * minus
                 mat[2 * i + 1, cm] += sign * (-1j) * k * minus
-        if i == 0:  # the incident unit wave lives in the left medium, e^{ik x} at x = 0
+        if i == 0:  # the incident unit wave lives in the left medium, e^{ikx} at x = 0
             plus = cmath.exp(1j * w.k_left * 0.0)
             rhs[0] -= plus
             rhs[1] -= 1j * w.k_left * plus
