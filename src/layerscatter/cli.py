@@ -42,7 +42,42 @@ EXIT_DEGENERATE = 3
 EXIT_ORACLE = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a process killed by the signal reports
 
-CSV_BLOCK_ROWS = 4096  # rows formatted by one % in _write_csv
+CSV_BLOCK_ROWS = 2048  # rows formatted by one % in _write_csv
+# Blocks of at least this many rows write their %.17g columns from integers
+# (_integer_block); on shorter ones numpy's cost per call exceeds the saving
+# (the crossover measured on 3- and 4-column tables).
+CSV_INTEGER_ROWS = 200
+
+# 10**p for p = 0..22, every one an exact double; 10**k as int64 for k = 0..18
+# (0 past it, where the integer part is 0); _FRACTION_BOUND[w] = 10**(w-1),
+# the least w-digit fraction without a leading zero (0 for w = 0).
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+_INT_POW10 = np.array([10 ** k for k in range(19)] + [0] * 4, dtype=np.int64)
+_FRACTION_BOUND = np.array([0] + [10 ** min(w - 1, 18) for w in range(1, 23)],
+                           dtype=np.int64)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double as two 26-bit halves
+
+
+def _cell_kinds():
+    """(spec, takes the integer part, takes the fraction) of each cell kind.
+
+    Kind 0 is ``%.17g`` with the value itself; kind 1 + 31 * (x < 0) + k
+    is, for k = 0..30: ``%d`` (no fraction), ``%d.%d``, ``%d.%0{w}d`` (w
+    fraction digits, the first a zero) for k = w + 1; ``0.`` and -X - 1
+    zeros before the digits for X = -1..-4 (k = 17 - X); and the integer
+    part d = 1..9 written out for X = 0 (k = 21 + d)."""
+    kinds = [("%d", True, False), ("%d.%d", True, True)]
+    kinds += [(f"%d.%0{w}d", True, True) for w in range(1, 17)]
+    kinds += [(f"0.{'0' * z}%d", False, True) for z in range(4)]
+    kinds += [(f"{d}.%d", False, True) for d in range(1, 10)]
+    return [("%.17g", True, False)] + [
+        (sign + spec, whole, fraction) for sign in ("", "-") for spec, whole, fraction in kinds]
+
+
+_CELL_KINDS = _cell_kinds()
+_CELL_SPECS = {sep: np.array([spec + sep for spec, _, _ in _CELL_KINDS], dtype=object)
+               for sep in (",", "\n")}
+_TAKES_WHOLE, _TAKES_FRACTION = np.array([kind[1:] for kind in _CELL_KINDS]).T
 
 
 def parse_structure(text: str) -> LayeredStructure:
@@ -122,23 +157,129 @@ def _load_structure(args) -> LayeredStructure:
     return s
 
 
+def _integer_cells(v: np.ndarray):
+    """``'%.17g' % x`` for each x of the float64 array ``v``, as integers.
+
+    Returns (kind, whole, fraction): the cell is ``_CELL_SPECS[sep][kind]``
+    applied to those of the integer part ``whole`` and the digits
+    ``fraction`` that ``_TAKES_WHOLE`` and ``_TAKES_FRACTION`` name, or, for
+    kind 0, to x itself.  For 1e-4 <= |x| < 1e17 ``%.17g`` writes fixed
+    notation: the 17 significant digits N = round(|x| 10**p), p = 16 - X,
+    X = floor(log10 |x|), of which the last p follow the point, trailing
+    zeros dropped.  10**p is an exact double, so Dekker's two-product gives
+    |x| 10**p exactly as hi + lo, hi a double >= 2**53 and so an even
+    integer, and N = hi + rint(lo): rint breaks a tie (lo ending in exactly
+    .5) to even as ``%.17g`` does.  Kind 0 takes zero, non-finite values,
+    scientific notation and an N outside [10**16, 10**17), where np.log10
+    misjudged X.  No rounding carries into the integer part, which is
+    floor(|x|): a double lies farther from an integer than half the 17th
+    digit.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    p = np.maximum(16.0 - np.floor(np.log10(a)), 0).astype(np.intp)
+    s = _POW10[p]
+    hi = a * s
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * s
+    s_hi = c - (c - s)
+    s_lo = s - s_hi
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    r = np.rint(lo)
+    n = hi.astype(np.int64) + r.astype(np.int64)
+    fast &= (n >= 10 ** 16) & (n < 10 ** 17)
+    whole = a.astype(np.int64)
+    fraction = n - whole * _INT_POW10[p]
+    digits = p.copy()  # after the point, less trailing zeros as they go
+    ends_in_zero = np.flatnonzero(n == n // 10 * 10)
+    if ends_in_zero.size:
+        f, d = fraction[ends_in_zero], digits[ends_in_zero]
+        for k in (16, 8, 4, 2, 1):
+            q = f // _INT_POW10[k]
+            strip = (q * _INT_POW10[k] == f) & (d >= k)
+            f = np.where(strip, q, f)
+            d -= k * strip
+        fraction[ends_in_zero], digits[ends_in_zero] = f, d
+    # the kinds of _cell_kinds: %d, %d.%d or %d.%0{w}d; 0.%d after -X - 1
+    # zeros for X < 0; d.%d for X = 0; then the sign, and %.17g
+    kind = np.where(fraction < _FRACTION_BOUND[digits], digits + 1, digits > 0)
+    kind = np.where(p > 16, p + 1, kind)
+    kind = np.where((p == 16) & (kind == 1), whole + 21, kind)
+    kind += np.where(v < 0, 32, 1)
+    kind[~fast] = 0
+    return kind, whole, fraction
+
+
+def _integer_block(fields, parts) -> str:
+    """One block of rows, ``parts`` a slice of each column and ``fields`` the
+    conversion of each, written by one ``%`` over per-cell specs: each
+    ``%.17g`` value as the integers of :func:`_integer_cells` (kind 0 as
+    itself), every other field as it is.  The ``%.17g`` columns go through
+    _integer_cells together, CSV_BLOCK_ROWS values a call, which keeps its
+    temporaries small and its calls few."""
+    rows, width = len(parts[0]), len(parts)
+    floats = [j for j, field in enumerate(fields) if field == "%.17g"]
+    values = np.array([parts[j] for j in floats], dtype=np.float64)
+    kind = np.empty(values.size, dtype=np.intp)
+    whole, fraction = np.empty((2, values.size), dtype=np.int64)
+    for start in range(0, values.size, CSV_BLOCK_ROWS):
+        cut = slice(start, start + CSV_BLOCK_ROWS)
+        kind[cut], whole[cut], fraction[cut] = _integer_cells(values.ravel()[cut])
+    kind = kind.reshape(values.shape).T
+    specs = np.empty((rows, width), dtype=object)
+    for j, field in enumerate(fields):
+        sep = "\n" if j == width - 1 else ","
+        specs[:, j] = _CELL_SPECS[sep][kind[:, floats.index(j)]] if j in floats else field + sep
+    template = "".join(specs.ravel().tolist())
+    del specs  # the block's transients are its peak memory: free each when done
+    args = np.empty((rows, width, 2), dtype=object)
+    used = np.zeros((rows, width, 2), dtype=bool)
+    args[:, floats, 0] = whole.reshape(values.shape).T
+    args[:, floats, 1] = fraction.reshape(values.shape).T
+    used[:, floats, 0] = _TAKES_WHOLE[kind]
+    used[:, floats, 1] = _TAKES_FRACTION[kind]
+    row, col = np.nonzero(kind == 0)
+    args[row, np.array(floats)[col], 0] = values[col, row]
+    for j, part in enumerate(parts):
+        if j not in floats:
+            args[:, j, 0] = part
+            used[:, j, 0] = True
+    args = tuple(args[used].tolist())
+    return template % args
+
+
 def _write_csv(path, header: str, row_format: str, columns):
     """Write ``header`` and one ``row_format`` line per row of ``columns``.
 
-    ``columns`` are equal-length arrays or sequences, one per ``%`` field of
-    ``row_format``.  Rows are formatted CSV_BLOCK_ROWS at a time, each block
-    with one ``%`` over its interleaved values, which costs a fraction of a
-    format call per value and keeps the transient tuple small.  Every block
-    is formatted before the file is opened, so a command that fails leaves
-    no partial file.
+    ``row_format`` is one conversion per column, joined by commas, and
+    ``columns`` are equal-length arrays or sequences.  Rows are formatted
+    CSV_BLOCK_ROWS at a time, each block with one ``%``, which costs a
+    fraction of a format call per value and keeps the transient tuple small.
+    A block of fewer than CSV_INTEGER_ROWS rows is ``row_format`` repeated
+    over its interleaved values.  A longer one writes each ``%.17g`` value
+    from integers (:func:`_integer_block`): for 1e-4 <= |x| < 1e17, where
+    ``%.17g`` prints fixed notation, its 17 digits are one int64 computed
+    exactly with Dekker's product and an exact power of ten, and ``%d``
+    prints it several times faster than ``%.17g`` runs correctly rounded
+    conversion.  Zero, non-finite values, scientific notation and any value
+    whose decade np.log10 misjudged keep ``%.17g``, so the bytes are
+    ``%.17g``'s either way.  Every block is formatted before the file is
+    opened, so a command that fails leaves no partial file.
     """
     width, n = len(columns), len(columns[0])
+    fields = row_format.split(",")
     blocks = [header + "\n"]
     for start in range(0, n, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, n)
+        parts = [col[start:stop] for col in columns]
+        if stop - start >= CSV_INTEGER_ROWS:
+            blocks.append(_integer_block(fields, parts))
+            continue
         values = [None] * (width * (stop - start))
-        for j, col in enumerate(columns):
-            part = col[start:stop]
+        for j, part in enumerate(parts):
             values[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
         blocks.append((row_format + "\n") * (stop - start) % tuple(values))
     if path in (None, "stdout", "-"):

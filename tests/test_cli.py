@@ -34,6 +34,8 @@ from layerscatter import (
 )
 from layerscatter.amplitudes import scattering_amplitudes
 from layerscatter.cli import (
+    CSV_BLOCK_ROWS,
+    CSV_INTEGER_ROWS,
     _write_csv,
     build_parser,
     main,
@@ -1006,6 +1008,82 @@ def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, lab
     if labels:  # ``bands`` hands its labels over as a tuple of str
         _write_csv("stdout", "h", row_format, [*columns[:-1], tuple(columns[-1].tolist())])
         assert capsys.readouterr().out.splitlines(keepends=True) == expected
+
+
+def _ulps_around(x: float, n: int = 4) -> np.ndarray:
+    """x and the n doubles on either side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(n):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.array(out)
+
+
+def _hard_format_values(rng) -> np.ndarray:
+    """About 10**6 doubles on which writing %.17g from integers can go wrong."""
+    ties = []
+    for p in range(1, 8):  # k / 2**(p+1), k odd: a 5 just past the 17th digit
+        k = 2 * rng.integers(10 ** (16 - p) // 2, 10 ** (17 - p) // 2, 20_000) + 1
+        ties.append(k / 2.0 ** (p + 1))
+    values = np.concatenate([
+        [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 9.999999999999998e16],
+        *(rng.uniform(10.0 ** e, 10.0 ** (e + 1), 34_000) for e in range(-6, 18)),
+        *(_ulps_around(10.0 ** e) for e in range(-6, 19)),
+        _ulps_around(1e-5), _ulps_around(1e-4), _ulps_around(1e17),
+        *ties,
+        np.arange(3000) / 8.0,  # integers and short dyadic fractions
+    ])
+    bits = np.frombuffer(rng.bytes(8 * 50_000), dtype=np.float64)  # both signs, NaNs
+    return np.concatenate([bits, values * rng.choice([-1.0, 1.0], values.size)])
+
+
+def test_write_csv_bytes_equal_per_value_format(tmp_path):
+    # every value goes through one of the three row formats, in tables just
+    # below and at the integer-path crossover, either side of a block, and
+    # one of many blocks ending in a partial one
+    values = _hard_format_values(np.random.default_rng(20))
+    assert values.size >= 10 ** 6
+    sizes = [CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1]
+    formats = [("%.17g,%.17g,%.17g,%.17g", 4, False), ("%.17g,%.17g,%.17g", 3, False),
+               ("%.17g,%.17g,%s", 2, True)]
+    out = tmp_path / "t.csv"
+    for i, (row_format, floats, labels) in enumerate(formats):
+        share = values[i::len(formats)]
+        share = share[:share.size - share.size % floats]
+        bounds = [0, *np.cumsum([n * floats for n in sizes]), share.size]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            table = share[start:stop].reshape(-1, floats)
+            columns = list(table.T)
+            if labels:
+                columns.append(tuple(["allowed", "forbidden", "edge"][r % 3]
+                                     for r in range(len(table))))
+            _write_csv(str(out), "h", row_format, columns)
+            # each row by its own %, one %.17g conversion per value
+            rows = zip(*table.T.tolist(), *columns[floats:])
+            expected = ["h", *map(row_format.__mod__, rows), ""]
+            got = out.read_text().split("\n")
+            bad = next((r for r, (g, e) in enumerate(zip(got, expected)) if g != e), None)
+            assert bad is None and len(got) == len(expected), (
+                row_format, len(table), bad, bad is not None and (got[bad], expected[bad]))
+
+
+def test_write_csv_uses_integers_from_the_crossover(monkeypatch, capsys):
+    blocks = []
+    real = layerscatter.cli._integer_block
+    monkeypatch.setattr(layerscatter.cli, "_integer_block",
+                        lambda fields, parts: blocks.append(len(parts[0])) or real(fields, parts))
+    for n in (CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS + CSV_INTEGER_ROWS - 1):
+        x = np.linspace(0.5, 3.0, n)
+        _write_csv("stdout", "h", "%.17g,%.17g", (x, x * x))
+        assert capsys.readouterr().out.split("\n")[1:-1] == [
+            "%.17g,%.17g" % (a, b) for a, b in zip(x.tolist(), (x * x).tolist())]
+    # the last table's tail block is below the crossover again
+    assert blocks == [CSV_INTEGER_ROWS, CSV_BLOCK_ROWS]
+    # and every value of such a table is proved, none left to %.17g
+    values = np.concatenate([x, x * x, -x / 5e3, x * 1e15])
+    assert (layerscatter.cli._integer_cells(values)[0] > 0).all()
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
