@@ -1,6 +1,6 @@
 """Scattering amplitudes on arrays: single interfaces, single barriers, a
-tree of Redheffer star products over a chain, and embedding between the
-two outer media.
+tree of Redheffer star products over a chain, and the same star product
+embedding the chain between the two outer media.
 
 Every stage takes the wavenumbers of one energy or of an energy array
 (:func:`compute_wavenumbers`) and works elementwise: leading axes are
@@ -165,8 +165,10 @@ def _star(a, b):
     (right) of the zero background, each (t, r, r') for left incidence
     (t, r) and right incidence (t' = t, r'), elementwise.
 
-    Every input has modulus <= 1 and so has every output: |r'_a r_b| < 1
+    Between segments every input and output has modulus <= 1: |r'_a r_b| < 1
     wherever either segment transmits, so 1 - r'_a r_b stays away from zero.
+    :func:`embed_in_media` joins the right step too, whose t reaches 2 in an
+    evanescent medium, and reads only the (t, r) of that product.
     """
     ta, ra, pa = a
     tb, rb, pb = b
@@ -234,28 +236,21 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
     """(T, R) of the full structure between the two outer media.
 
     ``prefix`` is the chain's (T_N, R_N, R'_N) from :func:`prefix_by_recurrence`
-    and ``iface`` the outer steps from :func:`interface_amplitudes`.  The left
-    step, the chain and the right step are joined by star products, as
-    :func:`_star` joins barriers.  The left step at x = 0 has its own
-    right-incidence pair, r' = -r_left and t' = 1 - r_left = 2 k_gap /
-    (k_left + k_gap).  Medium 2 carries no leftward wave, so only the right
-    step's left-incidence (t, r) enters and an evanescent right medium needs
-    no special casing: its t_right, taken at span - x_R(N), has modulus <= 2.  Deep
-    in a forbidden band T underflows to 0 and |R| = 1.  Raises ArithmeticError
-    where T or R is not finite, as where a bound state behind an opaque chain
-    makes a denominator vanish.
+    and ``iface`` the outer steps from :func:`interface_amplitudes`.
+    :func:`_star` joins the chain and the right step.  Medium 2 carries no
+    leftward wave, so only that step's left-incidence (t, r) enters and an
+    evanescent right medium needs no special casing: its t_right, taken at
+    span - x_R(N), has modulus <= 2.  The left step at x = 0 then joins with
+    its own right-incidence pair, r' = -r_left and t' = 1 - r_left = 2 k_gap /
+    (k_left + k_gap).  Deep in a forbidden band T underflows to 0 and |R| = 1.
+    Raises ArithmeticError where T or R is not finite, as where a bound state
+    behind an opaque chain makes a denominator vanish.
     """
-    t_c, r_c, rp_c = prefix
     t_left, r_left, t_right, r_right = iface
-    tp_left, rp_left = 1.0 - r_left, -r_left
     with np.errstate(all="ignore"):
-        den = 1.0 - rp_left * r_c
-        t_lc, tp_lc = t_left * t_c / den, tp_left * t_c / den
-        r_lc = r_left + t_left * tp_left * r_c / den
-        rp_lc = rp_c + t_c * t_c * rp_left / den
-        den = 1.0 - rp_lc * r_right
-        t_full = t_lc * t_right / den
-        r_full = r_lc + t_lc * tp_lc * r_right / den
+        t, r, _ = _star(prefix, (t_right, r_right, 0.0))
+        inv = 1.0 / (1.0 + r_left * r)
+        t_full, r_full = t_left * t * inv, r_left + t_left * (1.0 - r_left) * r * inv
     bad = ~(np.isfinite(t_full) & np.isfinite(r_full))
     if np.any(bad):
         raise ArithmeticError(

@@ -24,7 +24,7 @@ from .amplitudes import (
     transmission_probability,
 )
 from .oracle import compare_with_pipeline
-from .periodic import ENERGY_FLOOR, PeriodicLattice, band_scan
+from .periodic import PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
 from .structure import (
     DegenerateWavenumberError,
@@ -217,18 +217,13 @@ def _integer_block(fields, parts) -> str:
     """One block of rows, ``parts`` a slice of each column and ``fields`` the
     conversion of each, written by one ``%`` over per-cell specs: each
     ``%.17g`` value as the integers of :func:`_integer_cells` (kind 0 as
-    itself), every other field as it is.  The ``%.17g`` columns go through
-    _integer_cells together, CSV_BLOCK_ROWS values a call, which keeps its
-    temporaries small and its calls few."""
+    itself), every other field as it is.  The block's ``%.17g`` columns go
+    through _integer_cells together, in one call."""
     rows, width = len(parts[0]), len(parts)
     floats = [j for j, field in enumerate(fields) if field == "%.17g"]
     values = np.array([parts[j] for j in floats], dtype=np.float64)
-    kind = np.empty(values.size, dtype=np.intp)
-    whole, fraction = np.empty((2, values.size), dtype=np.int64)
-    for start in range(0, values.size, CSV_BLOCK_ROWS):
-        cut = slice(start, start + CSV_BLOCK_ROWS)
-        kind[cut], whole[cut], fraction[cut] = _integer_cells(values.ravel()[cut])
-    kind = kind.reshape(values.shape).T
+    kind, whole, fraction = (x.reshape(values.shape).T
+                             for x in _integer_cells(values.ravel()))
     specs = np.empty((rows, width), dtype=object)
     for j, field in enumerate(fields):
         sep = "\n" if j == width - 1 else ","
@@ -237,8 +232,8 @@ def _integer_block(fields, parts) -> str:
     del specs  # the block's transients are its peak memory: free each when done
     args = np.empty((rows, width, 2), dtype=object)
     used = np.zeros((rows, width, 2), dtype=bool)
-    args[:, floats, 0] = whole.reshape(values.shape).T
-    args[:, floats, 1] = fraction.reshape(values.shape).T
+    args[:, floats, 0] = whole
+    args[:, floats, 1] = fraction
     used[:, floats, 0] = _TAKES_WHOLE[kind]
     used[:, floats, 1] = _TAKES_FRACTION[kind]
     row, col = np.nonzero(kind == 0)
@@ -355,10 +350,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
-    lo, hi, steps = _energy_range(args.energy_range)
-    # The spacing of np.linspace(max(lo, ENERGY_FLOOR), hi, steps), sweep's
-    # grid after the floor: band_scan then scans exactly that grid.
-    table = band_scan(lat, lo, hi, (hi - max(lo, ENERGY_FLOOR)) / (steps - 1))
+    table = band_scan(lat, *_energy_range(args.energy_range))
     _write_csv(args.out, "epsilon,cos_beta,band", "%.17g,%.17g,%s",
                (table.energies, table.cos_beta, table.classification))
     for e in table.edges:

@@ -124,13 +124,13 @@ def _cos_beta(lat: PeriodicLattice, energy):
     return cos_beta
 
 
-def _classify(cos_beta, edge_tol: float = EDGE_TOL):
+def _classify(cos_beta):
     """"edge", "allowed" or "forbidden" for each cos beta; NaN is forbidden."""
     mag = np.abs(cos_beta)
-    return _LABELS[np.where(np.abs(mag - 1.0) < edge_tol, 2, mag <= 1.0)]
+    return _LABELS[np.where(np.abs(mag - 1.0) < EDGE_TOL, 2, mag <= 1.0)]
 
 
-def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL) -> BlochPhase:
+def bloch_phase(lat: PeriodicLattice, energy: float) -> BlochPhase:
     """Per-period Bloch phase beta and allowed/forbidden classification.
 
     beta is real in [0, pi] in allowed bands; in forbidden bands it is
@@ -139,7 +139,7 @@ def bloch_phase(lat: PeriodicLattice, energy: float, edge_tol: float = EDGE_TOL)
     """
     check_energy(lat.cell, energy)
     c = float(_cos_beta(lat, energy))
-    label = str(_classify(c, edge_tol))
+    label = str(_classify(c))
     if label == "edge":
         beta = complex(0.0 if c > 0 else math.pi, 0.0)
     elif label == "allowed":
@@ -231,28 +231,25 @@ def band_scan(
     lat: PeriodicLattice,
     e_min: float,
     e_max: float,
-    resolution: float,
+    points: int,
 ) -> BandTable:
     """Classify [e_min, e_max] into allowed/forbidden intervals.
 
-    Scans on the grid of fewest points whose spacing, as ``np.linspace``
-    computes it, is <= resolution, then bisects every sign change of
-    |cos beta| - 1 down to ``EDGE_XTOL`` in energy.  A grid step whose ends
-    are both forbidden but whose cos beta changes sign holds an allowed band
-    unless that band is narrower than ``EDGE_XTOL``: cos beta itself is
-    bisected there, and a root with |cos beta| <= 1 splits the step into two
-    brackets of edges.  Negative energies carry no propagating gap wave, so
-    e_min is clamped to ``ENERGY_FLOOR``.
+    Scans ``np.linspace(e_min, e_max, points)``, as ``sweep`` lays out its
+    energies, then bisects every sign change of |cos beta| - 1 down to
+    ``EDGE_XTOL`` in energy.  A grid step whose ends are both forbidden but
+    whose cos beta changes sign holds an allowed band unless that band is
+    narrower than ``EDGE_XTOL``: cos beta itself is bisected there, and a
+    root with |cos beta| <= 1 splits the step into two brackets of edges.
+    Negative energies carry no propagating gap wave, so e_min is first
+    raised to ``ENERGY_FLOOR``.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
         raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    n_pts = max(math.ceil((e_max - e_min) / resolution) + 1, 2)
-    if n_pts > 2 and (e_max - e_min) / (n_pts - 2) <= resolution:
-        n_pts -= 1  # the quotient rounded up past a whole number of steps
-    grid = np.linspace(e_min, e_max, n_pts)
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points, got {points}")
+    grid = np.linspace(e_min, e_max, points)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
 

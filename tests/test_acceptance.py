@@ -106,7 +106,7 @@ def test_criterion_3_triple_agreement():
         e = float(rng.uniform(0.2, 8.0))
         if abs(e - 3.0) < 1e-3:
             continue
-        if abs(abs(bloch_phase(LAT, e, edge_tol=0.0).cos_beta) - 1.0) < 0.02:
+        if abs(abs(bloch_phase(LAT, e).cos_beta) - 1.0) < 0.02:
             continue
         energies.append(e)
     s = lattice_structure(100)
@@ -157,8 +157,8 @@ def test_criterion_4_forbidden_band_suppression():
 
 
 def test_criterion_5_band_edge_bracketing():
-    t1 = band_scan(LAT, 0.01, 8.0, 0.01)
-    t2 = band_scan(LAT, 0.01, 8.0, 0.005)
+    t1 = band_scan(LAT, 0.01, 8.0, 800)
+    t2 = band_scan(LAT, 0.01, 8.0, 1599)
 
     def label_at(table, e):
         for lo, hi, label in table.intervals:

@@ -489,6 +489,36 @@ class TestEmbedding:
             )
             assert abs(emb.r_full) == pytest.approx(1.0, abs=1e-12)
 
+    def test_left_step_matches_exact_edge_referee(self, rng):
+        # T and R against reference_psi (T at the span, 1 + R at 0) between
+        # dissimilar media, where the left step's right-incidence t' = 1 -
+        # r_left enters R: random chains just above v_left, where r_left is
+        # about -1 and t' about 2, and well above it; then opaque chains
+        # before an evanescent right medium
+        def check(s, e):
+            _, _, _, emb = scattering_amplitudes(s, e)
+            t_ref = reference_psi(s, e, [s.span])[0]
+            r_ref = reference_psi(s, e, [0.0])[0] - 1.0
+            assert abs(emb.t_full - t_ref) <= 2e-13 * abs(t_ref)
+            assert abs(emb.r_full - r_ref) <= 1e-13
+
+        for _ in range(30):
+            s, _ = random_structure(rng)
+            v_left = rng.uniform(0.5, 3.0)
+            v_right = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+            s = LayeredStructure(v_left, v_right, s.span, s.barriers)
+            for e in (v_left * (1.0 + 1e-9), v_left + rng.uniform(1.0, 8.0)):
+                if not degenerate_energies(s, np.array([e])).any():
+                    check(s, e)
+        for _ in range(10):
+            n, e = int(rng.integers(2, 7)), rng.uniform(0.5, 4.0)
+            widths, gaps = rng.uniform(0.5, 1.5, n), rng.uniform(0.1, 1.0, n + 1)
+            edges = np.cumsum(np.column_stack((gaps[:-1], widths)).ravel())
+            s = LayeredStructure(rng.uniform(0.0, 0.4), e + rng.uniform(1.0, 10.0),
+                                 edges[-1] + gaps[-1], np.array(
+                [rng.uniform(20.0, 40.0, n), widths, edges[1::2] - widths / 2]))
+            check(s, e)
+
 
 class TestTranslation:
     @pytest.mark.parametrize("x0", [0.0, 31.0, 1000.0, 1e5])

@@ -990,7 +990,7 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
     ("%.17g,%.17g,%s", True),            # bands
 ], ids=["wavefunction", "sweep", "bands"])
 def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, labels):
-    # rows cross the 4096-row blocks; each column cycles the values at its own offset
+    # rows cross the 2048-row blocks; each column cycles the values at its own offset
     width = row_format.count("%")
     cycle = np.array(FORMAT_VALUES)
     columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(width)]

@@ -198,9 +198,9 @@ class TestClosedFormPrefix:
     def test_band_edge_rejected(self):
         from scipy.optimize import bisect
 
-        coarse = band_scan(LAT, 0.01, 8.0, 0.01).edges[0]
+        coarse = band_scan(LAT, 0.01, 8.0, 800).edges[0]
         edge = bisect(
-            lambda e: abs(bloch_phase(LAT, e, edge_tol=0.0).cos_beta) - 1.0,
+            lambda e: abs(bloch_phase(LAT, e).cos_beta) - 1.0,
             coarse - 1e-6, coarse + 1e-6, xtol=1e-15,
         )
         with pytest.raises((BandEdgeError, DegenerateWavenumberError)):
@@ -209,11 +209,11 @@ class TestClosedFormPrefix:
 
 class TestBandScan:
     def test_free_lattice_no_forbidden_intervals(self):
-        table = band_scan(PeriodicLattice(0.0, 1.0, 2.0), 0.05, 8.0, 0.01)
+        table = band_scan(PeriodicLattice(0.0, 1.0, 2.0), 0.05, 8.0, 796)
         assert all(label == "allowed" for _, _, label in table.intervals)
 
     def test_reference_band_layout(self):
-        table = band_scan(LAT, 0.01, 8.0, 0.005)
+        table = band_scan(LAT, 0.01, 8.0, 1599)
 
         def label_at(e):
             for lo, hi, label in table.intervals:
@@ -229,18 +229,18 @@ class TestBandScan:
         assert any(2.0 < e < 3.0 for e in table.edges)
 
     def test_edges_stable_under_resolution_doubling(self):
-        e1 = band_scan(LAT, 0.01, 8.0, 0.01).edges
-        e2 = band_scan(LAT, 0.01, 8.0, 0.005).edges
+        e1 = band_scan(LAT, 0.01, 8.0, 800).edges
+        e2 = band_scan(LAT, 0.01, 8.0, 1599).edges
         assert len(e1) == len(e2)
         for a, b in zip(e1, e2):
             assert abs(a - b) < 1e-9
 
     def test_edges_match_bloch_condition(self):
-        for e in band_scan(LAT, 0.01, 8.0, 0.01).edges:
-            assert abs(abs(bloch_phase(LAT, e, edge_tol=0.0).cos_beta) - 1.0) < 1e-8
+        for e in band_scan(LAT, 0.01, 8.0, 800).edges:
+            assert abs(abs(bloch_phase(LAT, e).cos_beta) - 1.0) < 1e-8
 
     def test_degenerate_grid_point_skipped(self):
-        table = band_scan(LAT, 1.0, 5.0, 0.5)  # grid hits exactly 3.0
+        table = band_scan(LAT, 1.0, 5.0, 9)  # grid hits exactly 3.0
         assert table.skipped == (3.0,)
         assert table.energies.tolist() == [1.0, 1.5, 2.0, 2.5, 3.5, 4.0, 4.5, 5.0]
         assert len(table.classification) == len(table.cos_beta) == 8
@@ -249,7 +249,8 @@ class TestBandScan:
                                       PeriodicLattice(1.0, 1.9, 2.0)])
     def test_matches_transfer_matrix_trace(self, lat):
         # below, inside and above the barrier: evanescent, allowed, forbidden
-        table = band_scan(lat, 0.0, 4.0 * lat.barrier_height, 0.004)
+        points = int(1000 * lat.barrier_height) + 1  # 3001, 7501, 1001: a spacing of 0.004
+        table = band_scan(lat, 0.0, 4.0 * lat.barrier_height, points)
         assert {"allowed", "forbidden"} <= set(table.classification)
         assert table.energies[0] < lat.barrier_height < table.energies[-1]
         for e, c in zip(table.energies, table.cos_beta):
@@ -259,9 +260,9 @@ class TestBandScan:
     def test_edges_are_scipy_bisection(self):
         from scipy.optimize import bisect
 
-        table = band_scan(LAT, 0.01, 8.0, 0.01)
+        table = band_scan(LAT, 0.01, 8.0, 800)
         e = table.energies
-        f = lambda x: abs(bloch_phase(LAT, x, edge_tol=0.0).cos_beta) - 1.0
+        f = lambda x: abs(bloch_phase(LAT, x).cos_beta) - 1.0
         for edge in table.edges:
             i = np.searchsorted(e, edge) - 1
             assert edge == bisect(f, e[i], e[i + 1], xtol=1e-10)
@@ -277,7 +278,7 @@ class TestBandScan:
         # to 0; cos beta is +-inf with the sign of the scaled half trace,
         # and no numpy warning is raised (pytest makes one an error)
         lat = PeriodicLattice(1e6, 1.0, 2.0)
-        table = band_scan(lat, 0.0, 12.0, 12.0 / 29)
+        table = band_scan(lat, 0.0, 12.0, 30)
         assert len(table.energies) == 30 and table.edges == ()
         assert np.isinf(table.cos_beta).all()
         assert set(table.classification) == {"forbidden"}
@@ -292,8 +293,8 @@ class TestBandScan:
         # to 6.25, both ends forbidden; the allowed band between is found,
         # with the edges a fine grid brackets
         lat = PeriodicLattice(40.0, 1.0, 2.0)
-        coarse = band_scan(lat, 0.5, 12.0, 1.5)
-        fine = [e for e in band_scan(lat, 0.5, 12.0, 0.001).edges if 4.81 < e < 6.25]
+        coarse = band_scan(lat, 0.5, 12.0, 9)
+        fine = [e for e in band_scan(lat, 0.5, 12.0, 11501).edges if 4.81 < e < 6.25]
         assert set(coarse.classification) == {"forbidden"}
         assert len(coarse.edges) == len(fine) == 2
         assert np.abs(np.subtract(coarse.edges, fine)).max() < 1e-9
@@ -305,7 +306,7 @@ class TestBandScan:
         # the grid ends on 40.0, the barrier height, which the table skips;
         # the scan brackets on cos beta there, moved off k = 0, so the edge
         # at 39.824 (a 0.001 grid finds 39.82419321590662) is not lost
-        table = band_scan(PeriodicLattice(40.0, 1.0, 2.0), 0.5, 40.0, 1.5)
+        table = band_scan(PeriodicLattice(40.0, 1.0, 2.0), 0.5, 40.0, 28)
         assert table.skipped == (40.0,) and table.energies[-1] < 40.0
         assert table.edges[-1] == pytest.approx(39.82419321590662, abs=1e-9)
         assert table.intervals[-1] == (table.edges[-1], 40.0, "allowed")
@@ -314,7 +315,7 @@ class TestBandScan:
         # 1e6 + 1e-12 == 1e6: the degenerate grid point moves by one ulp
         # instead, so k = 0 never reaches the formula (a RuntimeWarning,
         # which pytest makes an error, would show it)
-        table = band_scan(PeriodicLattice(1e6, 1.0, 2.0), 999990.0, 1000010.0, 1.0)
+        table = band_scan(PeriodicLattice(1e6, 1.0, 2.0), 999990.0, 1000010.0, 21)
         assert table.skipped == (1e6,)
         assert len(table.edges) == 2 and all(e > 1e6 for e in table.edges)
 
@@ -327,20 +328,20 @@ class TestBandScan:
         # cos beta flips from +inf to -inf between two grid points of the
         # 1e6-high lattice; the band between is far narrower than EDGE_XTOL
         lat = PeriodicLattice(1e6, 1.0, 2.0)
-        table = band_scan(lat, 9.52, 9.93, 0.5)
+        table = band_scan(lat, 9.52, 9.93, 2)
         assert table.cos_beta.tolist() == [math.inf, -math.inf]
         assert table.edges == ()
         assert table.intervals == ((9.52, 9.93, "forbidden"),)
 
     def test_negative_floor_clamped(self):
-        table = band_scan(LAT, -1.0, 1.0, 0.01)
+        table = band_scan(LAT, -1.0, 1.0, 101)
         assert table.energies[0] >= 1e-6
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            band_scan(LAT, 2.0, 1.0, 0.1)
+            band_scan(LAT, 2.0, 1.0, 11)
         with pytest.raises(ValueError):
-            band_scan(LAT, 1.0, 2.0, -0.1)
+            band_scan(LAT, 1.0, 2.0, 1)
 
 
 class TestLattice:
