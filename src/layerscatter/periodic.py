@@ -19,6 +19,7 @@ import numpy as np
 from .amplitudes import _factored_barrier
 from .structure import (
     LayeredStructure,
+    _kernel_overflows,
     branch_sqrt,
     check_energy,
     degenerate_energies,
@@ -28,6 +29,9 @@ from .structure import (
 EDGE_TOL = 1e-12
 EDGE_XTOL = 1e-10  # energy tolerance of the bisected band edges
 ENERGY_FLOOR = 1e-6  # band scans start here: below 0 the gap wave is evanescent
+_LEVELS = 5  # halvings that one array evaluation of _bisect covers
+# 2^(_LEVELS - 1 - l) for each of the 2^l midpoints of level l, l = 0.._LEVELS - 1
+_LEVEL_SCALE = np.repeat(2.0 ** np.arange(_LEVELS - 1, -1, -1), 2 ** np.arange(_LEVELS))
 _LABELS = np.array(["forbidden", "allowed", "edge"], dtype=object)  # by _classify's code
 
 
@@ -37,7 +41,7 @@ class BandEdgeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PeriodicLattice:
-    """count identical barriers of height/width at spacing period."""
+    """count identical barriers of height/width at spacing period, all three finite."""
 
     barrier_height: float
     barrier_width: float
@@ -46,6 +50,10 @@ class PeriodicLattice:
     first_center: float | None = None  # default: half a period in
 
     def __post_init__(self):
+        for name, value in (("barrier height", self.barrier_height),
+                            ("barrier width", self.barrier_width), ("period", self.period)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.period < self.barrier_width:
             raise ValueError("period must be >= barrier width")
         if self.count < 1:
@@ -210,20 +218,48 @@ def _bisect(fun, lo, hi, sign_lo) -> np.ndarray:
     ``EDGE_XTOL``, ``sign_lo`` the sign of ``fun`` at each lo.
 
     Takes the steps of scipy.optimize.bisect (its default rtol of four
-    machine epsilons included), one array evaluation per halving.
+    machine epsilons included), bit for bit, ``_LEVELS`` halvings per array
+    evaluation.  ``fun`` runs once on the 2^_LEVELS - 1 midpoints that the
+    next ``_LEVELS`` halvings of each open bracket can reach, each built as
+    bisection builds it: xa + dm 2^-l, xa the bracket's lower end on the path
+    to it.  Each bracket then follows its own path through them in Python,
+    and stops where bisection's own test first holds.  ``fun`` is elementwise
+    and is called with a 2-D array.
     """
     rtol = 4.0 * np.finfo(float).eps
     roots = np.empty(len(lo))
-    todo = np.arange(len(lo))
+    todo = list(range(len(lo)))
     xa, dm = lo, hi - lo
-    while todo.size:
-        dm = 0.5 * dm
-        xm = xa + dm
+    while todo:
+        # starts holds xa and then the midpoints of each halving l = 0, 1, ...,
+        # 2^l of them at columns 2^l to 2^(l+1) - 1.  Midpoint j of halving l lies
+        # above column j, the lower end on the path that took the upper half at
+        # each 1 bit of j, and is itself the lower end on path j + 2^l.
+        starts = xa[:, None]
+        for _ in range(_LEVELS):
+            dm = 0.5 * dm
+            starts = np.concatenate((starts, starts + dm[:, None]), axis=1)
+        xm = starts[:, 1:]
         fm = fun(xm)
-        xa = np.where(np.sign(fm) * sign_lo >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < EDGE_XTOL + rtol * np.abs(xm))
-        roots[todo[done]] = xm[done]
-        todo, xa, dm, sign_lo = todo[~done], xa[~done], dm[~done], sign_lo[~done]
+        upper = (np.sign(fm) * sign_lo[:, None] >= 0.0).tolist()
+        # dm at level l is the last dm times 2^(_LEVELS - 1 - l), exactly
+        small = np.abs(dm[:, None] * _LEVEL_SCALE) < EDGE_XTOL + rtol * np.abs(xm)
+        done = ((fm == 0.0) | small).tolist()
+        xm = xm.tolist()
+        keep, ends = [], []
+        for b, (up, stop) in enumerate(zip(upper, done)):
+            j = 0
+            for level in range(_LEVELS):
+                k = (1 << level) - 1 + j
+                if stop[k]:
+                    roots[todo[b]] = xm[b][k]
+                    break
+                j += up[k] << level
+            else:
+                keep.append(b)
+                ends.append(j)
+        todo = [todo[b] for b in keep]
+        xa, dm, sign_lo = starts[keep, ends], dm[keep], sign_lo[keep]
     return roots
 
 
@@ -241,14 +277,24 @@ def band_scan(
     whose cos beta changes sign holds an allowed band unless that band is
     narrower than ``EDGE_XTOL``: cos beta itself is bisected there, and a
     root with |cos beta| <= 1 splits the step into two brackets of edges.
+    Both bisections take scipy.optimize.bisect's midpoints, five halvings per
+    array evaluation of cos beta (:func:`_bisect`): about six evaluations
+    for a scan's edges, where one per halving took about 25.
     Negative energies carry no propagating gap wave, so e_min is first
-    raised to ``ENERGY_FLOOR``.
+    raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, an e_max at which
+    the gap phase sqrt(e_max) (period - width) or the barrier formula
+    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
         raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
+    if not math.isfinite(math.sqrt(e_max) * (lat.period - lat.barrier_width)):
+        raise ValueError(f"need sqrt(e_max) (period - barrier width) finite, "
+                         f"got e_max {e_max} and period {lat.period}")
+    if _kernel_overflows(lat.cell, e_max):
+        raise ValueError(f"need e_max below where the barrier formula overflows, got {e_max}")
     grid = np.linspace(e_min, e_max, points)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
@@ -286,7 +332,7 @@ def band_scan(
     lo, hi = bounds[:-1], bounds[1:]
     keep = hi - lo > 0
     lo, hi = lo[keep], hi[keep]
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) exactly, where lo + hi does not overflow
     labels = _classify(_cos_beta(lat, off_degenerate(lat.cell, mid, 1e-9)))
 
     return BandTable(

@@ -20,6 +20,10 @@ EDGE_ULPS = 8
 # k0 |k_n| >= sqrt(eps ulp(eps)/2) > 2^-1024 (:func:`degenerate_energies`).
 TINY_ENERGY = 1e-300
 
+# While eps and every |u| stay below this, |k_n^2 +- k0^2| stays near 2^1023 at
+# most, under the largest double, and the energy rule takes no pass over them.
+_HUGE = 2.0 ** 1021
+
 
 class StructureError(ValueError):
     """Raised when a layered structure violates its geometric constraints.
@@ -240,6 +244,29 @@ class WaveNumberSet:
     k_barrier: np.ndarray
 
 
+def _barrier_squares(k0, kn):
+    """(k_n^2 + k0^2, k_n^2 - k0^2) as the barrier kernel takes them, k0 real and
+    each k_n real or purely imaginary: about 2 eps - u and -u."""
+    kr, ki = kn.real, kn.imag  # one of them is 0
+    k2, k02 = kr * kr - ki * ki, k0 * k0
+    return k2 + k02, k2 - k02
+
+
+def _kernel_overflows(s: LayeredStructure, energy) -> np.ndarray:
+    """Where a barrier's k_n^2 + k0^2 or k_n^2 - k0^2 passes the largest double,
+    elementwise over ``energy`` (eps >= 0): the barrier kernel's arithmetic
+    (:func:`_barrier_squares`) on the wavenumbers it is given, which overflows
+    there.  Only when eps or some |u| reaches 2^1021 can it, and only then is it
+    taken."""
+    e = np.asarray(energy, dtype=float)
+    heights = s.barrier_arrays[0]
+    if max(e.max(initial=0.0), np.abs(heights).max(initial=0.0)) < _HUGE:
+        return np.zeros(e.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus, minus = _barrier_squares(np.sqrt(e)[..., None], branch_sqrt(e[..., None] - heights))
+        return ~(np.isfinite(plus) & np.isfinite(minus)).all(axis=-1)
+
+
 def _finite_energy(energy) -> np.ndarray:
     """``energy`` as a float array, or ValueError where it is not finite."""
     e = np.asarray(energy, dtype=float)
@@ -293,8 +320,9 @@ def check_energy(s: LayeredStructure, energy) -> None:
     """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
     order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
     DegenerateWavenumberError where :func:`degenerate_energies` is set, with a
-    line of its own for a tiny energy where no k is 0, and ArithmeticError for
-    eps <= V1 (no incident wave)."""
+    line of its own for a tiny energy where no k is 0, ArithmeticError for
+    eps <= V1 (no incident wave), and OverflowError where the barrier kernel
+    overflows (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up."""
     e = _finite_energy(energy).ravel()
     bad = e[e < 0]
     if bad.size:
@@ -314,5 +342,11 @@ def check_energy(s: LayeredStructure, energy) -> None:
     if bad.size:
         raise ArithmeticError(
             f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
+        )
+    bad = e[_kernel_overflows(s, e)]
+    if bad.size:
+        raise OverflowError(
+            f"energy {bad[0]} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
+            "pass the largest double in a barrier, where the barrier formula overflows"
         )
 

@@ -574,6 +574,49 @@ def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
     assert stdout.startswith("max relative discrepancy")
 
 
+HUGE_LINE = ("error: energy {} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
+             "pass the largest double in a barrier, where the barrier formula overflows")
+LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["sweep", "--scenario", "periodic", "--energy-range", "8.98e307:8.995e307:4"],
+     3, HUGE_LINE.format("8.990000000000001e+307")),
+    (["wavefunction", "--scenario", "periodic", "--energy", "1e308", "--grid-points", "5"],
+     3, HUGE_LINE.format("1e+308")),
+    (["oracle-check", "--scenario", "periodic", "--energy", "1e308"],
+     3, HUGE_LINE.format("1e+308")),
+    (["bands", *LATTICE, "--period", "2", "--energy-range", "0:1e308:30"],
+     2, "error: need e_max below where the barrier formula overflows, got 1e+308"),
+    (["bands", *LATTICE, "--period", "inf", "--energy-range", "0:12:30"],
+     2, "error: period must be finite, got inf"),
+    (["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
+     2, "error: need sqrt(e_max) (period - barrier width) finite, got e_max 12.0 "
+        "and period 1e+308"),
+], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period"])
+def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
+    # where the barrier formula or a lattice's geometry would overflow, one
+    # error: line and the exit code, no numpy RuntimeWarning and no output;
+    # these used to lose flux silently, print psi = 0, or print warnings
+    out = tmp_path / "out.csv"
+    proc = run_fresh(*argv, *(["--out", str(out)] if argv[0] != "oracle-check" else []))
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (code, "", [line])
+    assert not out.exists()
+
+
+def test_energy_below_the_overflow_solves(capsys, tmp_path):
+    # one step below the refused sweep's third row, every command solves
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "sweep", "--scenario", "periodic", "--energy-range",
+                           "8.97e307:8.98e307:3", "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and np.all(np.abs(rows[:, 1] + rows[:, 2] - 1.0) < 1e-12)
+    for argv in (["wavefunction", "--grid-points", "5", "--out", str(out)], ["oracle-check"]):
+        code, _, err = run_cli(capsys, *argv, "--scenario", "periodic", "--energy", "8.98e307")
+        assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("options, message", [
     (["--x-min=-1e308", "--x-max", "1e308"],
      "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),

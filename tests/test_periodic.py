@@ -17,7 +17,8 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
-from layerscatter.periodic import _classify, _period
+from layerscatter.structure import check_energy
+from layerscatter.periodic import EDGE_XTOL, _LEVELS, _bisect, _classify, _period
 
 from conftest import recurrence_prefixes
 
@@ -258,14 +259,32 @@ class TestBandScan:
             assert abs(c - ref) <= 1e-12 * max(1.0, abs(ref)), e
 
     def test_edges_are_scipy_bisection(self):
+        # each edge is scipy's bisection of |cos beta| - 1 over its grid step;
+        # where both ends of the step are forbidden, over the part of the step
+        # on the edge's side of scipy's root of cos beta itself
         from scipy.optimize import bisect
 
-        table = band_scan(LAT, 0.01, 8.0, 800)
-        e = table.energies
-        f = lambda x: abs(bloch_phase(LAT, x).cos_beta) - 1.0
-        for edge in table.edges:
-            i = np.searchsorted(e, edge) - 1
-            assert edge == bisect(f, e[i], e[i + 1], xtol=1e-10)
+        rng = np.random.default_rng(5)
+        scans = [(LAT, 0.01, 8.0, 800), (PeriodicLattice(40.0, 1.0, 2.0), 0.5, 12.0, 9)]
+        for _ in range(4):
+            h, w = rng.uniform(1.0, 40.0), rng.uniform(0.3, 1.5)
+            scans.append((PeriodicLattice(h, w, w + rng.uniform(0.3, 2.0)), 0.01, 3.0 * h,
+                          int(rng.integers(9, 300))))
+        narrow = 0
+        for lat, e_min, e_max, points in scans:
+            table = band_scan(lat, e_min, e_max, points)
+            e = table.energies
+            cos_beta = lambda x: bloch_phase(lat, x).cos_beta  # noqa: E731
+            f = lambda x: abs(cos_beta(x)) - 1.0  # noqa: E731
+            for edge in table.edges:
+                i = np.searchsorted(e, edge) - 1
+                lo, hi = e[i], e[i + 1]
+                if f(lo) > 0.0 and f(hi) > 0.0:
+                    mid = bisect(cos_beta, lo, hi, xtol=1e-10)
+                    lo, hi = (lo, mid) if edge < mid else (mid, hi)
+                    narrow += 1
+                assert edge == bisect(f, lo, hi, xtol=1e-10)
+        assert narrow >= 2  # the 40-high lattice's band inside one grid step
 
     def test_scaled_reference_is_the_half_trace(self):
         for e in (0.5, 1.1, 1.7, 2.9):
@@ -337,11 +356,90 @@ class TestBandScan:
         table = band_scan(LAT, -1.0, 1.0, 101)
         assert table.energies[0] >= 1e-6
 
+    def test_refuses_a_range_where_the_formula_overflows(self):
+        # the barrier formula at e_max, as check_energy judges it, and the gap
+        # phase sqrt(e_max) (period - width); just below either the scan runs
+        # with no numpy warning (pytest makes one an error)
+        for e_max in 2.0 ** 1023 * (1.0 + np.arange(-4, 5) * 2.0 ** -52):
+            try:
+                check_energy(LAT.cell, e_max)
+            except OverflowError:
+                with pytest.raises(ValueError, match="barrier formula overflows"):
+                    band_scan(LAT, 0.0, e_max, 30)
+            else:
+                assert np.isfinite(band_scan(LAT, 0.0, e_max, 30).cos_beta).all()
+        with pytest.raises(ValueError, match="barrier formula overflows"):
+            band_scan(LAT, 0.0, 1e308, 30)
+        with pytest.raises(ValueError, match=r"sqrt\(e_max\) \(period - barrier width\)"):
+            band_scan(PeriodicLattice(3.0, 1.0, 1e308), 0.0, 12.0, 30)
+        assert len(band_scan(PeriodicLattice(3.0, 1.0, 1e307), 0.0, 12.0, 30).energies) == 30
+        # under a 1e308-high barrier the formula holds up to 1.2e308, where the
+        # ends of an interval sum past the largest double; its midpoint does not
+        table = band_scan(PeriodicLattice(1e308, 1.0, 2.0), 0.0, 1.2e308, 30)
+        assert table.edges and all(lo < hi for lo, hi, _ in table.intervals)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             band_scan(LAT, 2.0, 1.0, 11)
         with pytest.raises(ValueError):
             band_scan(LAT, 1.0, 2.0, 1)
+
+
+def _piecewise(x):
+    """x - 0.375 below 1.5, x - (2 + 47/128) below 3.5 (both dyadic roots, where
+    bisection of [0, 1] and [2, 3] meets f == 0 at its 3rd and 7th halving),
+    and sin x above."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 1.5, x - 0.375, np.where(x < 3.5, x - (2.0 + 47.0 / 128.0), np.sin(x)))
+
+
+class TestBisect:
+    def brackets(self):
+        # sin changes sign at every k pi, upward for even k (sign_lo -1) and
+        # downward for odd k; widths 1e-9 to 1e3, so that brackets finish in
+        # different rounds and part-way through one; near 1e6, rtol |x| =
+        # 4.4e-10 outweighs EDGE_XTOL
+        rng = np.random.default_rng(11)
+        lo, hi = [0.0, 2.0], [1.0, 3.0]
+        for width in np.geomspace(1e-9, 1e3, 25):
+            for k in (1500, 1501, 318310, 318311):
+                if k > 1e5 and width > 1.0:
+                    continue
+                while True:
+                    a = k * math.pi - rng.uniform(0.05, 0.95) * width
+                    if _piecewise(a) * _piecewise(a + width) < 0.0:
+                        break
+                lo.append(a)
+                hi.append(a + width)
+        return np.array(lo), np.array(hi)
+
+    def test_matches_scipy_bracket_by_bracket(self):
+        from scipy.optimize import bisect
+
+        lo, hi = self.brackets()
+        calls = []
+
+        def counting(x):
+            calls.append(x.size)
+            return _piecewise(x)
+
+        roots = _bisect(counting, lo, hi, np.sign(_piecewise(lo)))
+        halvings = []
+        for a, b, root in zip(lo.tolist(), hi.tolist(), roots.tolist()):
+            expect, info = bisect(lambda x: float(_piecewise(x)), a, b, xtol=EDGE_XTOL,
+                                  full_output=True)
+            assert root == expect
+            halvings.append(info.iterations)
+        assert roots[:2].tolist() == [0.375, 2.0 + 47.0 / 128.0]  # f == 0 there
+        assert {-1.0, 1.0} <= set(np.sign(_piecewise(lo)).tolist())
+        assert min(halvings) <= 4 and max(halvings) >= 40
+        assert len(calls) <= math.ceil(max(halvings) / _LEVELS) + 1
+        assert calls[0] == lo.size * (2 ** _LEVELS - 1)
+
+    def test_no_brackets_no_calls(self):
+        calls = []
+        roots = _bisect(lambda x: calls.append(x) or x, np.empty(0), np.empty(0), np.empty(0))
+        assert roots.size == 0 and calls == []
 
 
 class TestLattice:
@@ -357,6 +455,16 @@ class TestLattice:
             PeriodicLattice(3.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             PeriodicLattice(3.0, 1.0, 2.0, count=0)
+
+    def test_rejects_non_finite_parameters(self):
+        # one ValueError naming the parameter, before a structure is built from it
+        for i, name in enumerate(("barrier height", "barrier width", "period")):
+            for value in (math.inf, -math.inf, math.nan):
+                args = [3.0, 1.0, 2.0]
+                args[i] = value
+                with pytest.raises(ValueError) as info:
+                    PeriodicLattice(*args)
+                assert str(info.value) == f"{name} must be finite, got {value}"
 
     def test_decay_rate_positive_in_forbidden_band(self):
         assert decay_rate(LAT, 4.6) > 0

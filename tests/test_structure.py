@@ -22,12 +22,13 @@ from layerscatter import (
     solve_structure,
     validate_structure,
 )
-from layerscatter.amplitudes import scattering_amplitudes
+from layerscatter.amplitudes import _factored_barrier, scattering_amplitudes
 from layerscatter import scenarios
 from layerscatter.cli import parse_structure
 from layerscatter.structure import (
     TINY_ENERGY,
     DegenerateWavenumberError,
+    _kernel_overflows,
     check_energy,
     degenerate_energies,
     off_degenerate,
@@ -193,6 +194,30 @@ class TestWavenumbers:
         e = np.geomspace(TINY_ENERGY, 1e-200, 2000)
         for u in (np.nextafter(e, 0.0), np.nextafter(e, 1.0)):
             assert (np.sqrt(e) * np.sqrt(np.abs(e - u)) > 2.0 * 0.5 / np.finfo(float).max).all()
+
+
+    def test_huge_energies_where_the_barrier_kernel_overflows(self):
+        # the rule flags exactly the energies at which the kernel itself returns
+        # a non-finite piece (k = 0, at eps = u, aside): from about 2^1023 + u/2,
+        # earlier under a deep well, where eps - u passes the largest double, and
+        # at scattered energies from about 1e301 under a height of the largest
+        # double, where -k_n^2 - k0^2 rounds past it.  Just below 2^1021 in eps
+        # and |u|, where it takes no pass, every piece is finite.
+        big, below = np.finfo(float).max, np.nextafter(2.0 ** 1021, 0.0)
+        e = np.concatenate((np.geomspace(1e-300, 1e308, 2000), [below, big],
+                            2.0 ** 1023 * (1.0 + np.arange(-8, 9) * 2.0 ** -52)))
+        flagged = {}
+        for h in (-big, -1.5e308, -below, -3.0, 0.0, 3.0, below, 1e308, big):
+            s = make([Barrier(h, 1.0, 1.0)], span=2.0)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _, c, bs = _factored_barrier(np.sqrt(e), branch_sqrt(e - h), 1.0)
+            kernel = ~(np.isfinite(c) & np.isfinite(bs)) & (e != h)
+            assert _kernel_overflows(s, e).tolist() == kernel.tolist()
+            flagged[h] = kernel
+        assert not flagged[3.0][e <= below].any() and not flagged[-below][e <= below].any()
+        assert flagged[3.0][e >= 8.99e307].all() and flagged[-1.5e308][e >= 2.8e307].all()
+        assert flagged[big][e > 1e300].any() and not flagged[big][e < 1e300].any()
+        assert _kernel_overflows(make([]), e).tolist() == [False] * e.size
 
 
 class TestMirror:
@@ -365,8 +390,8 @@ class TestOneEnergyRule:
     # Every entry point that solves refuses an energy with check_energy's own
     # exception type and line; a lattice's entry points with those of its cell.
     S = LayeredStructure(1.0, 0.0, 4.0, np.array([[0.0, 3.0], [1.0, 0.5], [1.0, 2.5]]))
-    ENERGIES = [math.nan, -1.0, 0.0, 3.0, 1e-310, 0.5, 1.0]  # 3.0: a height; 1.0: V1
-    IDS = ["nan", "negative", "zero", "height", "tiny", "below-v1", "at-v1"]
+    ENERGIES = [math.nan, -1.0, 0.0, 3.0, 1e-310, 0.5, 1.0, 1e308]  # 3.0: a height; 1.0: V1
+    IDS = ["nan", "negative", "zero", "height", "tiny", "below-v1", "at-v1", "huge"]
 
     @staticmethod
     def assert_refused_as_the_rule(expect, call):
@@ -390,7 +415,8 @@ class TestOneEnergyRule:
         (PeriodicLattice(3.0, 1.0, 2.0), 0.0),
         (PeriodicLattice(3.0, 1.0, 2.0), 3.0),
         (PeriodicLattice(0.0, 1.0, 2.0), 1e-310),
-    ], ids=["nan", "negative", "zero", "height", "tiny"])
+        (PeriodicLattice(3.0, 1.0, 2.0), 1e308),
+    ], ids=["nan", "negative", "zero", "height", "tiny", "huge"])
     @pytest.mark.parametrize("entry", [bloch_phase, lambda lat, e: closed_form_prefix(lat, e, 5)],
                              ids=["bloch_phase", "closed_form_prefix"])
     def test_lattice_entry_points(self, entry, lat, energy):
@@ -411,3 +437,15 @@ class TestOneEnergyRule:
         for e in (0.0, 3.0):
             assert lines[e] == (f"energy {e} makes k = 0 in a gap or a barrier, "
                                 "where the plane waves are degenerate; nudge the energy")
+
+    def test_huge_energy_names_its_own_cause(self):
+        # one line, after V1's: an energy at or below V1 keeps that line
+        with pytest.raises(OverflowError) as info:
+            check_energy(self.S, 8.99e307)
+        assert str(info.value) == (
+            "energy 8.99e+307 makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
+            "pass the largest double in a barrier, where the barrier formula overflows")
+        high = LayeredStructure(1e308, 0.0, 4.0, self.S.barrier_arrays)
+        with pytest.raises(ArithmeticError, match="does not propagate in the left medium"):
+            check_energy(high, 1e308)
+        check_energy(self.S, 8.98e307)
