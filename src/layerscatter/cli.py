@@ -42,42 +42,45 @@ EXIT_DEGENERATE = 3
 EXIT_ORACLE = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a process killed by the signal reports
 
-CSV_BLOCK_ROWS = 2048  # rows formatted by one % in _write_csv
-# Blocks of at least this many rows write their %.17g columns from integers
-# (_integer_block); on shorter ones numpy's cost per call exceeds the saving
+CSV_BLOCK_ROWS = 1024  # rows formatted together in _write_csv
+# Blocks of at least this many rows are spelled as one byte array
+# (_byte_block); on shorter ones numpy's cost per call exceeds the saving
 # (the crossover measured on 3- and 4-column tables).
 CSV_INTEGER_ROWS = 200
 
 # 10**p for p = 0..22, every one an exact double; 10**k as int64 for k = 0..18
-# (0 past it, where the integer part is 0); _FRACTION_BOUND[w] = 10**(w-1),
-# the least w-digit fraction without a leading zero (0 for w = 0).
+# (0 past it, where the integer part is 0).
 _POW10 = np.array([float(10 ** p) for p in range(23)])
 _INT_POW10 = np.array([10 ** k for k in range(19)] + [0] * 4, dtype=np.int64)
-_FRACTION_BOUND = np.array([0] + [10 ** min(w - 1, 18) for w in range(1, 23)],
-                           dtype=np.int64)
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double as two 26-bit halves
 
 
-def _cell_kinds():
-    """(spec, takes the integer part, takes the fraction) of each cell kind.
+def _digit_words() -> np.ndarray:
+    """The 4-byte words that spell a cell, little-endian uint32: the four
+    ASCII digits of each q = 0..9999 as they are, then with leading zeros
+    NUL, then the same but for the units digit, then with trailing zeros NUL
+    (q at _FULL, _LEAD, _UNIT and _TRAIL + q); from _NUL on, NUL and the
+    words ``-``, ``.``, ``.0``, ``.00``, ``.000``, ``,`` and ``\n``."""
+    digits = np.indices((10,) * 4, dtype=np.uint32).reshape(4, -1)  # (place, q): q's digits
+    lead, trail = digits > 0, digits > 0
+    for j in range(1, 4):
+        lead[j] |= lead[j - 1]  # at or after the leading digit
+        trail[3 - j] |= trail[4 - j]  # at or before the last nonzero one
+    unit = lead.copy()
+    unit[3] = True
+    # digit j of q in byte j of its word
+    ascii = (digits + ord("0")) << (8 * np.arange(4, dtype=np.uint32))[:, None]
+    extra = b"".join(text.ljust(4, b"\0") for text in
+                     [b"", b"-", b".", b".0", b".00", b".000", b",", b"\n"])
+    return np.concatenate([(ascii * keep).sum(axis=0, dtype="<u4")
+                           for keep in (True, lead, unit, trail)]
+                          + [np.frombuffer(extra, dtype="<u4")])
 
-    Kind 0 is ``%.17g`` with the value itself; kind 1 + 31 * (x < 0) + k
-    is, for k = 0..30: ``%d`` (no fraction), ``%d.%d``, ``%d.%0{w}d`` (w
-    fraction digits, the first a zero) for k = w + 1; ``0.`` and -X - 1
-    zeros before the digits for X = -1..-4 (k = 17 - X); and the integer
-    part d = 1..9 written out for X = 0 (k = 21 + d)."""
-    kinds = [("%d", True, False), ("%d.%d", True, True)]
-    kinds += [(f"%d.%0{w}d", True, True) for w in range(1, 17)]
-    kinds += [(f"0.{'0' * z}%d", False, True) for z in range(4)]
-    kinds += [(f"{d}.%d", False, True) for d in range(1, 10)]
-    return [("%.17g", True, False)] + [
-        (sign + spec, whole, fraction) for sign in ("", "-") for spec, whole, fraction in kinds]
 
-
-_CELL_KINDS = _cell_kinds()
-_CELL_SPECS = {sep: np.array([spec + sep for spec, _, _ in _CELL_KINDS], dtype=object)
-               for sep in (",", "\n")}
-_TAKES_WHOLE, _TAKES_FRACTION = np.array([kind[1:] for kind in _CELL_KINDS]).T
+_WORDS = _digit_words()
+_FULL, _LEAD, _UNIT, _TRAIL, _NUL = (k * 10 ** 4 for k in range(5))
+_MINUS, _POINT, _COMMA, _NEWLINE = _NUL + 1, _NUL + 2, _NUL + 6, _NUL + 7
+_CELL_WORDS = 13  # sign, integer part (1 + 4 x 4 digits), point, fraction (the same), separator
 
 
 def parse_structure(text: str) -> LayeredStructure:
@@ -160,24 +163,23 @@ def _load_structure(args) -> LayeredStructure:
 def _integer_cells(v: np.ndarray):
     """``'%.17g' % x`` for each x of the float64 array ``v``, as integers.
 
-    Returns (kind, whole, fraction): the cell is ``_CELL_SPECS[sep][kind]``
-    applied to those of the integer part ``whole`` and the digits
-    ``fraction`` that ``_TAKES_WHOLE`` and ``_TAKES_FRACTION`` name, or, for
-    kind 0, to x itself.  For 1e-4 <= |x| < 1e17 ``%.17g`` writes fixed
-    notation: the 17 significant digits N = round(|x| 10**p), p = 16 - X,
-    X = floor(log10 |x|), of which the last p follow the point, trailing
-    zeros dropped.  10**p is an exact double, so Dekker's two-product gives
-    |x| 10**p exactly as hi + lo, hi a double >= 2**53 and so an even
-    integer, and N = hi + rint(lo): rint breaks a tie (lo ending in exactly
-    .5) to even as ``%.17g`` does.  Kind 0 takes zero, non-finite values,
-    scientific notation and an N outside [10**16, 10**17), where np.log10
-    misjudged X.  No rounding carries into the integer part, which is
-    floor(|x|): a double lies farther from an integer than half the 17th
-    digit.
+    Returns (exact, whole, fraction, p): where ``exact``, the cell is the
+    integer part ``whole`` and, if ``fraction`` > 0, a point and ``fraction``
+    as p digits, leading zeros kept and trailing ones dropped.  For
+    1e-4 <= |x| < 1e17 ``%.17g`` writes fixed notation: the 17 significant
+    digits N = round(|x| 10**p), p = 16 - X, X = floor(log10 |x|), of which
+    the last p follow the point, trailing zeros dropped.  10**p is an exact
+    double, so Dekker's two-product gives |x| 10**p exactly as hi + lo, hi a
+    double >= 2**53 and so an even integer, and N = hi + rint(lo): rint
+    breaks a tie (lo ending in exactly .5) to even as ``%.17g`` does.  Not
+    ``exact`` are zero, non-finite values, scientific notation and an N
+    outside [10**16, 10**17), where np.log10 misjudged X.  No rounding
+    carries into the integer part, which is floor(|x|): a double lies
+    farther from an integer than half the 17th digit.
     """
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e17)
-    a[~fast] = 1.0
+    exact = (a >= 1e-4) & (a < 1e17)
+    a[~exact] = 1.0
     p = np.maximum(16.0 - np.floor(np.log10(a)), 0).astype(np.intp)
     s = _POW10[p]
     hi = a * s
@@ -190,79 +192,113 @@ def _integer_cells(v: np.ndarray):
     lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     r = np.rint(lo)
     n = hi.astype(np.int64) + r.astype(np.int64)
-    fast &= (n >= 10 ** 16) & (n < 10 ** 17)
+    exact &= (n >= 10 ** 16) & (n < 10 ** 17)
     whole = a.astype(np.int64)
-    fraction = n - whole * _INT_POW10[p]
-    digits = p.copy()  # after the point, less trailing zeros as they go
-    ends_in_zero = np.flatnonzero(n == n // 10 * 10)
-    if ends_in_zero.size:
-        f, d = fraction[ends_in_zero], digits[ends_in_zero]
-        for k in (16, 8, 4, 2, 1):
-            q = f // _INT_POW10[k]
-            strip = (q * _INT_POW10[k] == f) & (d >= k)
-            f = np.where(strip, q, f)
-            d -= k * strip
-        fraction[ends_in_zero], digits[ends_in_zero] = f, d
-    # the kinds of _cell_kinds: %d, %d.%d or %d.%0{w}d; 0.%d after -X - 1
-    # zeros for X < 0; d.%d for X = 0; then the sign, and %.17g
-    kind = np.where(fraction < _FRACTION_BOUND[digits], digits + 1, digits > 0)
-    kind = np.where(p > 16, p + 1, kind)
-    kind = np.where((p == 16) & (kind == 1), whole + 21, kind)
-    kind += np.where(v < 0, 32, 1)
-    kind[~fast] = 0
-    return kind, whole, fraction
+    return exact, whole, n - whole * _INT_POW10[p], p
 
 
-def _integer_block(fields, parts) -> str:
-    """One block of rows, ``parts`` a slice of each column and ``fields`` the
-    conversion of each, written by one ``%`` over per-cell specs: each
-    ``%.17g`` value as the integers of :func:`_integer_cells` (kind 0 as
-    itself), every other field as it is.  The block's ``%.17g`` columns go
-    through _integer_cells together, in one call."""
+def _float_cells(v: np.ndarray, seps) -> np.ndarray:
+    """``'%.17g' % x`` for each x of ``v``, then its separator word
+    ``seps``, as a (len(v), 52) uint8 array of NUL-padded ASCII.
+
+    A cell is _CELL_WORDS words of _WORDS: the sign; the integer part of
+    :func:`_integer_cells` as a leading digit and four groups of four
+    digits, leading zeros NUL but its units digit; the point, with the p -
+    17 zeros that follow it when p > 17; the fraction left-aligned in 17
+    digits, as a leading digit and four groups, trailing zeros NUL; the
+    separator.  The fraction is ``fraction * 10**(17 - p)``, or for p > 17
+    ``fraction`` itself, the 17 digits after those zeros.  An empty
+    fraction has no point.  Each 17-digit number splits into its groups
+    with ``//`` by a constant, which numpy runs without a hardware divide
+    (``%`` and divmod divide), and a multiply-subtract, in int32 below
+    10**8.  The words are built a word at a time over every cell, and one
+    ``np.take`` spells them cell by cell.  A cell that _integer_cells does
+    not prove exact is ``%.17g`` itself, NUL-padded.
+    """
+    count = v.size
+    exact, whole, fraction, p = _integer_cells(v)
+    parts = np.empty((2, count), dtype=np.int64)
+    parts[0] = whole
+    parts[1] = fraction * _INT_POW10[np.maximum(17 - p, 0)]
+    high = parts // 10 ** 8  # the leading digit and the next 8, < 10**9
+    lead = high // 10 ** 8
+    eights = np.empty((2, 2, count), dtype=np.int32)
+    eights[:, 0] = high - lead * 10 ** 8
+    eights[:, 1] = parts - high * 10 ** 8
+    fours = eights // 10 ** 4
+    words = np.empty((_CELL_WORDS, count), dtype=np.int32)
+    groups = words[1:].reshape(2, 6, count)  # integer part, fraction: words 1-5, 7-11
+    groups[:, 0] = lead
+    groups[:, 1:5:2] = fours
+    groups[:, 2:5:2] = eights - fours * 10 ** 4
+    words[0] = np.where(v < 0, _MINUS, _NUL)
+    words[1] += _LEAD
+    words[2:5] += _LEAD * (whole < np.array([[10 ** 16], [10 ** 12], [10 ** 8]]))
+    words[5] += _UNIT * (whole < 10 ** 4)
+    empty = parts[1] == 0
+    words[6] = np.where(empty, _NUL, _POINT + np.maximum(p - 17, 0))
+    words[7] = np.where(empty, _NUL, words[7] + _UNIT)
+    # a group is _TRAIL where every digit after it is 0
+    last_eight_zero = eights[1, 1] == 0
+    words[8] += _TRAIL * (last_eight_zero & (words[9] == 0))
+    words[9] += _TRAIL * last_eight_zero
+    words[10] += _TRAIL * (words[11] == 0)
+    words[11] += _TRAIL
+    words[12] = seps
+    cells = np.take(_WORDS, words.T).view(np.uint8)
+    inexact = np.flatnonzero(~exact)
+    if inexact.size:
+        # %.17g is at most 24 characters; left-aligned, with the spaces NUL
+        text = ("%-24.17g" * inexact.size % tuple(v[inexact].tolist())).encode("ascii")
+        text = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
+        cells[inexact, :-4] = 0
+        cells[inexact, :24] = np.where(text == ord(" "), 0, text)
+    return cells
+
+
+def _byte_block(fields, parts) -> str:
+    """One block of rows, ``parts`` a slice of each column and ``fields``
+    the conversion of each, ``%.17g`` or ``%s``, spelled as one uint8 array
+    of NUL-padded cells from which the NULs are then dropped.  The block's
+    ``%.17g`` values go through :func:`_float_cells` together, row by row,
+    and each ``%s`` column is ``np.array(part, dtype="S")``.  bytes.translate
+    drops the NULs in one pass, several times faster than a numpy mask."""
     rows, width = len(parts[0]), len(parts)
     floats = [j for j, field in enumerate(fields) if field == "%.17g"]
-    values = np.array([parts[j] for j in floats], dtype=np.float64)
-    kind, whole, fraction = (x.reshape(values.shape).T
-                             for x in _integer_cells(values.ravel()))
-    specs = np.empty((rows, width), dtype=object)
-    for j, field in enumerate(fields):
-        sep = "\n" if j == width - 1 else ","
-        specs[:, j] = _CELL_SPECS[sep][kind[:, floats.index(j)]] if j in floats else field + sep
-    template = "".join(specs.ravel().tolist())
-    del specs  # the block's transients are its peak memory: free each when done
-    args = np.empty((rows, width, 2), dtype=object)
-    used = np.zeros((rows, width, 2), dtype=bool)
-    args[:, floats, 0] = whole
-    args[:, floats, 1] = fraction
-    used[:, floats, 0] = _TAKES_WHOLE[kind]
-    used[:, floats, 1] = _TAKES_FRACTION[kind]
-    row, col = np.nonzero(kind == 0)
-    args[row, np.array(floats)[col], 0] = values[col, row]
-    for j, part in enumerate(parts):
-        if j not in floats:
-            args[:, j, 0] = part
-            used[:, j, 0] = True
-    args = tuple(args[used].tolist())
-    return template % args
+    values = np.array([parts[j] for j in floats], dtype=np.float64).T.ravel()
+    seps = np.tile([_NEWLINE if j == width - 1 else _COMMA for j in floats], rows)
+    table = _float_cells(values, seps).reshape(rows, len(floats), -1)
+    if len(floats) < width:  # place the %s columns among the float cells
+        pieces = []
+        for j, part in enumerate(parts):
+            if j in floats:
+                pieces.append(table[:, floats.index(j)])
+                continue
+            labels = np.array(part, dtype="S")
+            piece = np.zeros((rows, labels.itemsize + 1), dtype=np.uint8)
+            piece[:, :-1] = labels[:, None].view(np.uint8)
+            piece[:, -1] = ord("\n" if j == width - 1 else ",")
+            pieces.append(piece)
+        table = np.concatenate(pieces, axis=1)
+    return table.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_csv(path, header: str, row_format: str, columns):
     """Write ``header`` and one ``row_format`` line per row of ``columns``.
 
-    ``row_format`` is one conversion per column, joined by commas, and
-    ``columns`` are equal-length arrays or sequences.  Rows are formatted
-    CSV_BLOCK_ROWS at a time, each block with one ``%``, which costs a
-    fraction of a format call per value and keeps the transient tuple small.
-    A block of fewer than CSV_INTEGER_ROWS rows is ``row_format`` repeated
-    over its interleaved values.  A longer one writes each ``%.17g`` value
-    from integers (:func:`_integer_block`): for 1e-4 <= |x| < 1e17, where
-    ``%.17g`` prints fixed notation, its 17 digits are one int64 computed
-    exactly with Dekker's product and an exact power of ten, and ``%d``
-    prints it several times faster than ``%.17g`` runs correctly rounded
-    conversion.  Zero, non-finite values, scientific notation and any value
-    whose decade np.log10 misjudged keep ``%.17g``, so the bytes are
-    ``%.17g``'s either way.  Every block is formatted before the file is
-    opened, so a command that fails leaves no partial file.
+    ``row_format`` is one conversion per column, ``%.17g`` or ``%s``, joined
+    by commas, and ``columns`` are equal-length arrays or sequences.  Rows
+    are formatted CSV_BLOCK_ROWS at a time, which keeps each block's
+    transients small.  A block of fewer than CSV_INTEGER_ROWS rows is
+    ``row_format`` repeated over its interleaved values, one ``%``.  A
+    longer one is spelled as bytes (:func:`_byte_block`): each ``%.17g``
+    value with 1e-4 <= |x| < 1e17, where ``%.17g`` prints fixed notation,
+    from its 17 digits, one int64 computed exactly with Dekker's product
+    and an exact power of ten, spelled four digits at a time from a table.
+    Zero, non-finite values, scientific notation and any value whose decade
+    np.log10 misjudged keep ``%.17g``, so the bytes are ``%.17g``'s either
+    way.  Every block is formatted before the file is opened, so a command
+    that fails leaves no partial file.
     """
     width, n = len(columns), len(columns[0])
     fields = row_format.split(",")
@@ -271,7 +307,7 @@ def _write_csv(path, header: str, row_format: str, columns):
         stop = min(start + CSV_BLOCK_ROWS, n)
         parts = [col[start:stop] for col in columns]
         if stop - start >= CSV_INTEGER_ROWS:
-            blocks.append(_integer_block(fields, parts))
+            blocks.append(_byte_block(fields, parts))
             continue
         values = [None] * (width * (stop - start))
         for j, part in enumerate(parts):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .amplitudes import _factored_barrier
 from .structure import (
+    _HUGE,
     LayeredStructure,
     _kernel_overflows,
     branch_sqrt,
@@ -41,7 +42,8 @@ class BandEdgeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PeriodicLattice:
-    """count identical barriers of height/width at spacing period, all three finite."""
+    """count identical barriers of height/width at spacing period, all three
+    finite, whose last centre and span are finite too."""
 
     barrier_height: float
     barrier_width: float
@@ -60,6 +62,13 @@ class PeriodicLattice:
             raise ValueError("count must be >= 1")
         if self.first_center is None:
             object.__setattr__(self, "first_center", self.period / 2.0)
+        # to_structure's last centre and span, in its order of operations
+        x1, half = self.first_center, self.barrier_width / 2.0
+        last = x1 + (self.count - 1) * self.period
+        if not math.isfinite(last + half + (x1 - half)):
+            raise ValueError(
+                f"need the last centre first_center + (count - 1) period and the span "
+                f"finite, got first_center {x1}, period {self.period} and count {self.count}")
 
     def to_structure(self, v_left: float = 0.0, v_right: float = 0.0) -> LayeredStructure:
         """Explicit structure with symmetric (period-width)/2 outer margins."""
@@ -283,7 +292,9 @@ def band_scan(
     Negative energies carry no propagating gap wave, so e_min is first
     raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, an e_max at which
     the gap phase sqrt(e_max) (period - width) or the barrier formula
-    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows.
+    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows,
+    an e_max of the largest double, and, where e_max or the height reaches
+    2^1021, any energy of the scan at which the barrier formula overflows.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
@@ -295,15 +306,28 @@ def band_scan(
                          f"got e_max {e_max} and period {lat.period}")
     if _kernel_overflows(lat.cell, e_max):
         raise ValueError(f"need e_max below where the barrier formula overflows, got {e_max}")
+    if e_max >= np.finfo(float).max:
+        raise ValueError(f"need e_max below the largest double, got {e_max}: the grid's "
+                         "arithmetic and the nudge off k = 0 go past it")
     grid = np.linspace(e_min, e_max, points)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
 
     # Every point, grid or bisected, lies at or above ENERGY_FLOOR and is
-    # moved off k = 0, where cos beta is continuous, so it needs no check.
-    # Skipped grid points still bracket edges, so an edge next to one is not lost.
+    # moved off k = 0, where cos beta is continuous.  Under a height near the
+    # largest double the formula overflows at scattered energies, not only at
+    # the top, so there each point is judged as e_max was.  Skipped grid points
+    # still bracket edges, so an edge next to one is not lost.
+    near_overflow = max(e_max, abs(lat.barrier_height)) >= _HUGE
+
     def cos_beta(e):
-        return _cos_beta(lat, off_degenerate(lat.cell, e, 1e-12))
+        e = off_degenerate(lat.cell, e, 1e-12)
+        if near_overflow:
+            bad = e[_kernel_overflows(lat.cell, e)]
+            if bad.size:
+                raise ValueError(f"need e_max below where the barrier formula overflows, "
+                                 f"which it does at {bad[0]}")
+        return _cos_beta(lat, e)
 
     values = cos_beta(grid)
     f = np.abs(values) - 1.0

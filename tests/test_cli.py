@@ -577,6 +577,8 @@ def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
 HUGE_LINE = ("error: energy {} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
              "pass the largest double in a barrier, where the barrier formula overflows")
 LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
+DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width", "1",
+                  "--period", "2"]
 
 
 @pytest.mark.parametrize("argv, code, line", [
@@ -593,7 +595,24 @@ LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
     (["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
      2, "error: need sqrt(e_max) (period - barrier width) finite, got e_max 12.0 "
         "and period 1e+308"),
-], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period"])
+    # under a height of the largest double the formula overflows at scattered
+    # energies below e_max, where these exited 0 with RuntimeWarnings
+    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1e307:30"],
+     2, "error: need e_max below where the barrier formula overflows, which it does at "
+        "1.7241379310344826e+306"),
+    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "1e300:1e301:3000"],
+     2, "error: need e_max below where the barrier formula overflows, which it does at "
+        "2.683561187062354e+300"),
+    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1.7976931348623157e308:30"],
+     2, "error: need e_max below the largest double, got 1.7976931348623157e+308: the "
+        "grid's arithmetic and the nudge off k = 0 go past it"),
+    # a lattice's last centre past the largest double, which named an inf span
+    (["sweep", "--scenario", "periodic", "--scenario-params", "period=1e308,count=3",
+      "--energy-range", "1:2:3"],
+     2, "error: scenario periodic: need the last centre first_center + (count - 1) period "
+        "and the span finite, got first_center 5e+307, period 1e+308 and count 3"),
+], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period",
+        "bands-inside", "bands-scattered", "bands-largest-double", "lattice-span"])
 def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
     # where the barrier formula or a lattice's geometry would overflow, one
     # error: line and the exit code, no numpy RuntimeWarning and no output;
@@ -1026,7 +1045,7 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
                  1.7976931348623157e308, 3.0, 0.1, 1e16, 1e-5, np.float64(-1 / 3)]
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [1, 1023, 1025, 4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("row_format, labels", [
     ("%.17g,%.17g,%.17g,%.17g", False),  # wavefunction
     ("%.17g,%.17g,%.17g", False),        # sweep
@@ -1112,10 +1131,10 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
                 row_format, len(table), bad, bad is not None and (got[bad], expected[bad]))
 
 
-def test_write_csv_uses_integers_from_the_crossover(monkeypatch, capsys):
+def test_write_csv_spells_bytes_from_the_crossover(monkeypatch, capsys):
     blocks = []
-    real = layerscatter.cli._integer_block
-    monkeypatch.setattr(layerscatter.cli, "_integer_block",
+    real = layerscatter.cli._byte_block
+    monkeypatch.setattr(layerscatter.cli, "_byte_block",
                         lambda fields, parts: blocks.append(len(parts[0])) or real(fields, parts))
     for n in (CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS + CSV_INTEGER_ROWS - 1):
         x = np.linspace(0.5, 3.0, n)
@@ -1126,7 +1145,7 @@ def test_write_csv_uses_integers_from_the_crossover(monkeypatch, capsys):
     assert blocks == [CSV_INTEGER_ROWS, CSV_BLOCK_ROWS]
     # and every value of such a table is proved, none left to %.17g
     values = np.concatenate([x, x * x, -x / 5e3, x * 1e15])
-    assert (layerscatter.cli._integer_cells(values)[0] > 0).all()
+    assert layerscatter.cli._integer_cells(values)[0].all()
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

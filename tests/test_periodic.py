@@ -455,6 +455,12 @@ class TestLattice:
             PeriodicLattice(3.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             PeriodicLattice(3.0, 1.0, 2.0, count=0)
+        # a last centre or span past the largest double, refused before
+        # to_structure's np.arange(count) * period overflows
+        for kwargs in ({"period": 1e308, "count": 3}, {"period": 2.0, "first_center": 1.7e308},
+                       {"period": 2.0, "first_center": math.nan}):
+            with pytest.raises(ValueError, match=r"last centre first_center \+ \(count - 1\)"):
+                PeriodicLattice(3.0, 1.0, **kwargs)
 
     def test_rejects_non_finite_parameters(self):
         # one ValueError naming the parameter, before a structure is built from it
