@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -33,8 +32,7 @@ from .structure import (
     mirror_structure,
     off_degenerate,
 )
-from .wavefunction import MAX_GRID_POINTS, default_grid, grid_bounds
-from .wavefunction import sample_density, solve_structure
+from .wavefunction import default_grid, grid_bounds, sample_density, solve_structure
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -344,26 +342,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _grid_options(args, s: LayeredStructure):
-    """(x_min, x_max) of ``wavefunction``'s grid, checked with --grid-points
-    before any solve: finite bounds a finite distance apart and 1 to
-    ``MAX_GRID_POINTS`` points, or a ValueError naming the option."""
-    for option, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{option} must be finite, got {value}")
-    x_min, x_max = grid_bounds(s.span, args.x_min, args.x_max)
-    if not math.isfinite(x_max - x_min):
-        raise ValueError(
-            f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
-    if args.grid_points is not None and not 1 <= args.grid_points <= MAX_GRID_POINTS:
-        bound = "at least 1" if args.grid_points < 1 else f"at most {MAX_GRID_POINTS}"
-        raise ValueError(f"--grid-points must be {bound}, got {args.grid_points}")
-    return x_min, x_max
-
-
 def cmd_wavefunction(args) -> int:
     s = _load_structure(args)
-    x_min, x_max = _grid_options(args, s)
+    x_min, x_max = grid_bounds(s.span, args.x_min, args.x_max, args.grid_points)
     sol = solve_structure(s, args.energy)
     grid = default_grid(sol, x_min, x_max, args.grid_points)
     rows = sample_density(sol, grid)

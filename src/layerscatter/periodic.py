@@ -291,10 +291,10 @@ def band_scan(
     for a scan's edges, where one per halving took about 25.
     Negative energies carry no propagating gap wave, so e_min is first
     raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, an e_max at which
-    the gap phase sqrt(e_max) (period - width) or the barrier formula
-    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows,
-    an e_max of the largest double, and, where e_max or the height reaches
-    2^1021, any energy of the scan at which the barrier formula overflows.
+    the gap phase sqrt(e_max) (period - width) overflows, an e_max of the
+    largest double, and any energy the scan evaluates, grid point, bisection
+    midpoint or interval midpoint, at which the barrier formula
+    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
@@ -304,8 +304,6 @@ def band_scan(
     if not math.isfinite(math.sqrt(e_max) * (lat.period - lat.barrier_width)):
         raise ValueError(f"need sqrt(e_max) (period - barrier width) finite, "
                          f"got e_max {e_max} and period {lat.period}")
-    if _kernel_overflows(lat.cell, e_max):
-        raise ValueError(f"need e_max below where the barrier formula overflows, got {e_max}")
     if e_max >= np.finfo(float).max:
         raise ValueError(f"need e_max below the largest double, got {e_max}: the grid's "
                          "arithmetic and the nudge off k = 0 go past it")
@@ -313,11 +311,12 @@ def band_scan(
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
 
-    # Every point, grid or bisected, lies at or above ENERGY_FLOOR and is
-    # moved off k = 0, where cos beta is continuous.  Under a height near the
-    # largest double the formula overflows at scattered energies, not only at
-    # the top, so there each point is judged as e_max was.  Skipped grid points
-    # still bracket edges, so an edge next to one is not lost.
+    # Every point, grid, bisected or interval midpoint, lies at or above
+    # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.  The
+    # formula can overflow only where e_max or the height reaches 2^1021, and
+    # there at scattered energies, not only at the top, so there every point is
+    # judged by the overflow rule.  Skipped grid points still bracket edges, so
+    # an edge next to one is not lost.
     near_overflow = max(e_max, abs(lat.barrier_height)) >= _HUGE
 
     def cos_beta(e):
@@ -357,7 +356,7 @@ def band_scan(
     keep = hi - lo > 0
     lo, hi = lo[keep], hi[keep]
     mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) exactly, where lo + hi does not overflow
-    labels = _classify(_cos_beta(lat, off_degenerate(lat.cell, mid, 1e-9)))
+    labels = _classify(cos_beta(mid))
 
     return BandTable(
         energies=energies,

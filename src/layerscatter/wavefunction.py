@@ -12,6 +12,7 @@ it.  No linear system is solved on this path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,12 +134,24 @@ def evaluate_dpsi(sol: ScatteringSolution, x):
     return _psi_dpsi(sol, x, np.searchsorted(sol.regions[0], x, side="right"))[1]
 
 
-def grid_bounds(span: float, x_min: float | None = None,
-                x_max: float | None = None) -> tuple[float, float]:
+def grid_bounds(span: float, x_min: float | None = None, x_max: float | None = None,
+                points: int | None = None) -> tuple[float, float]:
     """(x_min, x_max) of the sampling grid: a bound not given lies a quarter
-    span beyond the structure's edge on its side."""
-    return (-0.25 * span if x_min is None else x_min,
-            1.25 * span if x_max is None else x_max)
+    span beyond the structure's edge on its side.  A ValueError naming the
+    option refuses a non-finite bound, bounds whose distance overflows, and
+    an explicit count of ``points`` below 1 or above ``MAX_GRID_POINTS``."""
+    for option, value in (("--x-min", x_min), ("--x-max", x_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
+    x_min = -0.25 * span if x_min is None else float(x_min)
+    x_max = 1.25 * span if x_max is None else float(x_max)
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(
+            f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
+    if points is not None and not 1 <= points <= MAX_GRID_POINTS:
+        bound = "at least 1" if points < 1 else f"at most {MAX_GRID_POINTS}"
+        raise ValueError(f"--grid-points must be {bound}, got {points}")
+    return x_min, x_max
 
 
 def default_grid(
@@ -148,9 +161,10 @@ def default_grid(
     points: int | None = None,
 ) -> np.ndarray:
     """Sampling grid: 40 points per shortest wavelength, at least 1000,
-    between the bounds of :func:`grid_bounds`.  A ValueError refuses a default
-    count above ``MAX_GRID_POINTS`` before anything is allocated."""
-    x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max)
+    between the bounds of :func:`grid_bounds`, which checks them and
+    ``points``.  A ValueError refuses a default count above
+    ``MAX_GRID_POINTS`` before anything is allocated."""
+    x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max, points)
     if points is None:
         k_max = np.abs(sol.regions[1].real).max()
         points = 1000

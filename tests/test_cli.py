@@ -589,7 +589,8 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
     (["oracle-check", "--scenario", "periodic", "--energy", "1e308"],
      3, HUGE_LINE.format("1e+308")),
     (["bands", *LATTICE, "--period", "2", "--energy-range", "0:1e308:30"],
-     2, "error: need e_max below where the barrier formula overflows, got 1e+308"),
+     2, "error: need e_max below where the barrier formula overflows, which it does at "
+        "9.310344827586206e+307"),
     (["bands", *LATTICE, "--period", "inf", "--energy-range", "0:12:30"],
      2, "error: period must be finite, got inf"),
     (["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
