@@ -328,6 +328,8 @@ def _energy_range(spec: str):
         raise ValueError("--energy-range needs finite MIN and MAX")
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"--energy-range needs MAX - MIN finite, got {lo} and {hi}")
     return lo, hi, steps
 
 
@@ -357,7 +359,12 @@ def cmd_wavefunction(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
-    energies = np.linspace(*_energy_range(args.energy_range))
+    if not np.isfinite(args.nudge):
+        raise ValueError(f"--nudge must be finite, got {args.nudge}")
+    # MAX - MIN is finite, so only the last point's step can overflow, and
+    # linspace then sets that point to MAX
+    with np.errstate(over="ignore"):
+        energies = np.linspace(*_energy_range(args.energy_range))
     w, _, _, emb = scattering_amplitudes(s, off_degenerate(s, energies, args.nudge))
     t = transmission_probability(emb, w)
     r = reflection_probability(emb)
@@ -379,6 +386,10 @@ def cmd_bands(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     s = _load_structure(args)
+    for option, value in (("--tolerance", args.tolerance),
+                          ("--relaxed-tolerance", args.relaxed_tolerance)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{option} must be finite and at least 0, got {value}")
     worst, condition, residual = compare_with_pipeline(s, args.energy)
     tol = args.tolerance if condition <= 1e8 else args.relaxed_tolerance
     print(

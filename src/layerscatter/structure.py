@@ -310,10 +310,14 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
 def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:
     """``energy`` with every point of :func:`degenerate_energies` moved to
     energy + nudge, or one ulp in the nudge's direction where that sum rounds
-    back to the energy.  A zero nudge moves nothing."""
-    e = np.asarray(energy, dtype=float)
-    moved = np.where(e + nudge == e, np.nextafter(e, math.copysign(math.inf, nudge)), e + nudge)
-    return np.where(degenerate_energies(s, e) & (nudge != 0), moved, e)
+    back to the energy.  A zero nudge moves nothing.  Only the moved points
+    are stepped, so an energy near the largest double that stays put cannot
+    overflow."""
+    e = np.array(energy, dtype=float)
+    move = degenerate_energies(s, e) & (nudge != 0)
+    d = e[move]
+    e[move] = np.where(d + nudge == d, np.nextafter(d, math.copysign(math.inf, nudge)), d + nudge)
+    return e
 
 
 def check_energy(s: LayeredStructure, energy) -> None:

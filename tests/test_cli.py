@@ -604,6 +604,12 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
     (["bands", *DBL_MAX_HEIGHT, "--energy-range", "1e300:1e301:3000"],
      2, "error: need e_max below where the barrier formula overflows, which it does at "
         "2.683561187062354e+300"),
+    # an interval midpoint is judged as the grid points are: this one
+    # overflowed with a RuntimeWarning and exit 0
+    (["bands", *DBL_MAX_HEIGHT, "--energy-range",
+      "5.481887415507686e+301:9.357216995498906e+301:2"],
+     2, "error: need e_max below where the barrier formula overflows, which it does at "
+        "7.419552205503296e+301"),
     (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1.7976931348623157e308:30"],
      2, "error: need e_max below the largest double, got 1.7976931348623157e+308: the "
         "grid's arithmetic and the nudge off k = 0 go past it"),
@@ -612,8 +618,15 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
       "--energy-range", "1:2:3"],
      2, "error: scenario periodic: need the last centre first_center + (count - 1) period "
         "and the span finite, got first_center 5e+307, period 1e+308 and count 3"),
+    # a sweep up to the largest double, whose grid and nudge warned of overflow
+    # before the line, and a range past it, which ended in an energy of nan
+    (["sweep", "--scenario", "periodic", "--energy-range", "0:1.7976931348623157e308:30"],
+     3, HUGE_LINE.format("9.29841276652922e+307")),
+    (["sweep", "--scenario", "periodic", "--energy-range=-1e308:1.7e308:5"],
+     2, "error: --energy-range needs MAX - MIN finite, got -1e+308 and 1.7e+308"),
 ], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period",
-        "bands-inside", "bands-scattered", "bands-largest-double", "lattice-span"])
+        "bands-inside", "bands-scattered", "bands-midpoint", "bands-largest-double",
+        "lattice-span", "sweep-largest-double", "sweep-range-overflows"])
 def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
     # where the barrier formula or a lattice's geometry would overflow, one
     # error: line and the exit code, no numpy RuntimeWarning and no output;
@@ -621,6 +634,27 @@ def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
     out = tmp_path / "out.csv"
     proc = run_fresh(*argv, *(["--out", str(out)] if argv[0] != "oracle-check" else []))
     assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (code, "", [line])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--energy-range", "1:2:3", "--nudge", "nan"], "--nudge must be finite, got nan"),
+    (["sweep", "--energy-range", "0:2:3", "--nudge=-inf"], "--nudge must be finite, got -inf"),
+    (["oracle-check", "--energy", "4.6", "--tolerance", "nan"],
+     "--tolerance must be finite and at least 0, got nan"),
+    (["oracle-check", "--energy", "4.6", "--tolerance=-1"],
+     "--tolerance must be finite and at least 0, got -1.0"),
+    (["oracle-check", "--energy", "4.6", "--relaxed-tolerance", "inf"],
+     "--relaxed-tolerance must be finite and at least 0, got inf"),
+], ids=["nudge-nan", "nudge-inf", "tolerance-nan", "tolerance-negative", "relaxed-inf"])
+def test_numeric_options_refused_before_solving(tmp_path, argv, message):
+    # exit 2 with one line naming the option and no output; a nan nudge was
+    # ignored with no degenerate grid point and otherwise ended in an energy
+    # of nan, and a nan or negative tolerance exited 4 at a discrepancy of 7e-16
+    out = tmp_path / "out.csv"
+    proc = run_fresh(*argv, "--scenario", "periodic",
+                     *(["--out", str(out)] if argv[0] == "sweep" else []))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -1053,7 +1087,7 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
     ("%.17g,%.17g,%s", True),            # bands
 ], ids=["wavefunction", "sweep", "bands"])
 def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, labels):
-    # rows cross the 2048-row blocks; each column cycles the values at its own offset
+    # rows cross the 1024-row blocks; each column cycles the values at its own offset
     width = row_format.count("%")
     cycle = np.array(FORMAT_VALUES)
     columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(width)]
@@ -1104,7 +1138,7 @@ def _hard_format_values(rng) -> np.ndarray:
 
 def test_write_csv_bytes_equal_per_value_format(tmp_path):
     # every value goes through one of the three row formats, in tables just
-    # below and at the integer-path crossover, either side of a block, and
+    # below and at the byte-path crossover, either side of a block, and
     # one of many blocks ending in a partial one
     values = _hard_format_values(np.random.default_rng(20))
     assert values.size >= 10 ** 6

@@ -378,6 +378,21 @@ class TestBandScan:
         table = band_scan(PeriodicLattice(1e308, 1.0, 2.0), 0.0, 1.2e308, 30)
         assert table.edges and all(lo < hi for lo, hi, _ in table.intervals)
 
+    def test_every_energy_evaluated_passes_the_overflow_rule(self):
+        # under a height of the largest double the formula overflows at
+        # scattered energies; interval midpoints are judged as grid points
+        # are, so a scan returns or refuses and never warns (pytest makes a
+        # RuntimeWarning an error)
+        lat = PeriodicLattice(np.finfo(float).max, 1.0, 2.0)
+        refused = 0
+        for lo, hi in np.sort(np.random.default_rng(26).uniform(1e300, 1e302, (200, 2))):
+            try:
+                band_scan(lat, lo, hi, 2)
+            except ValueError as ex:
+                assert "barrier formula overflows, which it does at" in str(ex)
+                refused += 1
+        assert 0 < refused < 200
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             band_scan(LAT, 2.0, 1.0, 11)

@@ -21,7 +21,7 @@ from layerscatter import (
 )
 from layerscatter.scenarios import build_scenario
 from layerscatter.structure import mirror_structure
-from layerscatter.wavefunction import grid_bounds
+from layerscatter.wavefunction import MAX_GRID_POINTS, grid_bounds
 
 from conftest import psi_one_sided, random_structure, reference_psi
 
@@ -264,6 +264,26 @@ class TestSampling:
         # 40 points per wavelength 2*pi/10 over 6 length units
         assert len(grid) >= 40 * 6 / (2 * math.pi / 10)
         assert len(grid) >= 1000
+
+    @pytest.mark.parametrize("bounds, points, message", [
+        ((math.nan, 1.0), 5, "--x-min must be finite, got nan"),
+        ((-math.inf, 1.0), 5, "--x-min must be finite, got -inf"),
+        ((0.0, math.inf), None, "--x-max must be finite, got inf"),
+        ((-1e308, 1e308), 5,
+         "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),
+        ((np.float64(-1e308), np.float64(1e308)), 5,
+         "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),
+        ((None, None), 0, "--grid-points must be at least 1, got 0"),
+        ((None, None), MAX_GRID_POINTS + 1, "--grid-points must be at most 10000000, got 10000001"),
+    ], ids=["x-min-nan", "x-min-inf", "x-max-inf", "range-overflows", "range-overflows-float64",
+            "no-points", "too-many-points"])
+    def test_default_grid_refuses_what_the_cli_refuses(self, bounds, points, message):
+        # one rule for every caller, with the CLI's lines: no NaN grid and no
+        # RuntimeWarning (pytest makes one an error)
+        sol = solve_structure(LayeredStructure(0, 0, 4.0, ()), 100.0)
+        with pytest.raises(ValueError) as info:
+            default_grid(sol, *bounds, points)
+        assert str(info.value) == message
 
     def test_forbidden_band_exponential_envelope(self):
         # per-period maxima inside the lattice decay geometrically
