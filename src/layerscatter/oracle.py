@@ -74,16 +74,16 @@ class MatchingSystem:
         return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSolution:
     """Every coefficient of the scattering solution, from the banded solve."""
 
     r_full: complex
     t_full: complex
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     residual: float
     condition: float
 
@@ -175,10 +175,10 @@ def solve_matching_system(m: MatchingSystem) -> OracleSolution:
     condition = float(1.0 / rcond) if rcond > 0 else float("inf")
 
     # Region j's (c+, c-) sits at 2j - 1, 2j: gaps are the odd regions,
-    # barriers the even ones between the two media.
+    # barriers the even ones between the two media; a..d are views of x.
     return OracleSolution(
         r_full=complex(x[0]), t_full=complex(x[-1]),
-        a=tuple(x[1::4]), b=tuple(x[2::4]), c=tuple(x[3:-1:4]), d=tuple(x[4::4]),
+        a=x[1::4], b=x[2::4], c=x[3:-1:4], d=x[4::4],
         residual=residual, condition=condition,
     )
 
@@ -190,9 +190,9 @@ def oracle_solution(s: LayeredStructure, energy: float) -> OracleSolution:
 def compare_with_pipeline(s: LayeredStructure, energy: float):
     """Max relative coefficient discrepancy between oracle and pipeline.
 
-    Each family (r, t, the gap pairs a/b, the barrier pairs c/d) is
-    scaled by its own largest oracle magnitude, floored at 1, so a large
-    t_full cannot hide an error in the barrier coefficients.
+    Each family (r, t, the gap pairs a/b, the barrier pairs c/d, each pair one
+    stacked array) is scaled by its own largest oracle magnitude, floored at
+    1, so a large t_full cannot hide an error in the barrier coefficients.
     Returns (max_relative_discrepancy, oracle condition estimate,
     oracle residual).  The oracle's assembly runs the energy gate first, so a
     refused energy gets the message every other command prints.
@@ -200,7 +200,7 @@ def compare_with_pipeline(s: LayeredStructure, energy: float):
     ora = oracle_solution(s, energy)
     sol = solve_structure(s, energy)
     families = [(ora.r_full, sol.embedded.r_full), (ora.t_full, sol.embedded.t_full),
-                (ora.a + ora.b, sol.a + sol.b), (ora.c + ora.d, sol.c + sol.d)]
+                ((ora.a, ora.b), (sol.a, sol.b)), ((ora.c, ora.d), (sol.c, sol.d))]
     worst = 0.0
     for ref, got in families:  # hypot rounds as abs() does; numpy's vector abs may not
         ref, err = np.asarray(ref), np.subtract(ref, got)

@@ -30,7 +30,7 @@ from .structure import (
 MAX_GRID_POINTS = 10**7  # the most samples a grid may hold: 4 float64 columns, 320 MB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringSolution:
     """Everything needed to evaluate psi anywhere for unit left-incidence, each
     region's waves from its origins in :func:`region_origins`."""
@@ -39,10 +39,10 @@ class ScatteringSolution:
     energy: float
     wavenumbers: WaveNumberSet
     embedded: EmbeddedAmplitudes
-    a: tuple  # gap coefficients a_1..a_{N+1}, at each gap's left end
-    b: tuple
-    c: tuple  # barrier coefficients C_1..C_N, at each barrier's left edge
-    d: tuple  # D_1..D_N, at each barrier's right edge
+    a: np.ndarray  # gap coefficients a_1..a_{N+1}, at each gap's left end
+    b: np.ndarray
+    c: np.ndarray  # barrier coefficients C_1..C_N, at each barrier's left edge
+    d: np.ndarray  # D_1..D_N, at each barrier's right edge
 
     @cached_property
     def regions(self):
@@ -60,7 +60,7 @@ class ScatteringSolution:
 
 
 def gap_coefficients(amps, iface):
-    """(a_n, b_n) for every zero-potential gap region, n = 1..N+1, at one energy.
+    """(a_n, b_n) as two arrays over the zero-potential gaps, n = 1..N+1, at one energy.
 
     ``amps`` is the segments' (t, r, r'), each from its gap's left end, and ``iface``
     the outer steps, so (a_n, b_n) belong to waves from gap n's left end.  Right
@@ -69,6 +69,7 @@ def gap_coefficients(amps, iface):
     r_right; left to right, a_1 = t_left / (1 + r_left rho_1) and a_{n+1} =
     t_n a_n / (1 - r'_n rho_{n+1}).  Every factor is bounded: deep in a
     forbidden band a_n decays to 0 while psi at x = 0 still matches (1, R).
+    Both passes are scalar: at the chain lengths psi is sampled on, a scan is slower.
     """
     t_left, r_left, _, r_right = (complex(x) for x in iface)
     ts, rs, rps = (x.tolist() for x in amps)
@@ -79,10 +80,10 @@ def gap_coefficients(amps, iface):
     a = [t_left / (1.0 + r_left * rho[0])]
     for t, rp, right in zip(ts, rps, rho[1:]):
         a.append(t * a[-1] / (1.0 - rp * right))
-    return tuple(a), tuple(x * y for x, y in zip(a, rho))
+    return np.array(a), np.array([x * y for x, y in zip(a, rho)])
 
 
-def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructure):
+def barrier_coefficients(a: np.ndarray, b: np.ndarray, w: WaveNumberSet, s: LayeredStructure):
     """(C_n, D_n) of psi = C_n e^{ik_n(x - x_L)} + D_n e^{-ik_n(x - x_R)} in every
     barrier: C_n is the right-going part (psi + psi'/(ik_n))/2 of gap n's wave
     at x_L, D_n the left-going part (psi - psi'/(ik_n))/2 of gap n + 1's at x_R.
@@ -92,8 +93,7 @@ def barrier_coefficients(a: tuple, b: tuple, w: WaveNumberSet, s: LayeredStructu
     g = region_lengths(s)[1:-2:2]  # x_L - p_n, and x_R - p_{n+1} = 0
     ap = np.array((a[:-1] * np.exp(1j * k0 * g), a[1:]))
     bm = np.array((b[:-1] * np.exp(-1j * k0 * g), b[1:]))
-    c, d = (ap + bm + [[1.0], [-1.0]] * (k0 / w.k_barrier) * (ap - bm)) / 2
-    return tuple(c.tolist()), tuple(d.tolist())
+    return (ap + bm + [[1.0], [-1.0]] * (k0 / w.k_barrier) * (ap - bm)) / 2
 
 
 def solve_structure(s: LayeredStructure, energy: float) -> ScatteringSolution:

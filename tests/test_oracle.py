@@ -140,6 +140,15 @@ class TestAssembly:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    def test_coefficients_are_complex_arrays(self, n):
+        s = LayeredStructure(0.0, 0.0, 2.0 * n + 1.0,
+                             tuple(Barrier(3.0, 1.0, 2.0 * i + 1.0) for i in range(n)))
+        for sol in (oracle_solution(s, 4.6), solve_structure(s, 4.6)):
+            for x, size in zip((sol.a, sol.b, sol.c, sol.d), (n + 1, n + 1, n, n)):
+                assert isinstance(x, np.ndarray) and x.dtype == complex
+                assert x.shape == (size,)
+
     def test_free_space(self):
         sol = oracle_solution(LayeredStructure(0, 0, 1.0, ()), 4.0)
         assert sol.r_full == pytest.approx(0.0, abs=1e-14)
@@ -254,21 +263,28 @@ class TestPipelineEquivalence:
             checked += 1
         assert checked == 60
 
-    @pytest.mark.parametrize("family", [("r_full",), ("t_full",), ("a", "b"), ("c", "d")],
-                             ids=["r", "t", "gap", "barrier"])
-    def test_each_family_on_its_own_scale(self, family):
+    @pytest.mark.parametrize("family, part", [
+        (("r_full",), None), (("t_full",), None), (("a", "b"), slice(None)),
+        (("c", "d"), slice(None)), (("b",), -1), (("d",), -1),
+    ], ids=["r", "t", "gap", "barrier", "last-b", "last-d"])
+    def test_each_family_on_its_own_scale(self, family, part):
         # Mirrored graded-quadratic has an evanescent right medium.  At
         # eps=1.01 |t_full| is 3.7e-8, below what a scale floored at 1 can
-        # show, so t is skewed at eps=3.5, where every family's largest member
-        # is >= 0.71.  A 1% error in any family must show, not vanish under
-        # another family's scale or be left out of the comparison.
+        # show, and the last b and d are 2.6e-8, so those are skewed at
+        # eps=3.5, where every family's largest member is >= 0.71 and the last
+        # b and d are >= 0.12 of their family's scale.  A 1% error in any
+        # family, or in its last member alone, must show, not vanish under
+        # another family's scale, be added to its partner or be left out of
+        # the comparison.
         s = mirror_structure(build_scenario("graded-quadratic"))
-        energy = 3.5 if family == ("t_full",) else 1.01
+        energy = 3.5 if family == ("t_full",) or part == -1 else 1.01
 
         def skewed(s, e):
             sol = solve_structure(s, e)
             emb = {f: getattr(sol.embedded, f) * 1.01 for f in family if f.endswith("_full")}
-            coef = {f: tuple(u * 1.01 for u in getattr(sol, f)) for f in family if f in "abcd"}
+            coef = {f: getattr(sol, f).copy() for f in family if f in "abcd"}
+            for x in coef.values():
+                x[part] *= 1.01
             return dataclasses.replace(
                 sol, embedded=dataclasses.replace(sol.embedded, **emb), **coef)
 

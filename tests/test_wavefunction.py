@@ -101,7 +101,7 @@ class TestBarrierCoefficients:
             ora = oracle_solution(s, e)
             if ora.condition > 1e8:
                 continue
-            for u, v in zip(sol.c + sol.d, ora.c + ora.d):
+            for u, v in zip(np.concatenate((sol.c, sol.d)), np.concatenate((ora.c, ora.d))):
                 assert abs(u - v) <= 1e-10 * max(1.0, abs(v))
 
 
