@@ -24,6 +24,10 @@ TINY_ENERGY = 1e-300
 # most, under the largest double, and the energy rule takes no pass over them.
 _HUGE = 2.0 ** 1021
 
+# Below this span every region's 2 |k| L stays under 2^1022, as |k| < 2^513 for
+# any finite eps and u, and the phase rule takes no pass over the regions.
+_WIDE = 2.0 ** 508
+
 
 class StructureError(ValueError):
     """Raised when a layered structure violates its geometric constraints.
@@ -44,8 +48,9 @@ class DegenerateWavenumberError(ValueError):
 class EvanescentGapError(ArithmeticError):
     """The energy is negative, so the zero-potential gaps are evanescent.
 
-    The barriers' right-incidence reflection r' = -r* t/t* and the Bloch
-    phase use conjugate relations that hold only for a real gap wavenumber.
+    The barrier formula (``amplitudes._factored_barrier``) takes A sin and B sin
+    as real, and the Bloch phase's half trace (``periodic._cos_beta``) takes
+    cos k0 g and sin k0 g as real: both hold only for a real gap wavenumber k0.
     """
 
 
@@ -267,6 +272,23 @@ def _kernel_overflows(s: LayeredStructure, energy) -> np.ndarray:
         return ~(np.isfinite(plus) & np.isfinite(minus)).all(axis=-1)
 
 
+def _phase_overflows(s: LayeredStructure, energy) -> np.ndarray:
+    """Where some region's 2 |k| L passes the largest double, L its length from
+    :func:`region_lengths`, elementwise over ``energy`` (eps >= 0): twice the
+    phase that the steps, the barrier formula and the oracle take across it,
+    which overflows there.  Finite eps and u give |k| < 2^513 and every L is
+    about the span at most, so only a span from ``_WIDE`` up can overflow, and
+    only there is it taken."""
+    e = np.asarray(energy, dtype=float)
+    if s.span < _WIDE:
+        return np.zeros(e.shape, dtype=bool)
+    lengths = region_lengths(s)
+    with np.errstate(over="ignore"):
+        gaps = 2.0 * np.sqrt(e)[..., None] * lengths[1:-1:2]
+        barriers = 2.0 * np.sqrt(np.abs(e[..., None] - s.barrier_arrays[0])) * lengths[2:-1:2]
+        return ~(np.isfinite(gaps).all(axis=-1) & np.isfinite(barriers).all(axis=-1))
+
+
 def _finite_energy(energy) -> np.ndarray:
     """``energy`` as a float array, or ValueError where it is not finite."""
     e = np.asarray(energy, dtype=float)
@@ -309,14 +331,19 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
 
 def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:
     """``energy`` with every point of :func:`degenerate_energies` moved to
-    energy + nudge, or one ulp in the nudge's direction where that sum rounds
-    back to the energy.  A zero nudge moves nothing.  Only the moved points
-    are stepped, so an energy near the largest double that stays put cannot
-    overflow."""
+    energy + nudge where that sum is finite and differs from the energy, and
+    otherwise one ulp in the nudge's direction, or one ulp the other way where
+    that step would leave the finite doubles.  A zero nudge moves nothing.
+    Only the moved points are stepped, so an energy near the largest double
+    that stays put cannot overflow."""
     e = np.array(energy, dtype=float)
     move = degenerate_energies(s, e) & (nudge != 0)
     d = e[move]
-    e[move] = np.where(d + nudge == d, np.nextafter(d, math.copysign(math.inf, nudge)), d + nudge)
+    up = math.copysign(math.inf, nudge)
+    with np.errstate(over="ignore"):
+        moved, ulp, back = d + nudge, np.nextafter(d, up), np.nextafter(d, -up)
+    ulp = np.where(np.isfinite(ulp), ulp, back)
+    e[move] = np.where(np.isfinite(moved) & (moved != d), moved, ulp)
     return e
 
 
@@ -325,8 +352,9 @@ def check_energy(s: LayeredStructure, energy) -> None:
     order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
     DegenerateWavenumberError where :func:`degenerate_energies` is set, with a
     line of its own for a tiny energy where no k is 0, ArithmeticError for
-    eps <= V1 (no incident wave), and OverflowError where the barrier kernel
-    overflows (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up."""
+    eps <= V1 (no incident wave), OverflowError where the barrier kernel
+    overflows (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up,
+    and OverflowError where a region's phase does (:func:`_phase_overflows`)."""
     e = _finite_energy(energy).ravel()
     bad = e[e < 0]
     if bad.size:
@@ -352,5 +380,11 @@ def check_energy(s: LayeredStructure, energy) -> None:
         raise OverflowError(
             f"energy {bad[0]} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
             "pass the largest double in a barrier, where the barrier formula overflows"
+        )
+    bad = e[_phase_overflows(s, e)]
+    if bad.size:
+        raise OverflowError(
+            f"energy {bad[0]} makes 2 |k| L, twice the phase across a region of length L, "
+            "pass the largest double, where its plane waves overflow"
         )
 

@@ -137,17 +137,26 @@ def evaluate_dpsi(sol: ScatteringSolution, x):
 def grid_bounds(span: float, x_min: float | None = None, x_max: float | None = None,
                 points: int | None = None) -> tuple[float, float]:
     """(x_min, x_max) of the sampling grid: a bound not given lies a quarter
-    span beyond the structure's edge on its side.  A ValueError naming the
-    option refuses a non-finite bound, bounds whose distance overflows, and
-    an explicit count of ``points`` below 1 or above ``MAX_GRID_POINTS``."""
-    for option, value in (("--x-min", x_min), ("--x-max", x_max)):
-        if value is not None and not math.isfinite(value):
+    span beyond the structure's edge on its side.  A ValueError refuses a
+    non-finite bound, bounds whose distance overflows, and an explicit count
+    of ``points`` below 1 or above ``MAX_GRID_POINTS``, naming only the options
+    given and, where a default bound takes part, the span."""
+    given = [(option, value) for option, value in (("--x-min", x_min), ("--x-max", x_max))
+             if value is not None]
+    for option, value in given:
+        if not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
+    span = float(span)
     x_min = -0.25 * span if x_min is None else float(x_min)
     x_max = 1.25 * span if x_max is None else float(x_max)
     if not math.isfinite(x_max - x_min):
-        raise ValueError(
-            f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
+        if len(given) == 2:
+            raise ValueError(
+                f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
+        bounds = (f"{given[0][0]} {float(given[0][1])} and the default bound" if given
+                  else "the default bounds")
+        raise ValueError(f"{bounds}, a quarter span beyond the structure, are not a finite "
+                         f"distance apart at span {span}")
     if points is not None and not 1 <= points <= MAX_GRID_POINTS:
         bound = "at least 1" if points < 1 else f"at most {MAX_GRID_POINTS}"
         raise ValueError(f"--grid-points must be {bound}, got {points}")

@@ -692,6 +692,68 @@ def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
     assert not out.exists()
 
 
+def barrier_json(span, height, width, center):
+    return json.dumps({"v_left": 0, "v_right": 0, "span": span,
+                       "barriers": [{"height": height, "width": width, "center": center}]})
+
+
+# A gap, or a barrier, so long that 2 |k| L passes the largest double
+S_WIDE = barrier_json(1.7e308, 3, 1, 1.5)
+S_WIDEBAR = barrier_json(1.6e308, 3, 1.5e308, 8e307)
+PHASE_LINE = ("error: energy {} makes 2 |k| L, twice the phase across a region of length L, "
+              "pass the largest double, where its plane waves overflow\n")
+
+
+@pytest.mark.parametrize("structure, argv, energy", [
+    (S_WIDE, ["sweep", "--energy-range", "4:5:3"], "4.0"),
+    (S_WIDEBAR, ["sweep", "--energy-range", "4:5:3"], "4.0"),
+    (S_WIDE, ["oracle-check", "--energy", "4.6"], "4.6"),
+    (S_WIDE, ["wavefunction", "--energy", "4.6", "--grid-points", "5", "--x-min", "0",
+              "--x-max", "1e300"], "4.6"),
+], ids=["sweep-wide-gap", "sweep-wide-barrier", "oracle-check", "wavefunction"])
+def test_phase_overflow_is_refused(tmp_path, structure, argv, energy):
+    # exit 3 with the energy rule's one line; these printed numpy warnings and
+    # blamed a T of nan or a singular matching system
+    out = tmp_path / "out.csv"
+    proc = run_fresh(*argv, "--structure", "-",
+                     *(["--out", str(out)] if argv[0] != "oracle-check" else []), stdin=structure)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", PHASE_LINE.format(energy))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    ([], "the default bounds"),
+    (["--x-min=-1e308"], "--x-min -1e+308 and the default bound"),
+], ids=["no-bounds", "x-min"])
+def test_wavefunction_default_bounds_that_overflow_name_the_span(tmp_path, options, message):
+    # 1.25 span overflows: exit 2 with one line naming the span and only the
+    # options given, where it blamed --x-min and --x-max, never set
+    out = tmp_path / "wf.csv"
+    proc = run_fresh("wavefunction", "--structure", "-", "--energy", "4.6", "--grid-points", "5",
+                     *options, "--out", str(out), stdin=S_WIDE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {message}, a quarter span beyond the structure, are not a finite "
+               "distance apart at span 1.7e+308\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("height, options", [
+    (1.7976931348623157e308, ["--energy-range", "1:1.7976931348623157e308:3"]),
+    (1e308, ["--energy-range", "0.5:1e308:2", "--nudge", "1e308"]),
+], ids=["largest-double", "huge-nudge"])
+def test_degenerate_point_near_the_largest_double_stays_finite(tmp_path, height, options):
+    # the last grid point sits on the barrier height and energy + nudge
+    # overflows or rounds back: it moves one ulp, never to inf, and the sweep
+    # exits 0 with no stderr (it exited 2 naming an energy of inf)
+    out = tmp_path / "sweep.csv"
+    proc = run_fresh("sweep", "--structure", "-", *options, "--out", str(out),
+                     stdin=barrier_json(3, height, 1, 1.5))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert rows[-1, 0] == height
+    assert np.isfinite(rows).all() and np.all(np.abs(rows[:, 1] + rows[:, 2] - 1.0) < 1e-9)
+
+
 @pytest.mark.parametrize("options, bounds", [
     (["--x-max", "1e9"], "--x-min -4.0 to --x-max 1000000000.0"),
     (["--x-max", "1e20"], "--x-min -4.0 to --x-max 1e+20"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from layerscatter.structure import (
     TINY_ENERGY,
     DegenerateWavenumberError,
     _kernel_overflows,
+    _phase_overflows,
     check_energy,
     degenerate_energies,
     off_degenerate,
+    region_lengths,
+    region_wavenumbers,
 )
 
 from conftest import random_structure, reference_validate, serialize_structure
@@ -166,6 +170,20 @@ class TestWavenumbers:
         # the degenerate points 0 and 1e8 move, 2 stays put
         e = np.array([0.0, 1e8, 2.0])
         assert off_degenerate(make([Barrier(1e8, 1, 1)]), e, nudge).tolist() == [nudge, moved, 2.0]
+
+    @pytest.mark.parametrize("height, nudge, moved", [
+        (np.finfo(float).max, 1e-9, np.nextafter(np.finfo(float).max, 0.0)),
+        (np.finfo(float).max, -1e-9, np.nextafter(np.finfo(float).max, 0.0)),
+        (np.finfo(float).max, 1e300, np.nextafter(np.finfo(float).max, 0.0)),
+        (1e308, 1e308, np.nextafter(1e308, math.inf)),
+        (1e308, -1e308, 0.0),
+    ])
+    def test_off_degenerate_never_leaves_the_finite_doubles(self, height, nudge, moved):
+        # where energy + nudge overflows or rounds back, one ulp toward the
+        # nudge, or the other way where that step would reach inf; these
+        # points used to move to inf with a RuntimeWarning
+        e = np.array([height, 2.0])
+        assert off_degenerate(make([Barrier(height, 1, 1)]), e, nudge).tolist() == [moved, 2.0]
 
 
     def test_tiny_energies_where_the_barrier_kernel_overflows_are_degenerate(self):
@@ -437,6 +455,62 @@ class TestOneEnergyRule:
         for e in (0.0, 3.0):
             assert lines[e] == (f"energy {e} makes k = 0 in a gap or a barrier, "
                                 "where the plane waves are degenerate; nudge the energy")
+
+    WIDE = LayeredStructure(0.0, 0.0, 1.7e308, np.array([[3.0], [1.0], [1.5]]))
+
+    @pytest.mark.parametrize("entry", [
+        assemble_matching_system, oracle_solution, compare_with_pipeline,
+        scattering_amplitudes, solve_structure], ids=lambda f: f.__name__)
+    def test_structure_entry_points_refuse_a_phase_overflow(self, entry):
+        self.assert_refused_as_the_rule(lambda: check_energy(self.WIDE, 4.6),
+                                        lambda: entry(self.WIDE, 4.6))
+
+    def test_phase_overflow_names_its_own_cause(self):
+        # one line, after the barrier kernel's: an energy past both keeps that line
+        with pytest.raises(OverflowError) as info:
+            check_energy(self.WIDE, 4.6)
+        assert str(info.value) == (
+            "energy 4.6 makes 2 |k| L, twice the phase across a region of length L, "
+            "pass the largest double, where its plane waves overflow")
+        with pytest.raises(OverflowError, match=r"k_n\^2 \+ k0\^2 or"):
+            check_energy(self.WIDE, 9e307)
+
+    @pytest.mark.parametrize("s", [
+        WIDE,
+        LayeredStructure(0.0, 0.0, 1.6e308, np.array([[3.0], [1.5e308], [8e307]])),
+        LayeredStructure(0.0, 0.0, 1e308, np.array([[3.0, -2.0], [4e307, 4e307],
+                                                    [3e307, 7e307]])),
+    ], ids=["wide-gap", "wide-barrier", "two-barriers"])
+    def test_phase_overflows_exactly_where_a_region_phase_does(self, s):
+        # 2 |k| L over the regions of region_wavenumbers and region_lengths;
+        # at the largest energy admitted below the first refused one the
+        # pipeline and the oracle solve with no RuntimeWarning (an error here)
+        e = np.linspace(1e-3, 6.0, 601)
+        flagged = _phase_overflows(s, e)
+        with np.errstate(over="ignore"):
+            phases = [2.0 * np.abs(region_wavenumbers(compute_wavenumbers(s, x)))
+                      * region_lengths(s) for x in e.tolist()]
+        assert flagged.tolist() == [not np.isfinite(p).all() for p in phases]
+        lo, hi = e[~flagged][-1], e[flagged & (e > e[~flagged][-1])][0]
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _phase_overflows(s, mid) else (mid, hi)
+        worst, _, _ = compare_with_pipeline(s, lo)
+        assert worst < 1e-9
+        with pytest.raises(OverflowError, match="twice the phase"):
+            check_energy(s, hi)
+
+    def test_phase_rule_takes_no_pass_below_its_gate(self):
+        # below a span of 2^508 no region's 2 |k| L can overflow, however large
+        # eps and u, and the rule reads no region length
+        big = np.finfo(float).max
+        s = make([Barrier(-big, 1.0, 1.0), Barrier(big, 1.0, 3.0)],
+                 span=np.nextafter(2.0 ** 508, 0.0))
+        e = np.array([1.0, 8e307, big])
+        with mock.patch("layerscatter.structure.region_lengths", side_effect=AssertionError):
+            assert not _phase_overflows(s, e).any()
+        # |k| = sqrt|eps - u| <= sqrt(eps) + sqrt|u|
+        assert 2.0 * (2.0 * math.sqrt(big)) * s.span < big
 
     def test_huge_energy_names_its_own_cause(self):
         # one line, after V1's: an energy at or below V1 keeps that line

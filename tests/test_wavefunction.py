@@ -285,6 +285,22 @@ class TestSampling:
             default_grid(sol, *bounds, points)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("span", [1.7e308, np.float64(1.7e308)], ids=["float", "float64"])
+    @pytest.mark.parametrize("bounds, given", [
+        ((None, None), "the default bounds"),
+        ((-1e308, None), "--x-min -1e+308 and the default bound"),
+        ((None, np.float64(1.7e308)), "--x-max 1.7e+308 and the default bound"),
+    ], ids=["none", "x-min", "x-max"])
+    def test_default_bounds_that_overflow_name_the_span(self, span, bounds, given):
+        # 1.25 span passes the largest double, or lies too far from the given
+        # bound: the line names the span and only the options given, with no
+        # RuntimeWarning; it blamed --x-min and --x-max, given or not
+        sol = solve_structure(LayeredStructure(0, 0, span, ()), 1e-6)
+        with pytest.raises(ValueError) as info:
+            default_grid(sol, *bounds, 5)
+        assert str(info.value) == (f"{given}, a quarter span beyond the structure, are not a "
+                                   "finite distance apart at span 1.7e+308")
+
     def test_forbidden_band_exponential_envelope(self):
         # per-period maxima inside the lattice decay geometrically
         lat = PeriodicLattice(3.0, 1.0, 2.0, count=8)
