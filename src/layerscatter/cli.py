@@ -40,7 +40,7 @@ EXIT_DEGENERATE = 3
 EXIT_ORACLE = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a process killed by the signal reports
 
-CSV_BLOCK_ROWS = 1024  # rows formatted together in _write_csv
+CSV_BLOCK_ROWS = 1536  # rows formatted together in _write_csv
 # Blocks of at least this many rows are spelled as one byte array
 # (_byte_block); on shorter ones numpy's cost per call exceeds the saving
 # (the crossover measured on 3- and 4-column tables).
@@ -58,7 +58,8 @@ def _digit_words() -> np.ndarray:
     ASCII digits of each q = 0..9999 as they are, then with leading zeros
     NUL, then the same but for the units digit, then with trailing zeros NUL
     (q at _FULL, _LEAD, _UNIT and _TRAIL + q); from _NUL on, NUL and the
-    words ``-``, ``.``, ``.0``, ``.00``, ``.000``, ``,`` and ``\n``."""
+    words ``-``, ``.``, ``.0``, ``.00``, ``.000``, ``,``, ``\n``, ``e-05`` and
+    ``e-06``."""
     digits = np.indices((10,) * 4, dtype=np.uint32).reshape(4, -1)  # (place, q): q's digits
     lead, trail = digits > 0, digits > 0
     for j in range(1, 4):
@@ -69,7 +70,8 @@ def _digit_words() -> np.ndarray:
     # digit j of q in byte j of its word
     ascii = (digits + ord("0")) << (8 * np.arange(4, dtype=np.uint32))[:, None]
     extra = b"".join(text.ljust(4, b"\0") for text in
-                     [b"", b"-", b".", b".0", b".00", b".000", b",", b"\n"])
+                     [b"", b"-", b".", b".0", b".00", b".000", b",", b"\n",
+                      b"e-05", b"e-06"])
     return np.concatenate([(ascii * keep).sum(axis=0, dtype="<u4")
                            for keep in (True, lead, unit, trail)]
                           + [np.frombuffer(extra, dtype="<u4")])
@@ -77,8 +79,7 @@ def _digit_words() -> np.ndarray:
 
 _WORDS = _digit_words()
 _FULL, _LEAD, _UNIT, _TRAIL, _NUL = (k * 10 ** 4 for k in range(5))
-_MINUS, _POINT, _COMMA, _NEWLINE = _NUL + 1, _NUL + 2, _NUL + 6, _NUL + 7
-_CELL_WORDS = 13  # sign, integer part (1 + 4 x 4 digits), point, fraction (the same), separator
+_MINUS, _POINT, _COMMA, _NEWLINE, _EXPONENT = (_NUL + k for k in (1, 2, 6, 7, 8))
 
 
 def parse_structure(text: str) -> LayeredStructure:
@@ -163,22 +164,25 @@ def _integer_cells(v: np.ndarray):
 
     Returns (exact, whole, fraction, p): where ``exact``, the cell is the
     integer part ``whole`` and, if ``fraction`` > 0, a point and ``fraction``
-    as p digits, leading zeros kept and trailing ones dropped.  For
-    1e-4 <= |x| < 1e17 ``%.17g`` writes fixed notation: the 17 significant
-    digits N = round(|x| 10**p), p = 16 - X, X = floor(log10 |x|), of which
-    the last p follow the point, trailing zeros dropped.  10**p is an exact
+    as p digits, leading zeros kept and trailing ones dropped; for p > 20 it
+    is scientific instead, ``fraction`` being N.  ``%.17g`` writes the 17
+    significant digits N = round(|x| 10**p), p = 16 - X, X = floor(log10 |x|),
+    in fixed notation for 1e-4 <= |x| < 1e17, the last p after the point, and
+    as N's first digit, a point, the other 16 and ``e-05`` or ``e-06`` for
+    1e-6 < |x| < 1e-4, trailing zeros dropped either way.  10**p is an exact
     double, so Dekker's two-product gives |x| 10**p exactly as hi + lo, hi a
     double >= 2**53 and so an even integer, and N = hi + rint(lo): rint
     breaks a tie (lo ending in exactly .5) to even as ``%.17g`` does.  Not
-    ``exact`` are zero, non-finite values, scientific notation and an N
-    outside [10**16, 10**17), where np.log10 misjudged X.  No rounding
-    carries into the integer part, which is floor(|x|): a double lies
-    farther from an integer than half the 17th digit.
+    ``exact`` are zero, non-finite values, |x| <= 1e-6 (the double 1e-6 lies
+    below 10**-6, so close that its N would round up into the wrong decade),
+    |x| >= 1e17 and an N outside [10**16, 10**17), where np.log10 misjudged
+    X.  No rounding carries into the integer part, which is floor(|x|): a
+    double lies farther from an integer than half the 17th digit.
     """
     a = np.abs(v)
-    exact = (a >= 1e-4) & (a < 1e17)
+    exact = (a > 1e-6) & (a < 1e17)
     a[~exact] = 1.0
-    p = np.maximum(16.0 - np.floor(np.log10(a)), 0).astype(np.intp)
+    p = np.clip(16.0 - np.floor(np.log10(a)), 0, 22).astype(np.intp)
     s = _POW10[p]
     hi = a * s
     c = _SPLIT * a
@@ -197,61 +201,92 @@ def _integer_cells(v: np.ndarray):
 
 def _float_cells(v: np.ndarray, seps) -> np.ndarray:
     """``'%.17g' % x`` for each x of ``v``, then its separator word
-    ``seps``, as a (len(v), 52) uint8 array of NUL-padded ASCII.
+    ``seps``, as a uint8 array of NUL-padded ASCII: one row per cell, of 9
+    or 13 four-byte words of _WORDS.
 
-    A cell is _CELL_WORDS words of _WORDS: the sign; the integer part of
-    :func:`_integer_cells` as a leading digit and four groups of four
-    digits, leading zeros NUL but its units digit; the point, with the p -
-    17 zeros that follow it when p > 17; the fraction left-aligned in 17
-    digits, as a leading digit and four groups, trailing zeros NUL; the
-    separator.  The fraction is ``fraction * 10**(17 - p)``, or for p > 17
-    ``fraction`` itself, the 17 digits after those zeros.  An empty
-    fraction has no point.  Each 17-digit number splits into its groups
-    with ``//`` by a constant, which numpy runs without a hardware divide
-    (``%`` and divmod divide), and a multiply-subtract, in int32 below
-    10**8.  The words are built a word at a time over every cell, and one
-    ``np.take`` spells them cell by cell.  A cell that _integer_cells does
-    not prove exact is ``%.17g`` itself, NUL-padded.
+    While every integer part of :func:`_integer_cells` is below 10**4, a
+    cell is 9 words: the sign; the integer part, leading zeros NUL but its
+    units digit; the point, with the p - 17 zeros that follow it when
+    p > 17; the fraction left-aligned in 17 digits, as a leading digit and
+    four groups of four, trailing zeros NUL; the separator.  Otherwise the
+    integer part takes five words too, a leading digit and four groups,
+    leading zeros NUL but its units digit, and a cell is 13.  The fraction
+    is ``fraction * 10**(17 - p)``, or for p > 17 ``fraction`` itself, the
+    17 digits after those zeros; an empty fraction has no point.  A
+    scientific cell (p > 20) is N's leading digit in the integer's units
+    word, the point, N's other 16 digits as four groups, and ``e-05`` or
+    ``e-06``.  N is never d 10**16, whose cell would have no point: no double
+    in that range lies within half a unit of N's last digit of d 10**-5 or
+    d 10**-6.
+
+    Each 17-digit number splits into its groups with ``//`` by a constant,
+    which numpy runs without a hardware divide (``%`` and divmod divide),
+    and a multiply-subtract, in int32 below 10**8.  The word indices are one
+    (cells, words) intp array, so one ``np.take`` spells them in place.  A
+    cell that _integer_cells does not prove exact is ``%.17g`` itself
+    (:func:`_printf_cells`), NUL-padded.
     """
     count = v.size
     exact, whole, fraction, p = _integer_cells(v)
-    parts = np.empty((2, count), dtype=np.int64)
-    parts[0] = whole
-    parts[1] = fraction * _INT_POW10[np.maximum(17 - p, 0)]
+    fraction *= _INT_POW10[np.maximum(17 - p, 0)]
+    wide = whole.max(initial=0) >= 10 ** 4
+    point = 6 if wide else 2  # the point's word; the fraction's five and the separator follow
+    words = np.empty((count, point + 7), dtype=np.intp)
+    if wide:
+        parts = np.stack((whole, fraction), axis=1)
+        groups = words[:, 1:].reshape(count, 2, 6)[:, :, :5]  # integer part, fraction
+    else:
+        parts = fraction[:, None]
+        groups = words[:, None, 3:8]
     high = parts // 10 ** 8  # the leading digit and the next 8, < 10**9
     lead = high // 10 ** 8
-    eights = np.empty((2, 2, count), dtype=np.int32)
-    eights[:, 0] = high - lead * 10 ** 8
-    eights[:, 1] = parts - high * 10 ** 8
+    eights = np.empty(parts.shape + (2,), dtype=np.int32)
+    eights[..., 0] = high - lead * 10 ** 8
+    eights[..., 1] = parts - high * 10 ** 8
     fours = eights // 10 ** 4
-    words = np.empty((_CELL_WORDS, count), dtype=np.int32)
-    groups = words[1:].reshape(2, 6, count)  # integer part, fraction: words 1-5, 7-11
-    groups[:, 0] = lead
-    groups[:, 1:5:2] = fours
-    groups[:, 2:5:2] = eights - fours * 10 ** 4
-    words[0] = np.where(v < 0, _MINUS, _NUL)
-    words[1] += _LEAD
-    words[2:5] += _LEAD * (whole < np.array([[10 ** 16], [10 ** 12], [10 ** 8]]))
-    words[5] += _UNIT * (whole < 10 ** 4)
-    empty = parts[1] == 0
-    words[6] = np.where(empty, _NUL, _POINT + np.maximum(p - 17, 0))
-    words[7] = np.where(empty, _NUL, words[7] + _UNIT)
+    groups[..., 0] = lead
+    groups[..., 1:5:2] = fours
+    groups[..., 2:5:2] = eights - fours * 10 ** 4
+    words[:, 0] = np.where(v < 0, _MINUS, _NUL)
+    if wide:
+        words[:, 1] += _LEAD
+        words[:, 2:5] += _LEAD * (whole[:, None] < [10 ** 16, 10 ** 12, 10 ** 8])
+        words[:, 5] += _UNIT * (whole < 10 ** 4)
+    else:
+        words[:, 1] = whole + _UNIT
+    empty = fraction == 0
+    words[:, point] = np.where(empty, _NUL, _POINT + np.maximum(p - 17, 0))
+    digits = words[:, point + 1:]  # the fraction's leading digit, four groups, separator
+    digits[:, 0] = np.where(empty, _NUL, digits[:, 0] + _UNIT)
     # a group is _TRAIL where every digit after it is 0
-    last_eight_zero = eights[1, 1] == 0
-    words[8] += _TRAIL * (last_eight_zero & (words[9] == 0))
-    words[9] += _TRAIL * last_eight_zero
-    words[10] += _TRAIL * (words[11] == 0)
-    words[11] += _TRAIL
-    words[12] = seps
-    cells = np.take(_WORDS, words.T).view(np.uint8)
+    last_eight_zero = eights[:, -1, 1] == 0
+    digits[:, 1] += _TRAIL * (last_eight_zero & (digits[:, 2] == 0))
+    digits[:, 2] += _TRAIL * last_eight_zero
+    digits[:, 3] += _TRAIL * (digits[:, 4] == 0)
+    digits[:, 4] += _TRAIL
+    digits[:, 5] = seps
+    scientific = np.flatnonzero(exact & (p > 20))
+    if scientific.size:
+        cells = words[scientific]
+        cells[:, point - 1] = cells[:, point + 1]
+        cells[:, point] = _POINT
+        cells[:, point + 1:point + 5] = cells[:, point + 2:point + 6]
+        cells[:, point + 5] = _EXPONENT + p[scientific] - 21
+        words[scientific] = cells
+    cells = np.take(_WORDS, words).view(np.uint8)
     inexact = np.flatnonzero(~exact)
     if inexact.size:
-        # %.17g is at most 24 characters; left-aligned, with the spaces NUL
-        text = ("%-24.17g" * inexact.size % tuple(v[inexact].tolist())).encode("ascii")
-        text = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
         cells[inexact, :-4] = 0
-        cells[inexact, :24] = np.where(text == ord(" "), 0, text)
+        cells[inexact, :24] = _printf_cells(v[inexact])
     return cells
+
+
+def _printf_cells(v: np.ndarray) -> np.ndarray:
+    """``'%.17g' % x`` for each x of ``v``, at most 24 characters, left-aligned
+    in 24 bytes with the spaces NUL, from one ``%``."""
+    text = ("%-24.17g" * v.size % tuple(v.tolist())).encode("ascii")
+    text = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
+    return np.where(text == ord(" "), 0, text)
 
 
 def _byte_block(fields, parts) -> str:
@@ -290,13 +325,13 @@ def _write_csv(path, header: str, row_format: str, columns):
     transients small.  A block of fewer than CSV_INTEGER_ROWS rows is
     ``row_format`` repeated over its interleaved values, one ``%``.  A
     longer one is spelled as bytes (:func:`_byte_block`): each ``%.17g``
-    value with 1e-4 <= |x| < 1e17, where ``%.17g`` prints fixed notation,
-    from its 17 digits, one int64 computed exactly with Dekker's product
-    and an exact power of ten, spelled four digits at a time from a table.
-    Zero, non-finite values, scientific notation and any value whose decade
-    np.log10 misjudged keep ``%.17g``, so the bytes are ``%.17g``'s either
-    way.  Every block is formatted before the file is opened, so a command
-    that fails leaves no partial file.
+    value with 1e-6 < |x| < 1e17, fixed notation from 1e-4 up and
+    scientific below, from its 17 digits, one int64 computed exactly with
+    Dekker's product and an exact power of ten, spelled four digits at a
+    time from a table.  Zero, non-finite values, the other scientific ones
+    and any value whose decade np.log10 misjudged keep ``%.17g``, so the
+    bytes are ``%.17g``'s either way.  Every block is formatted before the
+    file is opened, so a command that fails leaves no partial file.
     """
     width, n = len(columns), len(columns[0])
     fields = row_format.split(",")
@@ -346,9 +381,9 @@ def cmd_validate(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     s = _load_structure(args)
-    x_min, x_max = grid_bounds(s.span, args.x_min, args.x_max, args.grid_points)
+    grid_bounds(s.span, args.x_min, args.x_max, args.grid_points)  # refused before the solve
     sol = solve_structure(s, args.energy)
-    grid = default_grid(sol, x_min, x_max, args.grid_points)
+    grid = default_grid(sol, args.x_min, args.x_max, args.grid_points)
     rows = sample_density(sol, grid)
     _write_csv(args.out, "x,re_psi,im_psi,abs2_psi", "%.17g,%.17g,%.17g,%.17g", rows.T)
     t = transmission_probability(sol.embedded, sol.wavenumbers)

@@ -19,8 +19,10 @@ import numpy as np
 from .amplitudes import _factored_barrier
 from .structure import (
     _HUGE,
+    _WIDE,
     LayeredStructure,
     _kernel_overflows,
+    _phase_overflows,
     branch_sqrt,
     check_energy,
     degenerate_energies,
@@ -293,8 +295,9 @@ def band_scan(
     raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, an e_max at which
     the gap phase sqrt(e_max) (period - width) overflows, an e_max of the
     largest double, and any energy the scan evaluates, grid point, bisection
-    midpoint or interval midpoint, at which the barrier formula
-    (:func:`~layerscatter.structure.check_energy`'s overflow rule) overflows.
+    midpoint or interval midpoint, at which the barrier formula or a region's
+    phase 2 |k| L overflows (:func:`~layerscatter.structure.check_energy`'s
+    kernel and phase rules).
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
@@ -313,11 +316,11 @@ def band_scan(
 
     # Every point, grid, bisected or interval midpoint, lies at or above
     # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.  The
-    # formula can overflow only where e_max or the height reaches 2^1021, and
-    # there at scattered energies, not only at the top, so there every point is
-    # judged by the overflow rule.  Skipped grid points still bracket edges, so
-    # an edge next to one is not lost.
-    near_overflow = max(e_max, abs(lat.barrier_height)) >= _HUGE
+    # formula can overflow only where e_max or the height reaches 2^1021, or
+    # the period 2^508, and there at scattered energies, not only at the top,
+    # so there every point is judged by check_energy's kernel and phase rules.
+    # Skipped grid points still bracket edges, so an edge next to one is not lost.
+    near_overflow = max(e_max, abs(lat.barrier_height)) >= _HUGE or lat.period >= _WIDE
 
     def cos_beta(e):
         e = off_degenerate(lat.cell, e, 1e-12)
@@ -326,6 +329,11 @@ def band_scan(
             if bad.size:
                 raise ValueError(f"need e_max below where the barrier formula overflows, "
                                  f"which it does at {bad[0]}")
+            bad = e[_phase_overflows(lat.cell, e)]
+            if bad.size:
+                raise ValueError(f"need 2 |k| L, twice the phase across a region of length "
+                                 f"L, finite at every energy scanned, but it passes the "
+                                 f"largest double at {bad[0]}")
         return _cos_beta(lat, e)
 
     values = cos_beta(grid)

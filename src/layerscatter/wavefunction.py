@@ -172,8 +172,15 @@ def default_grid(
     """Sampling grid: 40 points per shortest wavelength, at least 1000,
     between the bounds of :func:`grid_bounds`, which checks them and
     ``points``.  A ValueError refuses a default count above
-    ``MAX_GRID_POINTS`` before anything is allocated."""
+    ``MAX_GRID_POINTS`` before anything is allocated, and an OverflowError a
+    grid whose first or last point has a phase k (x - o) past the largest
+    double (:func:`_phase_overflows_at`), where psi's plane waves overflow;
+    each names only the bounds given, the others as default bounds."""
+    given = (x_min is not None, x_max is not None)
     x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max, points)
+    names = [f"{option} {x}" if was_given else f"the default bound {x}"
+             for option, x, was_given in (("--x-min", x_min, given[0]),
+                                          ("--x-max", x_max, given[1]))]
     if points is None:
         k_max = np.abs(sol.regions[1].real).max()
         points = 1000
@@ -181,11 +188,28 @@ def default_grid(
             wavelength = 2.0 * np.pi / k_max
             needed = np.ceil(40.0 * (x_max - x_min) / wavelength)  # inf past the largest double
             if needed > MAX_GRID_POINTS:
-                raise ValueError(f"--x-min {x_min} to --x-max {x_max} needs more than "
+                raise ValueError(f"{names[0]} to {names[1]} needs more than "
                                  f"{MAX_GRID_POINTS} points at 40 per wavelength: narrow "
                                  "them or set --grid-points")
             points = max(1000, int(needed))
-    return np.linspace(x_min, x_max, points)
+    grid = np.linspace(x_min, x_max, points)
+    for name, x in zip(names, grid[[0, -1]]):
+        if _phase_overflows_at(sol, x):
+            raise OverflowError(f"energy {sol.energy} makes the phase k (x - o) of psi's plane "
+                                f"waves pass the largest double at {name}")
+    return grid
+
+
+def _phase_overflows_at(sol: ScatteringSolution, x: float) -> bool:
+    """Whether k (x - o+) or k (x - o-) of x's region, as :func:`_psi_dpsi`
+    takes them, passes the largest double.  Within the structure every phase
+    is below |k| L, which the energy rule keeps finite, so only the media,
+    which reach the grid's ends, can pass it."""
+    points, k, _, _, op, om = sol.regions
+    region = np.searchsorted(points, x, side="right")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = abs(k[region]) * np.abs(x - np.array([op[region], om[region]]))
+    return not np.isfinite(phases).all()
 
 
 def sample_density(sol: ScatteringSolution, grid) -> np.ndarray:

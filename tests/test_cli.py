@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -577,6 +578,8 @@ def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
 HUGE_LINE = ("error: energy {} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
              "pass the largest double in a barrier, where the barrier formula overflows")
 LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
+BANDS_PHASE_LINE = ("error: need 2 |k| L, twice the phase across a region of length L, finite "
+                    "at every energy scanned, but it passes the largest double at 1e-06")
 DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width", "1",
                   "--period", "2"]
 
@@ -624,9 +627,26 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
      3, HUGE_LINE.format("9.29841276652922e+307")),
     (["sweep", "--scenario", "periodic", "--energy-range=-1e308:1.7e308:5"],
      2, "error: --energy-range needs MAX - MIN finite, got -1e+308 and 1.7e+308"),
+    # a barrier so wide that 2 |k| L overflows, where band_scan warned of
+    # overflow and wrote cos_beta inf with exit 0: the energy rule's phase rule
+    (["bands", "--barrier-height", "3", "--barrier-width", "1.5e308", "--period", "1.6e308",
+      "--energy-range", "0:5:3"], 2, BANDS_PHASE_LINE),
+    (["bands", "--barrier-height", "3", "--barrier-width", "1e308", "--period", "1.6e308",
+      "--energy-range", "0:5:3"], 2, BANDS_PHASE_LINE),
+    # a sample so far out that k (x - o) overflows, which printed numpy's bare
+    # "overflow encountered in multiply"
+    (["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--grid-points", "5",
+      "--x-min", "0", "--x-max", "1e308"],
+     3, "error: energy 4.6 makes the phase k (x - o) of psi's plane waves pass the largest "
+        "double at --x-max 1e+308"),
+    (["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--grid-points", "5",
+      "--x-min=-1e308"],
+     3, "error: energy 4.6 makes the phase k (x - o) of psi's plane waves pass the largest "
+        "double at --x-min -1e+308"),
 ], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period",
         "bands-inside", "bands-scattered", "bands-midpoint", "bands-largest-double",
-        "lattice-span", "sweep-largest-double", "sweep-range-overflows"])
+        "lattice-span", "sweep-largest-double", "sweep-range-overflows", "bands-barrier-1.5e308",
+        "bands-barrier-1e308", "wavefunction-far-x-max", "wavefunction-far-x-min"])
 def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
     # where the barrier formula or a lattice's geometry would overflow, one
     # error: line and the exit code, no numpy RuntimeWarning and no output;
@@ -755,13 +775,15 @@ def test_degenerate_point_near_the_largest_double_stays_finite(tmp_path, height,
 
 
 @pytest.mark.parametrize("options, bounds", [
-    (["--x-max", "1e9"], "--x-min -4.0 to --x-max 1000000000.0"),
-    (["--x-max", "1e20"], "--x-min -4.0 to --x-max 1e+20"),
+    (["--x-max", "1e9"], "the default bound -4.0 to --x-max 1000000000.0"),
+    (["--x-max", "1e20"], "the default bound -4.0 to --x-max 1e+20"),
     (["--x-min=-1e307", "--x-max", "1e307"], "--x-min -1e+307 to --x-max 1e+307"),
-], ids=["1e9", "1e20", "count-overflows"])
+    (["--x-min=-1e9"], "--x-min -1000000000.0 to the default bound 20.0"),
+    (["--energy", "1e12"], "the default bound -4.0 to the default bound 20.0"),
+], ids=["1e9", "1e20", "count-overflows", "x-min", "no-bounds"])
 def test_wavefunction_default_grid_above_the_limit_exits_2(capsys, tmp_path, options, bounds):
     # the default count, 40 points per wavelength, is refused before numpy
-    # is asked for it: one line naming the options, and no CSV
+    # is asked for it: one line naming only the options given, and no CSV
     out = tmp_path / "wf.csv"
     code, stdout, err = run_cli(capsys, "wavefunction", "--scenario", "periodic",
                                 "--energy", "4.6", *options, "--out", str(out))
@@ -1142,14 +1164,14 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
                  1.7976931348623157e308, 3.0, 0.1, 1e16, 1e-5, np.float64(-1 / 3)]
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1025, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [1, 1023, 1025, 1535, 1537, 3073, 4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("row_format, labels", [
     ("%.17g,%.17g,%.17g,%.17g", False),  # wavefunction
     ("%.17g,%.17g,%.17g", False),        # sweep
     ("%.17g,%.17g,%s", True),            # bands
 ], ids=["wavefunction", "sweep", "bands"])
 def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, labels):
-    # rows cross the 1024-row blocks; each column cycles the values at its own offset
+    # rows cross the 1536-row blocks; each column cycles the values at its own offset
     width = row_format.count("%")
     cycle = np.array(FORMAT_VALUES)
     columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(width)]
@@ -1243,6 +1265,95 @@ def test_write_csv_spells_bytes_from_the_crossover(monkeypatch, capsys):
     # and every value of such a table is proved, none left to %.17g
     values = np.concatenate([x, x * x, -x / 5e3, x * 1e15])
     assert layerscatter.cli._integer_cells(values)[0].all()
+
+
+def _printf_spy(monkeypatch) -> list:
+    """The values that reach the ``%.17g`` fallback from here on, in order."""
+    printed = []
+    real = layerscatter.cli._printf_cells
+    monkeypatch.setattr(layerscatter.cli, "_printf_cells",
+                        lambda v: printed.extend(v.tolist()) or real(v))
+    return printed
+
+
+def _assert_bytes_are_printf(tmp_path, table):
+    # one block of the byte path, and each value by its own %.17g
+    assert CSV_INTEGER_ROWS <= len(table) <= CSV_BLOCK_ROWS
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), "h", row_format, list(table.T))
+    expected = ["h", *(row_format % tuple(row) for row in table.tolist()), ""]
+    assert out.read_text().split("\n") == expected
+
+
+@pytest.mark.parametrize("top", [9999, 10 ** 4, 10 ** 8, 10 ** 12, 10 ** 16, 10 ** 17 - 16],
+                         ids=["9999", "1e4", "1e8", "1e12", "1e16", "below-1e17"])
+def test_write_csv_integer_layouts(tmp_path, top):
+    # a block whose largest integer part is ``top`` (10**17 - 16 is the largest
+    # a double below 10**17 has): one integer word below 10**4, five from it
+    rng = np.random.default_rng(top % 1000)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-6, math.log10(top + 1), 1500),
+        _ulps_around(float(top)), _ulps_around(float(top) + 0.5), [0.0, 1.0, 0.5, 1e-5],
+        np.arange(40) / 8.0])
+    values = values[np.floor(values) <= top]
+    values *= rng.choice([-1.0, 1.0], values.size)
+    values = values[:values.size - values.size % 4]
+    assert np.abs(values).max() >= top and np.floor(np.abs(values)).max() == top
+    _assert_bytes_are_printf(tmp_path, values.reshape(-1, 4))
+    cells = layerscatter.cli._float_cells(values, np.zeros(values.size, dtype=np.intp))
+    assert cells.shape == (values.size, 4 * (9 if top < 10 ** 4 else 13))
+
+
+def test_write_csv_scientific_block(monkeypatch, tmp_path):
+    # only values in [1e-6, 1e-4): %.17g writes them as d.dddde-05 or e-06.
+    # The byte path spells them from N; only a misjudged decade, next to a
+    # power of ten, and the double 1e-6 itself, whose N would round into the
+    # wrong decade, reach the fallback
+    rng = np.random.default_rng(6)
+    values = np.concatenate([
+        rng.uniform(1e-6, 1e-4, 1200), 10.0 ** rng.uniform(-6, -4, 1200),
+        *(_ulps_around(x, 8) for x in (1e-6, 1e-5, 1e-4)),
+        np.arange(2, 105) * 2.0 ** -20, np.arange(9, 839) * 2.0 ** -23])  # trailing zeros
+    values = values[(values >= 1e-6) & (values < 1e-4)]
+    values *= rng.choice([-1.0, 1.0], values.size)
+    values = values[:values.size - values.size % 4]
+    printed = _printf_spy(monkeypatch)
+    _assert_bytes_are_printf(tmp_path, values.reshape(-1, 4))
+    near = np.abs(np.abs(printed)[:, None] / [1e-6, 1e-5, 1e-4] - 1.0).min(axis=1)
+    assert 0 < len(printed) <= 24 and (near < 1e-15).all()
+    # a cell always has its point: N is never d 10**16, as the double
+    # nearest d 10**-5 or d 10**-6, the only one within half a unit of N's
+    # last digit of it, always has more digits
+    assert all("." in "%.17g" % float(f"{d}e-{e}") for d in range(1, 10) for e in (5, 6))
+
+
+def test_write_csv_workload_tables_spell_scientific_cells(monkeypatch, tmp_path):
+    # the benchmark's 16 wavefunction tables (seed 1), 3000 rows each: every
+    # byte is %.17g's, and no cell in [1e-6, 1e-4) reaches the fallback
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = workloads.build_wavefunction(np.random.default_rng(1), tmp_path,
+                                       workloads.FULL)
+    printed = _printf_spy(monkeypatch)
+    out = tmp_path / "t.csv"
+    scientific = 0
+    for op in ops:
+        sol = solve_structure(op.model["structure"], op.model["energy"])
+        rows = layerscatter.sample_density(sol, layerscatter.default_grid(
+            sol, points=op.model["grid"]))
+        _write_csv(str(out), "h", "%.17g,%.17g,%.17g,%.17g", list(rows.T))
+        expected = ["h", *("%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in rows.tolist()), ""]
+        assert out.read_text().split("\n") == expected
+        a = np.abs(rows)
+        scientific += np.count_nonzero((a >= 1e-6) & (a < 1e-4))
+    a = np.abs(printed)
+    assert len(ops) == 16 and scientific > 1000
+    assert not ((a >= 1e-6) & (a < 1e-4)).any()
+    assert ((a < 1e-6) | (a >= 1e17)).all()
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -17,7 +17,7 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
-from layerscatter.structure import check_energy
+from layerscatter.structure import _phase_overflows, check_energy
 from layerscatter.periodic import EDGE_XTOL, _LEVELS, _bisect, _classify, _period
 
 from conftest import recurrence_prefixes
@@ -377,6 +377,30 @@ class TestBandScan:
         # ends of an interval sum past the largest double; its midpoint does not
         table = band_scan(PeriodicLattice(1e308, 1.0, 2.0), 0.0, 1.2e308, 30)
         assert table.edges and all(lo < hi for lo, hi, _ in table.intervals)
+
+    def test_refuses_energies_whose_phase_overflows(self):
+        # a 1.5e308-wide barrier keeps 2 |k| L finite only for |eps - 3| below
+        # about 0.36: a scan refuses the first grid energy that check_energy's
+        # phase rule refuses, and inside the window it scans with no warning
+        # (pytest makes a RuntimeWarning an error); it wrote cos_beta inf
+        lat = PeriodicLattice(3.0, 1.5e308, 1.6e308)
+        refused = 0
+        for hi in (3.1, 3.3, 3.35, 3.4, 3.5, 5.0):
+            grid = np.linspace(2.9, hi, 9)
+            bad = grid[_phase_overflows(lat.cell, grid)]
+            if bad.size:
+                refused += 1
+                with pytest.raises(ValueError, match=rf"2 \|k\| L.* at {bad[0]}$"):
+                    band_scan(lat, 2.9, hi, 9)
+                with pytest.raises(OverflowError):
+                    check_energy(lat.cell, bad[0])
+            else:
+                check_energy(lat.cell, grid[grid != 3.0])
+                table = band_scan(lat, 2.9, hi, 9)
+                assert len(table.energies) + len(table.skipped) == 9
+        assert refused == 3
+        with pytest.raises(ValueError, match=r"2 \|k\| L.* at 1e-06$"):
+            band_scan(lat, 0.0, 5.0, 3)
 
     def test_every_energy_evaluated_passes_the_overflow_rule(self):
         # under a height of the largest double the formula overflows at

@@ -301,6 +301,35 @@ class TestSampling:
         assert str(info.value) == (f"{given}, a quarter span beyond the structure, are not a "
                                    "finite distance apart at span 1.7e+308")
 
+    def test_default_grid_refuses_where_the_sampler_overflows(self):
+        # one rule at the grid's ends: it refuses exactly the bounds at which
+        # psi's phase k (x - o) overflows, naming the energy and the bound,
+        # where the sampler raised numpy's bare FloatingPointError
+        sol = solve_structure(PeriodicLattice(3.0, 1.0, 2.0, count=8).to_structure(), 4.6)
+        limit = np.finfo(float).max / math.sqrt(4.6)
+        outcomes = set()
+        for x in limit * (1.0 + np.arange(-3, 4) * 2.0 ** -52):
+            for bounds, name in (((0.0, x), f"--x-max {x}"), ((-x, 0.0), f"--x-min {-x}")):
+                try:
+                    evaluate_psi(sol, np.array(bounds))
+                except FloatingPointError:
+                    with pytest.raises(OverflowError) as info:
+                        default_grid(sol, *bounds, 5)
+                    assert str(info.value) == ("energy 4.6 makes the phase k (x - o) of psi's "
+                                               f"plane waves pass the largest double at {name}")
+                    outcomes.add("refused")
+                else:
+                    rows = sample_density(sol, default_grid(sol, *bounds, 5))
+                    assert np.isfinite(rows).all()
+                    outcomes.add("sampled")
+        assert outcomes == {"refused", "sampled"}
+        # a default bound is named as one: k = 1e150 in the right medium
+        sol = solve_structure(LayeredStructure(0.0, -1e300, 1e160, ()), 4.6)
+        with pytest.raises(FloatingPointError):
+            evaluate_psi(sol, 1.25e160)
+        with pytest.raises(OverflowError, match=r"at the default bound 1\.25e\+160$"):
+            default_grid(sol, None, None, 5)
+
     def test_forbidden_band_exponential_envelope(self):
         # per-period maxima inside the lattice decay geometrically
         lat = PeriodicLattice(3.0, 1.0, 2.0, count=8)
