@@ -55,17 +55,15 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: a double as two 26-bit h
 
 def _digit_words() -> np.ndarray:
     """The 4-byte words that spell a cell, little-endian uint32: the four
-    ASCII digits of each q = 0..9999 as they are, then with leading zeros
-    NUL, then the same but for the units digit, then with trailing zeros NUL
-    (q at _FULL, _LEAD, _UNIT and _TRAIL + q); from _NUL on, NUL and the
-    words ``-``, ``.``, ``.0``, ``.00``, ``.000``, ``,``, ``\n``, ``e-05`` and
-    ``e-06``."""
+    ASCII digits of each q = 0..9999 as they are, then with leading zeros NUL
+    but the units digit, then with trailing zeros NUL (q at q, _UNIT + q and
+    _TRAIL + q); from _NUL on, NUL and the words ``-``, ``.``, ``.0``,
+    ``.00``, ``.000``, ``,``, ``\n``, ``e-05`` and ``e-06``."""
     digits = np.indices((10,) * 4, dtype=np.uint32).reshape(4, -1)  # (place, q): q's digits
-    lead, trail = digits > 0, digits > 0
+    unit, trail = digits > 0, digits > 0
     for j in range(1, 4):
-        lead[j] |= lead[j - 1]  # at or after the leading digit
+        unit[j] |= unit[j - 1]  # at or after the leading digit
         trail[3 - j] |= trail[4 - j]  # at or before the last nonzero one
-    unit = lead.copy()
     unit[3] = True
     # digit j of q in byte j of its word
     ascii = (digits + ord("0")) << (8 * np.arange(4, dtype=np.uint32))[:, None]
@@ -73,12 +71,12 @@ def _digit_words() -> np.ndarray:
                      [b"", b"-", b".", b".0", b".00", b".000", b",", b"\n",
                       b"e-05", b"e-06"])
     return np.concatenate([(ascii * keep).sum(axis=0, dtype="<u4")
-                           for keep in (True, lead, unit, trail)]
+                           for keep in (True, unit, trail)]
                           + [np.frombuffer(extra, dtype="<u4")])
 
 
 _WORDS = _digit_words()
-_FULL, _LEAD, _UNIT, _TRAIL, _NUL = (k * 10 ** 4 for k in range(5))
+_UNIT, _TRAIL, _NUL = (k * 10 ** 4 for k in range(1, 4))
 _MINUS, _POINT, _COMMA, _NEWLINE, _EXPONENT = (_NUL + k for k in (1, 2, 6, 7, 8))
 
 
@@ -175,12 +173,13 @@ def _integer_cells(v: np.ndarray):
     breaks a tie (lo ending in exactly .5) to even as ``%.17g`` does.  Not
     ``exact`` are zero, non-finite values, |x| <= 1e-6 (the double 1e-6 lies
     below 10**-6, so close that its N would round up into the wrong decade),
-    |x| >= 1e17 and an N outside [10**16, 10**17), where np.log10 misjudged
-    X.  No rounding carries into the integer part, which is floor(|x|): a
-    double lies farther from an integer than half the 17th digit.
+    |x| >= 1e4, whose integer part takes more than one word of
+    :func:`_float_cells`, and an N outside [10**16, 10**17), where np.log10
+    misjudged X.  No rounding carries into the integer part, which is
+    floor(|x|): a double lies farther from an integer than half the 17th digit.
     """
     a = np.abs(v)
-    exact = (a > 1e-6) & (a < 1e17)
+    exact = (a > 1e-6) & (a < 1e4)
     a[~exact] = 1.0
     p = np.clip(16.0 - np.floor(np.log10(a)), 0, 22).astype(np.intp)
     s = _POW10[p]
@@ -202,76 +201,57 @@ def _integer_cells(v: np.ndarray):
 def _float_cells(v: np.ndarray, seps) -> np.ndarray:
     """``'%.17g' % x`` for each x of ``v``, then its separator word
     ``seps``, as a uint8 array of NUL-padded ASCII: one row per cell, of 9
-    or 13 four-byte words of _WORDS.
+    four-byte words of _WORDS.
 
-    While every integer part of :func:`_integer_cells` is below 10**4, a
-    cell is 9 words: the sign; the integer part, leading zeros NUL but its
-    units digit; the point, with the p - 17 zeros that follow it when
+    A cell is the sign; the integer part, below 10**4, leading zeros NUL but
+    its units digit; the point, with the p - 17 zeros that follow it when
     p > 17; the fraction left-aligned in 17 digits, as a leading digit and
-    four groups of four, trailing zeros NUL; the separator.  Otherwise the
-    integer part takes five words too, a leading digit and four groups,
-    leading zeros NUL but its units digit, and a cell is 13.  The fraction
-    is ``fraction * 10**(17 - p)``, or for p > 17 ``fraction`` itself, the
-    17 digits after those zeros; an empty fraction has no point.  A
-    scientific cell (p > 20) is N's leading digit in the integer's units
-    word, the point, N's other 16 digits as four groups, and ``e-05`` or
-    ``e-06``.  N is never d 10**16, whose cell would have no point: no double
-    in that range lies within half a unit of N's last digit of d 10**-5 or
-    d 10**-6.
+    four groups of four, trailing zeros NUL; the separator.  The fraction is
+    ``fraction * 10**(17 - p)``, or for p > 17 ``fraction`` itself, the 17
+    digits after those zeros; an empty fraction has no point.  A scientific
+    cell (p > 20) is N's leading digit in the integer's word, the point, N's
+    other 16 digits as four groups, and ``e-05`` or ``e-06``.  N is never
+    d 10**16, whose cell would have no point: no double in that range lies
+    within half a unit of N's last digit of d 10**-5 or d 10**-6.
 
     Each 17-digit number splits into its groups with ``//`` by a constant,
     which numpy runs without a hardware divide (``%`` and divmod divide),
     and a multiply-subtract, in int32 below 10**8.  The word indices are one
     (cells, words) intp array, so one ``np.take`` spells them in place.  A
-    cell that _integer_cells does not prove exact is ``%.17g`` itself
-    (:func:`_printf_cells`), NUL-padded.
+    cell that _integer_cells does not prove exact, |x| >= 10**4 among them,
+    is ``%.17g`` itself (:func:`_printf_cells`), NUL-padded.
     """
-    count = v.size
     exact, whole, fraction, p = _integer_cells(v)
     fraction *= _INT_POW10[np.maximum(17 - p, 0)]
-    wide = whole.max(initial=0) >= 10 ** 4
-    point = 6 if wide else 2  # the point's word; the fraction's five and the separator follow
-    words = np.empty((count, point + 7), dtype=np.intp)
-    if wide:
-        parts = np.stack((whole, fraction), axis=1)
-        groups = words[:, 1:].reshape(count, 2, 6)[:, :, :5]  # integer part, fraction
-    else:
-        parts = fraction[:, None]
-        groups = words[:, None, 3:8]
-    high = parts // 10 ** 8  # the leading digit and the next 8, < 10**9
+    words = np.empty((v.size, 9), dtype=np.intp)
+    high = fraction // 10 ** 8  # the leading digit and the next 8, < 10**9
     lead = high // 10 ** 8
-    eights = np.empty(parts.shape + (2,), dtype=np.int32)
-    eights[..., 0] = high - lead * 10 ** 8
-    eights[..., 1] = parts - high * 10 ** 8
+    eights = np.empty((v.size, 2), dtype=np.int32)
+    eights[:, 0] = high - lead * 10 ** 8
+    eights[:, 1] = fraction - high * 10 ** 8
     fours = eights // 10 ** 4
-    groups[..., 0] = lead
-    groups[..., 1:5:2] = fours
-    groups[..., 2:5:2] = eights - fours * 10 ** 4
     words[:, 0] = np.where(v < 0, _MINUS, _NUL)
-    if wide:
-        words[:, 1] += _LEAD
-        words[:, 2:5] += _LEAD * (whole[:, None] < [10 ** 16, 10 ** 12, 10 ** 8])
-        words[:, 5] += _UNIT * (whole < 10 ** 4)
-    else:
-        words[:, 1] = whole + _UNIT
+    words[:, 1] = whole + _UNIT
     empty = fraction == 0
-    words[:, point] = np.where(empty, _NUL, _POINT + np.maximum(p - 17, 0))
-    digits = words[:, point + 1:]  # the fraction's leading digit, four groups, separator
-    digits[:, 0] = np.where(empty, _NUL, digits[:, 0] + _UNIT)
+    words[:, 2] = np.where(empty, _NUL, _POINT + np.maximum(p - 17, 0))
+    # the fraction's leading digit, four groups, separator
+    words[:, 3] = np.where(empty, _NUL, lead + _UNIT)
+    words[:, 4:8:2] = fours
+    words[:, 5:8:2] = eights - fours * 10 ** 4
     # a group is _TRAIL where every digit after it is 0
-    last_eight_zero = eights[:, -1, 1] == 0
-    digits[:, 1] += _TRAIL * (last_eight_zero & (digits[:, 2] == 0))
-    digits[:, 2] += _TRAIL * last_eight_zero
-    digits[:, 3] += _TRAIL * (digits[:, 4] == 0)
-    digits[:, 4] += _TRAIL
-    digits[:, 5] = seps
+    last_eight_zero = eights[:, 1] == 0
+    words[:, 4] += _TRAIL * (last_eight_zero & (words[:, 5] == 0))
+    words[:, 5] += _TRAIL * last_eight_zero
+    words[:, 6] += _TRAIL * (words[:, 7] == 0)
+    words[:, 7] += _TRAIL
+    words[:, 8] = seps
     scientific = np.flatnonzero(exact & (p > 20))
     if scientific.size:
         cells = words[scientific]
-        cells[:, point - 1] = cells[:, point + 1]
-        cells[:, point] = _POINT
-        cells[:, point + 1:point + 5] = cells[:, point + 2:point + 6]
-        cells[:, point + 5] = _EXPONENT + p[scientific] - 21
+        cells[:, 1] = cells[:, 3]
+        cells[:, 2] = _POINT
+        cells[:, 3:7] = cells[:, 4:8]
+        cells[:, 7] = _EXPONENT + p[scientific] - 21
         words[scientific] = cells
     cells = np.take(_WORDS, words).view(np.uint8)
     inexact = np.flatnonzero(~exact)

@@ -18,13 +18,10 @@ import numpy as np
 
 from .amplitudes import _factored_barrier
 from .structure import (
-    _HUGE,
-    _WIDE,
     LayeredStructure,
-    _kernel_overflows,
-    _phase_overflows,
     branch_sqrt,
     check_energy,
+    check_overflow,
     degenerate_energies,
     off_degenerate,
 )
@@ -292,21 +289,21 @@ def band_scan(
     array evaluation of cos beta (:func:`_bisect`): about six evaluations
     for a scan's edges, where one per halving took about 25.
     Negative energies carry no propagating gap wave, so e_min is first
-    raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, an e_max at which
-    the gap phase sqrt(e_max) (period - width) overflows, an e_max of the
-    largest double, and any energy the scan evaluates, grid point, bisection
-    midpoint or interval midpoint, at which the barrier formula or a region's
-    phase 2 |k| L overflows (:func:`~layerscatter.structure.check_energy`'s
-    kernel and phase rules).
+    raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, e_min >= e_max,
+    fewer than 2 points and an e_max of the largest double, past which the
+    grid's arithmetic goes; and raises what
+    :func:`~layerscatter.structure.check_overflow` raises, as ``check_energy``
+    would, at the first energy the scan evaluates, grid point, bisection
+    midpoint or interval midpoint, where the barrier formula or a region's
+    phase overflows.  The scan's energies are finite, at or above
+    ``ENERGY_FLOOR`` and moved off k = 0, and the cell has v_left = 0, so no
+    other rule of ``check_energy`` can refuse them.
     """
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
         raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    if not math.isfinite(math.sqrt(e_max) * (lat.period - lat.barrier_width)):
-        raise ValueError(f"need sqrt(e_max) (period - barrier width) finite, "
-                         f"got e_max {e_max} and period {lat.period}")
     if e_max >= np.finfo(float).max:
         raise ValueError(f"need e_max below the largest double, got {e_max}: the grid's "
                          "arithmetic and the nudge off k = 0 go past it")
@@ -315,25 +312,11 @@ def band_scan(
     energies = grid[~degenerate]
 
     # Every point, grid, bisected or interval midpoint, lies at or above
-    # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.  The
-    # formula can overflow only where e_max or the height reaches 2^1021, or
-    # the period 2^508, and there at scattered energies, not only at the top,
-    # so there every point is judged by check_energy's kernel and phase rules.
+    # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.
     # Skipped grid points still bracket edges, so an edge next to one is not lost.
-    near_overflow = max(e_max, abs(lat.barrier_height)) >= _HUGE or lat.period >= _WIDE
-
     def cos_beta(e):
         e = off_degenerate(lat.cell, e, 1e-12)
-        if near_overflow:
-            bad = e[_kernel_overflows(lat.cell, e)]
-            if bad.size:
-                raise ValueError(f"need e_max below where the barrier formula overflows, "
-                                 f"which it does at {bad[0]}")
-            bad = e[_phase_overflows(lat.cell, e)]
-            if bad.size:
-                raise ValueError(f"need 2 |k| L, twice the phase across a region of length "
-                                 f"L, finite at every energy scanned, but it passes the "
-                                 f"largest double at {bad[0]}")
+        check_overflow(lat.cell, e)
         return _cos_beta(lat, e)
 
     values = cos_beta(grid)

@@ -177,7 +177,8 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
     ``s.barrier_arrays``: the media and the span, barrier by barrier its
     width and finiteness, then the edges and overlaps.  Touching barriers
     (zero-width gaps) are legal: edges are compared to within ``EDGE_ULPS``
-    ulps of the span, so rounding does not part or overlap them.
+    ulps of the span, so rounding does not part or overlap them.  An edge
+    past the largest double lies outside the span and is refused as such.
     """
     problems = []
     if not (math.isfinite(s.v_left) and math.isfinite(s.v_right)):
@@ -195,20 +196,23 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
         if bad_value[i]:
             problems.append(f"barrier {i + 1}: center and height must be finite")
     if s.n_barriers and np.isfinite(s.barrier_arrays[1:]).all():  # widths and centers
-        x = s.interface_points()
-        left, right = x[1:-1:2], x[2:-1:2]
-        slack = EDGE_ULPS * np.spacing(abs(s.span)) if math.isfinite(s.span) else 0.0
+        # a Python float, 2^974 at the largest double, whose np.spacing is inf
+        slack = EDGE_ULPS * math.ulp(s.span) if math.isfinite(s.span) else 0.0
+        with np.errstate(over="ignore"):  # an edge past the largest double is inf
+            x = s.interface_points()
+            left, right = x[1:-1:2], x[2:-1:2]
+            overlaps = np.flatnonzero(right[:-1] - left[1:] > slack).tolist()
         if left[0] < -slack:
             problems.append(
                 f"barrier 1 starts before the left medium edge "
                 f"(left edge {float(left[0])} < 0)"
             )
-        if right[-1] > s.span + slack:
+        if float(right[-1]) - s.span > slack:
             problems.append(
                 f"barrier {s.n_barriers} exceeds span "
                 f"(right edge {float(right[-1])} > {s.span})"
             )
-        for i in np.flatnonzero(right[:-1] > left[1:] + slack).tolist():
+        for i in overlaps:
             problems.append(f"overlap between barriers {i + 1} and {i + 2}")
     if problems:
         raise StructureError(problems)
@@ -352,9 +356,7 @@ def check_energy(s: LayeredStructure, energy) -> None:
     order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
     DegenerateWavenumberError where :func:`degenerate_energies` is set, with a
     line of its own for a tiny energy where no k is 0, ArithmeticError for
-    eps <= V1 (no incident wave), OverflowError where the barrier kernel
-    overflows (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up,
-    and OverflowError where a region's phase does (:func:`_phase_overflows`)."""
+    eps <= V1 (no incident wave), and then what :func:`check_overflow` raises."""
     e = _finite_energy(energy).ravel()
     bad = e[e < 0]
     if bad.size:
@@ -375,6 +377,15 @@ def check_energy(s: LayeredStructure, energy) -> None:
         raise ArithmeticError(
             f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
         )
+    check_overflow(s, e)
+
+
+def check_overflow(s: LayeredStructure, energy) -> None:
+    """The last two rules of :func:`check_energy`, for finite ``energy`` >= 0, a
+    float or an array: OverflowError where the barrier kernel overflows
+    (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up, and then
+    where a region's phase does (:func:`_phase_overflows`)."""
+    e = np.asarray(energy, dtype=float).ravel()
     bad = e[_kernel_overflows(s, e)]
     if bad.size:
         raise OverflowError(

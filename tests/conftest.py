@@ -56,15 +56,15 @@ def reference_validate(v_left, v_right, span, barriers):
         if not (math.isfinite(b.center) and math.isfinite(b.height)):
             problems.append(f"barrier {i}: center and height must be finite")
     if barriers and all(math.isfinite(b.width) and math.isfinite(b.center) for b in barriers):
-        slack = EDGE_ULPS * float(np.spacing(abs(span))) if math.isfinite(span) else 0.0
+        slack = EDGE_ULPS * math.ulp(span) if math.isfinite(span) else 0.0
         if barriers[0].left_edge < -slack:
             problems.append(f"barrier 1 starts before the left medium edge "
                             f"(left edge {barriers[0].left_edge} < 0)")
-        if barriers[-1].right_edge > span + slack:
+        if barriers[-1].right_edge - span > slack:
             problems.append(f"barrier {len(barriers)} exceeds span "
                             f"(right edge {barriers[-1].right_edge} > {span})")
         for i, (a, b) in enumerate(zip(barriers, barriers[1:]), start=1):
-            if a.right_edge > b.left_edge + slack:
+            if a.right_edge - b.left_edge > slack:
                 problems.append(f"overlap between barriers {i} and {i + 1}")
     return problems
 

@@ -43,6 +43,7 @@ from layerscatter.cli import (
     parse_structure,
 )
 from layerscatter.scenarios import SCENARIOS, build_scenario
+from layerscatter.structure import check_energy
 
 from conftest import reference_psi, serialize_structure
 
@@ -578,8 +579,9 @@ def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
 HUGE_LINE = ("error: energy {} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
              "pass the largest double in a barrier, where the barrier formula overflows")
 LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
-BANDS_PHASE_LINE = ("error: need 2 |k| L, twice the phase across a region of length L, finite "
-                    "at every energy scanned, but it passes the largest double at 1e-06")
+DBL_MAX = np.finfo(float).max.item()
+PHASE_LINE = ("error: energy {} makes 2 |k| L, twice the phase across a region of length L, "
+              "pass the largest double, where its plane waves overflow")
 DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width", "1",
                   "--period", "2"]
 
@@ -592,27 +594,22 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
     (["oracle-check", "--scenario", "periodic", "--energy", "1e308"],
      3, HUGE_LINE.format("1e+308")),
     (["bands", *LATTICE, "--period", "2", "--energy-range", "0:1e308:30"],
-     2, "error: need e_max below where the barrier formula overflows, which it does at "
-        "9.310344827586206e+307"),
+     3, HUGE_LINE.format("9.310344827586206e+307")),
     (["bands", *LATTICE, "--period", "inf", "--energy-range", "0:12:30"],
      2, "error: period must be finite, got inf"),
     (["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
-     2, "error: need sqrt(e_max) (period - barrier width) finite, got e_max 12.0 "
-        "and period 1e+308"),
+     3, PHASE_LINE.format("3.3103455517241382")),
     # under a height of the largest double the formula overflows at scattered
     # energies below e_max, where these exited 0 with RuntimeWarnings
     (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1e307:30"],
-     2, "error: need e_max below where the barrier formula overflows, which it does at "
-        "1.7241379310344826e+306"),
+     3, HUGE_LINE.format("1.7241379310344826e+306")),
     (["bands", *DBL_MAX_HEIGHT, "--energy-range", "1e300:1e301:3000"],
-     2, "error: need e_max below where the barrier formula overflows, which it does at "
-        "2.683561187062354e+300"),
+     3, HUGE_LINE.format("2.683561187062354e+300")),
     # an interval midpoint is judged as the grid points are: this one
     # overflowed with a RuntimeWarning and exit 0
     (["bands", *DBL_MAX_HEIGHT, "--energy-range",
       "5.481887415507686e+301:9.357216995498906e+301:2"],
-     2, "error: need e_max below where the barrier formula overflows, which it does at "
-        "7.419552205503296e+301"),
+     3, HUGE_LINE.format("7.419552205503296e+301")),
     (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1.7976931348623157e308:30"],
      2, "error: need e_max below the largest double, got 1.7976931348623157e+308: the "
         "grid's arithmetic and the nudge off k = 0 go past it"),
@@ -630,9 +627,9 @@ DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width
     # a barrier so wide that 2 |k| L overflows, where band_scan warned of
     # overflow and wrote cos_beta inf with exit 0: the energy rule's phase rule
     (["bands", "--barrier-height", "3", "--barrier-width", "1.5e308", "--period", "1.6e308",
-      "--energy-range", "0:5:3"], 2, BANDS_PHASE_LINE),
+      "--energy-range", "0:5:3"], 3, PHASE_LINE.format("1e-06")),
     (["bands", "--barrier-height", "3", "--barrier-width", "1e308", "--period", "1.6e308",
-      "--energy-range", "0:5:3"], 2, BANDS_PHASE_LINE),
+      "--energy-range", "0:5:3"], 3, PHASE_LINE.format("1e-06")),
     # a sample so far out that k (x - o) overflows, which printed numpy's bare
     # "overflow encountered in multiply"
     (["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--grid-points", "5",
@@ -655,6 +652,28 @@ def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
     proc = run_fresh(*argv, *(["--out", str(out)] if argv[0] != "oracle-check" else []))
     assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (code, "", [line])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lattice, bands_range, params, sweep_range", [
+    (("3", "1", "2"), "0:1e308:30", "", "1e-06:1e308:30"),
+    (("3", "1.5e308", "1.6e308"), "0:5:3", "barrier_width=1.5e308,period=1.6e308,count=1",
+     "1e-06:5:3"),
+], ids=["kernel", "phase"])
+def test_bands_and_sweep_refuse_an_overflow_alike(lattice, bands_range, params, sweep_range):
+    # bands judges its energies by check_energy's overflow rules: on the
+    # same lattice and grid it exits 3 with sweep's line, where it exited 2
+    # with a line of its own
+    height, width, period = lattice
+    procs = [run_fresh("bands", "--barrier-height", height, "--barrier-width", width,
+                       "--period", period, "--energy-range", bands_range),
+             run_fresh("sweep", "--scenario", "periodic", "--scenario-params", params,
+                       "--energy-range", sweep_range)]
+    (code, line), other = [(p.returncode, p.stderr.splitlines()) for p in procs]
+    assert other == (code, line) and code == 3 and len(line) == 1
+    # the line check_energy gives one period at the energy it names
+    with pytest.raises(OverflowError) as ex:
+        check_energy(PeriodicLattice(*map(float, lattice)).cell, float(line[0].split()[2]))
+    assert line == [f"error: {ex.value}"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -720,8 +739,6 @@ def barrier_json(span, height, width, center):
 # A gap, or a barrier, so long that 2 |k| L passes the largest double
 S_WIDE = barrier_json(1.7e308, 3, 1, 1.5)
 S_WIDEBAR = barrier_json(1.6e308, 3, 1.5e308, 8e307)
-PHASE_LINE = ("error: energy {} makes 2 |k| L, twice the phase across a region of length L, "
-              "pass the largest double, where its plane waves overflow\n")
 
 
 @pytest.mark.parametrize("structure, argv, energy", [
@@ -737,7 +754,8 @@ def test_phase_overflow_is_refused(tmp_path, structure, argv, energy):
     out = tmp_path / "out.csv"
     proc = run_fresh(*argv, "--structure", "-",
                      *(["--out", str(out)] if argv[0] != "oracle-check" else []), stdin=structure)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", PHASE_LINE.format(energy))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", PHASE_LINE.format(energy) + "\n")
     assert not out.exists()
 
 
@@ -1071,6 +1089,29 @@ class TestValidateCommand:
         assert code == 2
         assert "exceeds span" in err
 
+    @pytest.mark.parametrize("span, barriers, code, out, err", [
+        (DBL_MAX, [(3, 1, -1e300)], 2, "",
+         "invalid: barrier 1 starts before the left medium edge (left edge -1e+300 < 0)\n"),
+        (DBL_MAX, [(3, 1, 1.5)], 0, "valid: 1 barriers on span 1.7976931348623157e+308\n", ""),
+        (1.7976931348623155e308, [(3, 1, 1.5)], 0,
+         "valid: 1 barriers on span 1.7976931348623155e+308\n", ""),
+        (DBL_MAX, [(3, 1, 1.5), (3, 1, 1.7976931348623155e308)], 0,
+         "valid: 2 barriers on span 1.7976931348623157e+308\n", ""),
+        (DBL_MAX, [(3, 1e308, 6e307), (3, 1e308, 1.1e308)], 2, "",
+         "invalid: overlap between barriers 1 and 2\n"),
+        (DBL_MAX, [(3, 1.7e308, 1.7e308)], 2, "",
+         "invalid: barrier 1 exceeds span (right edge inf > 1.7976931348623157e+308)\n"),
+    ], ids=["left-of-zero", "valid", "valid-below", "far-right", "overlap", "edge-overflows"])
+    def test_spans_near_the_largest_double(self, monkeypatch, span, barriers, code, out, err):
+        # the edge slack is 8 ulps of the span, 2^974 at the largest double,
+        # where it was inf and let these pass with a RuntimeWarning; a right
+        # edge past the largest double is inf, outside the span
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        doc = json.dumps({"v_left": 0, "v_right": 0, "span": span, "barriers": [
+            {"height": h, "width": w, "center": c} for h, w, c in barriers]})
+        proc = run_fresh("validate", "--structure", "-", stdin=doc)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
 
 class TestOracleCheckCommand:
     def test_agreement(self, capsys):
@@ -1262,9 +1303,11 @@ def test_write_csv_spells_bytes_from_the_crossover(monkeypatch, capsys):
             "%.17g,%.17g" % (a, b) for a, b in zip(x.tolist(), (x * x).tolist())]
     # the last table's tail block is below the crossover again
     assert blocks == [CSV_INTEGER_ROWS, CSV_BLOCK_ROWS]
-    # and every value of such a table is proved, none left to %.17g
-    values = np.concatenate([x, x * x, -x / 5e3, x * 1e15])
-    assert layerscatter.cli._integer_cells(values)[0].all()
+    # and every value of such a table below 10**4 is proved, none left to
+    # %.17g; from 10**4 up every one is
+    proved = layerscatter.cli._integer_cells
+    assert proved(np.concatenate([x, x * x, -x / 5e3, x * 3333.0]))[0].all()
+    assert not proved(np.concatenate([[1e4, -1e4], (1.0 + x) * 1e4, -x * 1e15]))[0].any()
 
 
 def _printf_spy(monkeypatch) -> list:
@@ -1288,9 +1331,10 @@ def _assert_bytes_are_printf(tmp_path, table):
 
 @pytest.mark.parametrize("top", [9999, 10 ** 4, 10 ** 8, 10 ** 12, 10 ** 16, 10 ** 17 - 16],
                          ids=["9999", "1e4", "1e8", "1e12", "1e16", "below-1e17"])
-def test_write_csv_integer_layouts(tmp_path, top):
+def test_write_csv_integer_layouts(monkeypatch, tmp_path, top):
     # a block whose largest integer part is ``top`` (10**17 - 16 is the largest
-    # a double below 10**17 has): one integer word below 10**4, five from it
+    # a double below 10**17 has): one integer word, and every cell of 10**4
+    # and up left to %.17g
     rng = np.random.default_rng(top % 1000)
     values = np.concatenate([
         10.0 ** rng.uniform(-6, math.log10(top + 1), 1500),
@@ -1300,9 +1344,13 @@ def test_write_csv_integer_layouts(tmp_path, top):
     values *= rng.choice([-1.0, 1.0], values.size)
     values = values[:values.size - values.size % 4]
     assert np.abs(values).max() >= top and np.floor(np.abs(values)).max() == top
+    printed = _printf_spy(monkeypatch)
     _assert_bytes_are_printf(tmp_path, values.reshape(-1, 4))
+    large = np.abs(values) >= 1e4
+    assert large.any() == (top >= 10 ** 4)
+    assert set(values[large].tolist()) <= set(printed)
     cells = layerscatter.cli._float_cells(values, np.zeros(values.size, dtype=np.intp))
-    assert cells.shape == (values.size, 4 * (9 if top < 10 ** 4 else 13))
+    assert cells.shape == (values.size, 4 * 9)
 
 
 def test_write_csv_scientific_block(monkeypatch, tmp_path):

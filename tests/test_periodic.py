@@ -25,6 +25,16 @@ from conftest import recurrence_prefixes
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
 
 
+def assert_refused_as_check_energy(lat, energy, *scan):
+    """band_scan(lat, *scan) raises the OverflowError that check_energy raises
+    for one period of ``lat`` at ``energy``, message and all."""
+    with pytest.raises(OverflowError) as expected:
+        check_energy(lat.cell, energy)
+    with pytest.raises(OverflowError) as got:
+        band_scan(lat, *scan)
+    assert str(got.value) == str(expected.value)
+
+
 def recurrence_prefix(lat, energy, count):
     s = PeriodicLattice(
         lat.barrier_height, lat.barrier_width, lat.period, count, lat.first_center
@@ -358,20 +368,20 @@ class TestBandScan:
 
     def test_refuses_a_range_where_the_formula_overflows(self):
         # the barrier formula at e_max, as check_energy judges it, and the gap
-        # phase sqrt(e_max) (period - width); just below either the scan runs
-        # with no numpy warning (pytest makes one an error)
+        # phase, whose 2 sqrt(eps) L on gap 1 is sqrt(e_max) (period - width)
+        # bit for bit: the scan raises check_energy's OverflowError at the
+        # energy it names; just below either it runs with no numpy warning
+        # (pytest makes one an error)
         for e_max in 2.0 ** 1023 * (1.0 + np.arange(-4, 5) * 2.0 ** -52):
             try:
                 check_energy(LAT.cell, e_max)
             except OverflowError:
-                with pytest.raises(ValueError, match="barrier formula overflows"):
-                    band_scan(LAT, 0.0, e_max, 30)
+                assert_refused_as_check_energy(LAT, e_max, 0.0, e_max, 30)
             else:
                 assert np.isfinite(band_scan(LAT, 0.0, e_max, 30).cos_beta).all()
-        with pytest.raises(ValueError, match="barrier formula overflows"):
-            band_scan(LAT, 0.0, 1e308, 30)
-        with pytest.raises(ValueError, match=r"sqrt\(e_max\) \(period - barrier width\)"):
-            band_scan(PeriodicLattice(3.0, 1.0, 1e308), 0.0, 12.0, 30)
+        assert_refused_as_check_energy(LAT, 9.310344827586206e307, 0.0, 1e308, 30)
+        assert_refused_as_check_energy(PeriodicLattice(3.0, 1.0, 1e308), 3.3103455517241382,
+                                       0.0, 12.0, 30)
         assert len(band_scan(PeriodicLattice(3.0, 1.0, 1e307), 0.0, 12.0, 30).energies) == 30
         # under a 1e308-high barrier the formula holds up to 1.2e308, where the
         # ends of an interval sum past the largest double; its midpoint does not
@@ -390,30 +400,27 @@ class TestBandScan:
             bad = grid[_phase_overflows(lat.cell, grid)]
             if bad.size:
                 refused += 1
-                with pytest.raises(ValueError, match=rf"2 \|k\| L.* at {bad[0]}$"):
-                    band_scan(lat, 2.9, hi, 9)
-                with pytest.raises(OverflowError):
-                    check_energy(lat.cell, bad[0])
+                assert_refused_as_check_energy(lat, bad[0], 2.9, hi, 9)
             else:
                 check_energy(lat.cell, grid[grid != 3.0])
                 table = band_scan(lat, 2.9, hi, 9)
                 assert len(table.energies) + len(table.skipped) == 9
         assert refused == 3
-        with pytest.raises(ValueError, match=r"2 \|k\| L.* at 1e-06$"):
-            band_scan(lat, 0.0, 5.0, 3)
+        assert_refused_as_check_energy(lat, 1e-6, 0.0, 5.0, 3)
 
     def test_every_energy_evaluated_passes_the_overflow_rule(self):
         # under a height of the largest double the formula overflows at
         # scattered energies; interval midpoints are judged as grid points
-        # are, so a scan returns or refuses and never warns (pytest makes a
-        # RuntimeWarning an error)
+        # are, so a scan returns or refuses with check_energy's error at the
+        # energy it names, and never warns (pytest makes a RuntimeWarning an error)
         lat = PeriodicLattice(np.finfo(float).max, 1.0, 2.0)
         refused = 0
         for lo, hi in np.sort(np.random.default_rng(26).uniform(1e300, 1e302, (200, 2))):
             try:
                 band_scan(lat, lo, hi, 2)
-            except ValueError as ex:
-                assert "barrier formula overflows, which it does at" in str(ex)
+            except OverflowError as ex:
+                assert "barrier formula overflows" in str(ex)
+                assert_refused_as_check_energy(lat, float(str(ex).split()[1]), lo, hi, 2)
                 refused += 1
         assert 0 < refused < 200
 
