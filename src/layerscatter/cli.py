@@ -2,7 +2,8 @@
 band scans, scenario generators, and CSV emission.
 
 Exit codes: 0 success; 2 parse/validation error, including malformed or
-non-finite structure documents; 3 numerical failure (an energy that
+non-finite structure documents and unreadable or unwritable files; 3
+numerical failure (an energy that
 :func:`~layerscatter.structure.check_energy` refuses, a band edge,
 overflow or underflow); 4 oracle-check discrepancy above tolerance; 141
 stdout closed by its reader.
@@ -269,63 +270,46 @@ def _printf_cells(v: np.ndarray) -> np.ndarray:
     return np.where(text == ord(" "), 0, text)
 
 
-def _byte_block(fields, parts) -> str:
-    """One block of rows, ``parts`` a slice of each column and ``fields``
-    the conversion of each, ``%.17g`` or ``%s``, spelled as one uint8 array
-    of NUL-padded cells from which the NULs are then dropped.  The block's
-    ``%.17g`` values go through :func:`_float_cells` together, row by row,
-    and each ``%s`` column is ``np.array(part, dtype="S")``.  bytes.translate
-    drops the NULs in one pass, several times faster than a numpy mask."""
-    rows, width = len(parts[0]), len(parts)
-    floats = [j for j, field in enumerate(fields) if field == "%.17g"]
-    values = np.array([parts[j] for j in floats], dtype=np.float64).T.ravel()
-    seps = np.tile([_NEWLINE if j == width - 1 else _COMMA for j in floats], rows)
-    table = _float_cells(values, seps).reshape(rows, len(floats), -1)
-    if len(floats) < width:  # place the %s columns among the float cells
-        pieces = []
-        for j, part in enumerate(parts):
-            if j in floats:
-                pieces.append(table[:, floats.index(j)])
-                continue
-            labels = np.array(part, dtype="S")
-            piece = np.zeros((rows, labels.itemsize + 1), dtype=np.uint8)
-            piece[:, :-1] = labels[:, None].view(np.uint8)
-            piece[:, -1] = ord("\n" if j == width - 1 else ",")
-            pieces.append(piece)
-        table = np.concatenate(pieces, axis=1)
-    return table.tobytes().translate(None, b"\0").decode("ascii")
+def _byte_block(table: np.ndarray) -> str:
+    """The rows of ``table`` as text: every value through one call of
+    :func:`_float_cells`, row by row, as NUL-padded cells, whose NULs
+    bytes.translate then drops in one pass, several times faster than a
+    numpy mask."""
+    rows, width = table.shape
+    seps = np.tile([_COMMA] * (width - 1) + [_NEWLINE], rows)
+    return _float_cells(table.ravel(), seps).tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_csv(path, header: str, row_format: str, columns):
-    """Write ``header`` and one ``row_format`` line per row of ``columns``.
+def _write_csv(path, header: str, table: np.ndarray, labels=None):
+    """Write ``header`` and one line per row of ``table``, a (rows, k)
+    float64 array: each value ``%.17g``, then that row's str of ``labels``
+    if given.
 
-    ``row_format`` is one conversion per column, ``%.17g`` or ``%s``, joined
-    by commas, and ``columns`` are equal-length arrays or sequences.  Rows
-    are formatted CSV_BLOCK_ROWS at a time, which keeps each block's
-    transients small.  A block of fewer than CSV_INTEGER_ROWS rows is
-    ``row_format`` repeated over its interleaved values, one ``%``.  A
-    longer one is spelled as bytes (:func:`_byte_block`): each ``%.17g``
-    value with 1e-6 < |x| < 1e17, fixed notation from 1e-4 up and
-    scientific below, from its 17 digits, one int64 computed exactly with
-    Dekker's product and an exact power of ten, spelled four digits at a
-    time from a table.  Zero, non-finite values, the other scientific ones
-    and any value whose decade np.log10 misjudged keep ``%.17g``, so the
-    bytes are ``%.17g``'s either way.  Every block is formatted before the
+    Rows are formatted CSV_BLOCK_ROWS at a time, which keeps each block's
+    transients small.  A block of fewer than CSV_INTEGER_ROWS rows is one
+    ``%`` over its values.  A longer one is spelled as bytes
+    (:func:`_byte_block`): each value with 1e-6 < |x| < 1e17, fixed
+    notation from 1e-4 up and scientific below, from its 17 digits, one
+    int64 computed exactly with Dekker's product and an exact power of ten,
+    spelled four digits at a time from a table.  Zero, non-finite values,
+    the other scientific ones and any value whose decade np.log10 misjudged
+    keep ``%.17g``, so the bytes are ``%.17g``'s either way.  Each label is
+    then joined to its line's text.  Every block is formatted before the
     file is opened, so a command that fails leaves no partial file.
     """
-    width, n = len(columns), len(columns[0])
-    fields = row_format.split(",")
+    rows, width = table.shape
+    line = ",".join(["%.17g"] * width) + "\n"
     blocks = [header + "\n"]
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, n)
-        parts = [col[start:stop] for col in columns]
-        if stop - start >= CSV_INTEGER_ROWS:
-            blocks.append(_byte_block(fields, parts))
-            continue
-        values = [None] * (width * (stop - start))
-        for j, part in enumerate(parts):
-            values[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        blocks.append((row_format + "\n") * (stop - start) % tuple(values))
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        part = table[block]
+        if len(part) >= CSV_INTEGER_ROWS:
+            text = _byte_block(part)
+        else:
+            text = line * len(part) % tuple(part.ravel().tolist())
+        if labels is not None:
+            text = "\n".join(map(",".join, zip(text.split("\n"), labels[block]))) + "\n"
+        blocks.append(text)
     if path in (None, "stdout", "-"):
         sys.stdout.writelines(blocks)
     else:
@@ -365,7 +349,7 @@ def cmd_wavefunction(args) -> int:
     sol = solve_structure(s, args.energy)
     grid = default_grid(sol, args.x_min, args.x_max, args.grid_points)
     rows = sample_density(sol, grid)
-    _write_csv(args.out, "x,re_psi,im_psi,abs2_psi", "%.17g,%.17g,%.17g,%.17g", rows.T)
+    _write_csv(args.out, "x,re_psi,im_psi,abs2_psi", rows)
     t = transmission_probability(sol.embedded, sol.wavenumbers)
     r = reflection_probability(sol.embedded)
     print(f"T={_fmt(t)} R={_fmt(r)}")
@@ -383,15 +367,15 @@ def cmd_sweep(args) -> int:
     w, _, _, emb = scattering_amplitudes(s, off_degenerate(s, energies, args.nudge))
     t = transmission_probability(emb, w)
     r = reflection_probability(emb)
-    _write_csv(args.out, "epsilon,T_prob,R_prob", "%.17g,%.17g,%.17g", (energies, t, r))
+    _write_csv(args.out, "epsilon,T_prob,R_prob", np.array((energies, t, r)).T)
     return EXIT_OK
 
 
 def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
     table = band_scan(lat, *_energy_range(args.energy_range))
-    _write_csv(args.out, "epsilon,cos_beta,band", "%.17g,%.17g,%s",
-               (table.energies, table.cos_beta, table.classification))
+    _write_csv(args.out, "epsilon,cos_beta,band",
+               np.array((table.energies, table.cos_beta)).T, table.classification)
     for e in table.edges:
         print(f"edge at epsilon={_fmt(e)}")
     for e in table.skipped:
@@ -497,6 +481,9 @@ def main(argv=None) -> int:
         # the flush at interpreter exit cannot fail again, and stop quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as ex:  # an unreadable --structure or an unwritable --out
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_INVALID
     except StructureError as ex:
         for p in ex.problems:
             print(f"error: {p}", file=sys.stderr)

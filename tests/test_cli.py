@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import io
 import json
@@ -719,8 +720,9 @@ def test_energy_below_the_overflow_solves(capsys, tmp_path):
     (["--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["--grid-points=-3"], "--grid-points must be at least 1, got -3"),
     (["--grid-points", "10000001"], "--grid-points must be at most 10000000, got 10000001"),
+    (["--grid-points", "2", "--x-min", "6", "--x-max", "5"], "--x-min 6.0 lies above --x-max 5.0"),
 ], ids=["range-overflows", "x-min-inf", "x-max-inf", "x-min-nan", "no-points", "negative-points",
-        "too-many-points"])
+        "too-many-points", "reversed-bounds"])
 def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
     # exit 2 with one line naming the option: no numpy RuntimeWarning, no
     # CSV of NaN rows or of a header alone
@@ -728,6 +730,23 @@ def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
     proc = run_fresh("wavefunction", "--scenario", "periodic", "--energy", "4.6",
                      *options, "--out", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-structure", "directory-structure", "missing-out-dir"])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, case):
+    # the OS's own message on one error: line, where an uncaught
+    # FileNotFoundError or IsADirectoryError exited 1 with a traceback
+    missing, out = tmp_path / "missing", tmp_path / "out.csv"
+    source, out, path, code = {
+        "missing-structure": (["--structure", str(missing)], out, missing, errno.ENOENT),
+        "directory-structure": (["--structure", str(tmp_path)], out, tmp_path, errno.EISDIR),
+        "missing-out-dir": (["--scenario", "periodic"], missing / "x.csv", missing / "x.csv",
+                            errno.ENOENT),
+    }[case]
+    error = OSError(code, os.strerror(code), str(path))
+    proc = run_fresh("sweep", *source, "--energy-range", "1:2:3", "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
     assert not out.exists()
 
 
@@ -1206,29 +1225,29 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1025, 1535, 1537, 3073, 4095, 4096, 4097, 8193])
-@pytest.mark.parametrize("row_format, labels", [
-    ("%.17g,%.17g,%.17g,%.17g", False),  # wavefunction
-    ("%.17g,%.17g,%.17g", False),        # sweep
-    ("%.17g,%.17g,%s", True),            # bands
+@pytest.mark.parametrize("floats, labels", [
+    (4, False),  # wavefunction
+    (3, False),  # sweep
+    (2, True),   # bands
 ], ids=["wavefunction", "sweep", "bands"])
-def test_write_csv_matches_per_value_format(capsys, tmp_path, n, row_format, labels):
+def test_write_csv_matches_per_value_format(capsys, tmp_path, n, floats, labels):
     # rows cross the 1536-row blocks; each column cycles the values at its own offset
-    width = row_format.count("%")
     cycle = np.array(FORMAT_VALUES)
-    columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(width)]
-    if labels:
-        columns[-1] = np.array(["allowed", "forbidden", "edge"])[np.arange(n) % 3]
+    columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(floats)]
+    names = np.array(["allowed", "forbidden", "edge"])[np.arange(n) % 3] if labels else None
     expected = ["h\n"] + [
         ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
-        for row in zip(*(c.tolist() for c in columns))]
+        for row in zip(*(c.tolist() for c in columns), *([names.tolist()] if labels else []))]
     out = tmp_path / "t.csv"
-    _write_csv(str(out), "h", row_format, columns)
-    _write_csv("stdout", "h", row_format, columns)
+    # rows stacked as sample_density stacks them, and a transposed stack of
+    # columns as sweep and bands hand them over
+    _write_csv(str(out), "h", np.column_stack(columns), names)
+    _write_csv("stdout", "h", np.array(columns).T, names)
     # lists of lines: pytest reports the first differing line, not a text diff
     assert out.read_text().splitlines(keepends=True) == expected
     assert capsys.readouterr().out.splitlines(keepends=True) == expected
     if labels:  # ``bands`` hands its labels over as a tuple of str
-        _write_csv("stdout", "h", row_format, [*columns[:-1], tuple(columns[-1].tolist())])
+        _write_csv("stdout", "h", np.array(columns).T, tuple(names.tolist()))
         assert capsys.readouterr().out.splitlines(keepends=True) == expected
 
 
@@ -1268,22 +1287,20 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
     values = _hard_format_values(np.random.default_rng(20))
     assert values.size >= 10 ** 6
     sizes = [CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1]
-    formats = [("%.17g,%.17g,%.17g,%.17g", 4, False), ("%.17g,%.17g,%.17g", 3, False),
-               ("%.17g,%.17g,%s", 2, True)]
+    formats = [(4, False), (3, False), (2, True)]
     out = tmp_path / "t.csv"
-    for i, (row_format, floats, labels) in enumerate(formats):
+    for i, (floats, labels) in enumerate(formats):
+        row_format = ",".join(["%.17g"] * floats + ["%s"] * labels)
         share = values[i::len(formats)]
         share = share[:share.size - share.size % floats]
         bounds = [0, *np.cumsum([n * floats for n in sizes]), share.size]
         for start, stop in zip(bounds[:-1], bounds[1:]):
             table = share[start:stop].reshape(-1, floats)
-            columns = list(table.T)
-            if labels:
-                columns.append(tuple(["allowed", "forbidden", "edge"][r % 3]
-                                     for r in range(len(table))))
-            _write_csv(str(out), "h", row_format, columns)
+            names = (tuple(["allowed", "forbidden", "edge"][r % 3] for r in range(len(table)))
+                     if labels else None)
+            _write_csv(str(out), "h", table, names)
             # each row by its own %, one %.17g conversion per value
-            rows = zip(*table.T.tolist(), *columns[floats:])
+            rows = zip(*table.T.tolist(), *([names] if labels else []))
             expected = ["h", *map(row_format.__mod__, rows), ""]
             got = out.read_text().split("\n")
             bad = next((r for r, (g, e) in enumerate(zip(got, expected)) if g != e), None)
@@ -1295,10 +1312,10 @@ def test_write_csv_spells_bytes_from_the_crossover(monkeypatch, capsys):
     blocks = []
     real = layerscatter.cli._byte_block
     monkeypatch.setattr(layerscatter.cli, "_byte_block",
-                        lambda fields, parts: blocks.append(len(parts[0])) or real(fields, parts))
+                        lambda table: blocks.append(len(table)) or real(table))
     for n in (CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS + CSV_INTEGER_ROWS - 1):
         x = np.linspace(0.5, 3.0, n)
-        _write_csv("stdout", "h", "%.17g,%.17g", (x, x * x))
+        _write_csv("stdout", "h", np.column_stack((x, x * x)))
         assert capsys.readouterr().out.split("\n")[1:-1] == [
             "%.17g,%.17g" % (a, b) for a, b in zip(x.tolist(), (x * x).tolist())]
     # the last table's tail block is below the crossover again
@@ -1324,7 +1341,7 @@ def _assert_bytes_are_printf(tmp_path, table):
     assert CSV_INTEGER_ROWS <= len(table) <= CSV_BLOCK_ROWS
     row_format = ",".join(["%.17g"] * table.shape[1])
     out = tmp_path / "t.csv"
-    _write_csv(str(out), "h", row_format, list(table.T))
+    _write_csv(str(out), "h", table)
     expected = ["h", *(row_format % tuple(row) for row in table.tolist()), ""]
     assert out.read_text().split("\n") == expected
 
@@ -1393,7 +1410,7 @@ def test_write_csv_workload_tables_spell_scientific_cells(monkeypatch, tmp_path)
         sol = solve_structure(op.model["structure"], op.model["energy"])
         rows = layerscatter.sample_density(sol, layerscatter.default_grid(
             sol, points=op.model["grid"]))
-        _write_csv(str(out), "h", "%.17g,%.17g,%.17g,%.17g", list(rows.T))
+        _write_csv(str(out), "h", rows)
         expected = ["h", *("%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in rows.tolist()), ""]
         assert out.read_text().split("\n") == expected
         a = np.abs(rows)

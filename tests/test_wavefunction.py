@@ -275,8 +275,9 @@ class TestSampling:
          "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),
         ((None, None), 0, "--grid-points must be at least 1, got 0"),
         ((None, None), MAX_GRID_POINTS + 1, "--grid-points must be at most 10000000, got 10000001"),
+        ((30.0, None), 5, "--x-min 30.0 lies above the default bound 5.0"),
     ], ids=["x-min-nan", "x-min-inf", "x-max-inf", "range-overflows", "range-overflows-float64",
-            "no-points", "too-many-points"])
+            "no-points", "too-many-points", "x-min-above-default-bound"])
     def test_default_grid_refuses_what_the_cli_refuses(self, bounds, points, message):
         # one rule for every caller, with the CLI's lines: no NaN grid and no
         # RuntimeWarning (pytest makes one an error)
