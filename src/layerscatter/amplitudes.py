@@ -51,7 +51,6 @@ from .structure import (
     EvanescentGapError,  # re-exported
     LayeredStructure,
     WaveNumberSet,
-    _barrier_squares,
     check_energy,
     compute_wavenumbers,
     region_lengths,
@@ -88,8 +87,7 @@ def _factored_barrier(k0, kn, width):
 
     The one source of the single-barrier formula (see Conventions).  ``k0`` is
     real and each k_n real or purely imaginary, so A sin and B sin are real: only
-    real cos, sin and e^{-2m} are taken, and each piece stays O(1).  k_n^2 +- k0^2
-    come from :func:`_barrier_squares`, as in the energy rule's overflow test.
+    real cos, sin and e^{-2m} are taken, and each piece stays O(1).
     """
     kr, ki = kn.real, kn.imag  # one of them is 0
     m = ki * width
@@ -98,7 +96,8 @@ def _factored_barrier(k0, kn, width):
     np.multiply(np.cos(kr * width), 0.5 + h, out=c.real)  # e^{-m} cos k_n d_n
     sn = np.sin(kr * width) + (0.5 - h)
     sn *= 0.5 / ((kr + ki) * k0)  # e^{-m} sin(k_n d_n) / (2 k_n k0), real either way
-    plus, minus = _barrier_squares(k0, kn)
+    k2, k02 = kr * kr - ki * ki, k0 * k0
+    plus, minus = k2 + k02, k2 - k02
     np.multiply(-plus, sn, out=c.imag)
     return m, c, minus * sn
 

@@ -1,12 +1,13 @@
 """Command-line surface: structure files, energy sweeps, spatial sampling,
 band scans, scenario generators, and CSV emission.
 
-Exit codes: 0 success; 2 parse/validation error, including malformed or
-non-finite structure documents and unreadable or unwritable files; 3
-numerical failure (an energy that
-:func:`~layerscatter.structure.check_energy` refuses, a band edge,
-overflow or underflow); 4 oracle-check discrepancy above tolerance; 141
-stdout closed by its reader.
+Exit codes: 0 success; 2 parse/validation error, including malformed
+structure documents, any number outside the domain
+(:func:`~layerscatter.structure.domain_error`) and unreadable or
+unwritable files; 3 numerical failure (an energy in the domain that
+:func:`~layerscatter.structure.check_energy` refuses, a band edge or
+underflow); 4 oracle-check discrepancy above tolerance; 141 stdout closed
+by its reader.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     StructureError,
+    domain_error,
     mirror_structure,
     off_degenerate,
 )
@@ -323,12 +325,11 @@ def _energy_range(spec: str):
     if len(parts) != 3:
         raise ValueError("--energy-range must be MIN:MAX:STEPS")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError("--energy-range needs finite MIN and MAX")
+    for name, value in (("MIN", lo), ("MAX", hi)):
+        if line := domain_error(f"--energy-range {name}", value):
+            raise ValueError(line)
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
-    if not np.isfinite(hi - lo):
-        raise ValueError(f"--energy-range needs MAX - MIN finite, got {lo} and {hi}")
     return lo, hi, steps
 
 
@@ -358,12 +359,9 @@ def cmd_wavefunction(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
-    if not np.isfinite(args.nudge):
-        raise ValueError(f"--nudge must be finite, got {args.nudge}")
-    # MAX - MIN is finite, so only the last point's step can overflow, and
-    # linspace then sets that point to MAX
-    with np.errstate(over="ignore"):
-        energies = np.linspace(*_energy_range(args.energy_range))
+    if line := domain_error("--nudge", args.nudge):
+        raise ValueError(line)
+    energies = np.linspace(*_energy_range(args.energy_range))
     w, _, _, emb = scattering_amplitudes(s, off_degenerate(s, energies, args.nudge))
     t = transmission_probability(emb, w)
     r = reflection_probability(emb)

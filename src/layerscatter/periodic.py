@@ -21,8 +21,8 @@ from .structure import (
     LayeredStructure,
     branch_sqrt,
     check_energy,
-    check_overflow,
     degenerate_energies,
+    domain_error,
     off_degenerate,
 )
 
@@ -41,8 +41,8 @@ class BandEdgeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PeriodicLattice:
-    """count identical barriers of height/width at spacing period, all three
-    finite, whose last centre and span are finite too."""
+    """count identical barriers of height/width at spacing period, the first
+    centred at first_center; all four lie in the structure's domain."""
 
     barrier_height: float
     barrier_width: float
@@ -51,23 +51,17 @@ class PeriodicLattice:
     first_center: float | None = None  # default: half a period in
 
     def __post_init__(self):
+        if self.first_center is None:
+            object.__setattr__(self, "first_center", self.period / 2.0)
         for name, value in (("barrier height", self.barrier_height),
-                            ("barrier width", self.barrier_width), ("period", self.period)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                            ("barrier width", self.barrier_width), ("period", self.period),
+                            ("first_center", self.first_center)):
+            if line := domain_error(name, value):
+                raise ValueError(line)
         if self.period < self.barrier_width:
             raise ValueError("period must be >= barrier width")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.first_center is None:
-            object.__setattr__(self, "first_center", self.period / 2.0)
-        # to_structure's last centre and span, in its order of operations
-        x1, half = self.first_center, self.barrier_width / 2.0
-        last = x1 + (self.count - 1) * self.period
-        if not math.isfinite(last + half + (x1 - half)):
-            raise ValueError(
-                f"need the last centre first_center + (count - 1) period and the span "
-                f"finite, got first_center {x1}, period {self.period} and count {self.count}")
 
     def to_structure(self, v_left: float = 0.0, v_right: float = 0.0) -> LayeredStructure:
         """Explicit structure with symmetric (period-width)/2 outer margins."""
@@ -288,25 +282,22 @@ def band_scan(
     Both bisections take scipy.optimize.bisect's midpoints, five halvings per
     array evaluation of cos beta (:func:`_bisect`): about six evaluations
     for a scan's edges, where one per halving took about 25.
-    Negative energies carry no propagating gap wave, so e_min is first
-    raised to ``ENERGY_FLOOR``.  Refuses, with a ValueError, e_min >= e_max,
-    fewer than 2 points and an e_max of the largest double, past which the
-    grid's arithmetic goes; and raises what
-    :func:`~layerscatter.structure.check_overflow` raises, as ``check_energy``
-    would, at the first energy the scan evaluates, grid point, bisection
-    midpoint or interval midpoint, where the barrier formula or a region's
-    phase overflows.  The scan's energies are finite, at or above
-    ``ENERGY_FLOOR`` and moved off k = 0, and the cell has v_left = 0, so no
-    other rule of ``check_energy`` can refuse them.
+    Refuses, with a ValueError, an e_min or e_max outside the structure's
+    domain (:func:`~layerscatter.structure.domain_error`).  Negative energies
+    carry no propagating gap wave, so e_min is then raised to
+    ``ENERGY_FLOOR``; e_min >= e_max and fewer than 2 points are refused
+    too.  The scan's energies are then at or above ``ENERGY_FLOOR``, moved off
+    k = 0 and, on a cell with v_left = 0, propagating, and the domain leaves
+    nothing to overflow, so they are not checked again.
     """
+    for name, value in (("e_min", e_min), ("e_max", e_max)):
+        if line := domain_error(name, value):
+            raise ValueError(line)
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
         raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    if e_max >= np.finfo(float).max:
-        raise ValueError(f"need e_max below the largest double, got {e_max}: the grid's "
-                         "arithmetic and the nudge off k = 0 go past it")
     grid = np.linspace(e_min, e_max, points)
     degenerate = degenerate_energies(lat.cell, grid)
     energies = grid[~degenerate]
@@ -315,9 +306,7 @@ def band_scan(
     # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.
     # Skipped grid points still bracket edges, so an edge next to one is not lost.
     def cos_beta(e):
-        e = off_degenerate(lat.cell, e, 1e-12)
-        check_overflow(lat.cell, e)
-        return _cos_beta(lat, e)
+        return _cos_beta(lat, off_degenerate(lat.cell, e, 1e-12))
 
     values = cos_beta(grid)
     f = np.abs(values) - 1.0
@@ -346,7 +335,7 @@ def band_scan(
     lo, hi = bounds[:-1], bounds[1:]
     keep = hi - lo > 0
     lo, hi = lo[keep], hi[keep]
-    mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) exactly, where lo + hi does not overflow
+    mid = 0.5 * (lo + hi)
     labels = _classify(cos_beta(mid))
 
     return BandTable(

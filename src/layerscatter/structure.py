@@ -20,13 +20,12 @@ EDGE_ULPS = 8
 # k0 |k_n| >= sqrt(eps ulp(eps)/2) > 2^-1024 (:func:`degenerate_energies`).
 TINY_ENERGY = 1e-300
 
-# While eps and every |u| stay below this, |k_n^2 +- k0^2| stays near 2^1023 at
-# most, under the largest double, and the energy rule takes no pass over them.
-_HUGE = 2.0 ** 1021
-
-# Below this span every region's 2 |k| L stays under 2^1022, as |k| < 2^513 for
-# any finite eps and u, and the phase rule takes no pass over the regions.
-_WIDE = 2.0 ** 508
+# Every number that enters the program, a potential, length, energy, grid
+# bound or nudge, must lie in [-DOMAIN, DOMAIN] (:func:`domain_error`).  There
+# |k| <= sqrt(2 DOMAIN), about 1.4e75, so every 2 |k| L and every phase
+# k (x - o) of psi stays below 3e225 and every k_n^2 +- k0^2 below 3.1e150:
+# no step of a solve, a band scan or psi sampling can overflow.
+DOMAIN = 1e150
 
 
 class StructureError(ValueError):
@@ -170,38 +169,41 @@ def region_origins(s: LayeredStructure) -> np.ndarray:
     return o
 
 
+def domain_error(name: str, values) -> str | None:
+    """The line that refuses the first of ``values``, a float or an array,
+    outside [-DOMAIN, DOMAIN], NaN and +-inf included; None if all lie in it."""
+    v = np.asarray(values, dtype=float).ravel()
+    bad = v[~(np.abs(v) <= DOMAIN)]
+    return f"{name} must lie in [{-DOMAIN}, {DOMAIN}], got {bad[0]}" if bad.size else None
+
+
 def validate_structure(s: LayeredStructure) -> LayeredStructure:
-    """Check ordering/extent constraints; return ``s`` unchanged if valid.
+    """Check domain/ordering/extent constraints; return ``s`` unchanged if valid.
 
     Raises :class:`StructureError` listing every violation, checked over
-    ``s.barrier_arrays``: the media and the span, barrier by barrier its
-    width and finiteness, then the edges and overlaps.  Touching barriers
-    (zero-width gaps) are legal: edges are compared to within ``EDGE_ULPS``
-    ulps of the span, so rounding does not part or overlap them.  An edge
-    past the largest double lies outside the span and is refused as such.
+    ``s.barrier_arrays``: the media and the span in the domain
+    (:func:`domain_error`) and a positive span, barrier by barrier its three
+    values in the domain and a positive width, then the edges and overlaps.
+    Touching barriers (zero-width gaps) are legal: edges are compared to within
+    ``EDGE_ULPS`` ulps of the span, so rounding does not part or overlap them.
     """
-    problems = []
-    if not (math.isfinite(s.v_left) and math.isfinite(s.v_right)):
-        problems.append(
-            f"v_left and v_right must be finite, got {s.v_left} and {s.v_right}"
-        )
-    if not (s.span > 0 and math.isfinite(s.span)):
-        problems.append(f"span must be a positive finite real, got {s.span}")
-    heights, widths, centers = s.barrier_arrays
-    bad_width = ~((widths > 0) & np.isfinite(widths))
-    bad_value = ~(np.isfinite(centers) & np.isfinite(heights))
-    for i in np.flatnonzero(bad_width | bad_value).tolist():
+    problems = [line for name in ("v_left", "v_right", "span")
+                if (line := domain_error(name, getattr(s, name)))]
+    if not s.span > 0:
+        problems.append(f"span must be positive, got {s.span}")
+    arrays = s.barrier_arrays
+    outside = ~(np.abs(arrays) <= DOMAIN)
+    bad_width = ~(arrays[1] > 0)
+    for i in np.flatnonzero(outside.any(axis=0) | bad_width).tolist():
+        for name, value in zip(("height", "width", "center"), arrays[:, i]):
+            if line := domain_error(f"barrier {i + 1}: {name}", value):
+                problems.append(line)
         if bad_width[i]:
-            problems.append(f"barrier {i + 1}: width must be positive, got {widths[i].item()}")
-        if bad_value[i]:
-            problems.append(f"barrier {i + 1}: center and height must be finite")
-    if s.n_barriers and np.isfinite(s.barrier_arrays[1:]).all():  # widths and centers
-        # a Python float, 2^974 at the largest double, whose np.spacing is inf
-        slack = EDGE_ULPS * math.ulp(s.span) if math.isfinite(s.span) else 0.0
-        with np.errstate(over="ignore"):  # an edge past the largest double is inf
-            x = s.interface_points()
-            left, right = x[1:-1:2], x[2:-1:2]
-            overlaps = np.flatnonzero(right[:-1] - left[1:] > slack).tolist()
+            problems.append(f"barrier {i + 1}: width must be positive, got {arrays[1, i].item()}")
+    if s.n_barriers and not outside[1:].any():  # widths and centers
+        slack = EDGE_ULPS * math.ulp(s.span)
+        x = s.interface_points()
+        left, right = x[1:-1:2], x[2:-1:2]
         if left[0] < -slack:
             problems.append(
                 f"barrier 1 starts before the left medium edge "
@@ -212,7 +214,7 @@ def validate_structure(s: LayeredStructure) -> LayeredStructure:
                 f"barrier {s.n_barriers} exceeds span "
                 f"(right edge {float(right[-1])} > {s.span})"
             )
-        for i in overlaps:
+        for i in np.flatnonzero(right[:-1] - left[1:] > slack).tolist():
             problems.append(f"overlap between barriers {i + 1} and {i + 2}")
     if problems:
         raise StructureError(problems)
@@ -253,58 +255,9 @@ class WaveNumberSet:
     k_barrier: np.ndarray
 
 
-def _barrier_squares(k0, kn):
-    """(k_n^2 + k0^2, k_n^2 - k0^2) as the barrier kernel takes them, k0 real and
-    each k_n real or purely imaginary: about 2 eps - u and -u."""
-    kr, ki = kn.real, kn.imag  # one of them is 0
-    k2, k02 = kr * kr - ki * ki, k0 * k0
-    return k2 + k02, k2 - k02
-
-
-def _kernel_overflows(s: LayeredStructure, energy) -> np.ndarray:
-    """Where a barrier's k_n^2 + k0^2 or k_n^2 - k0^2 passes the largest double,
-    elementwise over ``energy`` (eps >= 0): the barrier kernel's arithmetic
-    (:func:`_barrier_squares`) on the wavenumbers it is given, which overflows
-    there.  Only when eps or some |u| reaches 2^1021 can it, and only then is it
-    taken."""
-    e = np.asarray(energy, dtype=float)
-    heights = s.barrier_arrays[0]
-    if max(e.max(initial=0.0), np.abs(heights).max(initial=0.0)) < _HUGE:
-        return np.zeros(e.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        plus, minus = _barrier_squares(np.sqrt(e)[..., None], branch_sqrt(e[..., None] - heights))
-        return ~(np.isfinite(plus) & np.isfinite(minus)).all(axis=-1)
-
-
-def _phase_overflows(s: LayeredStructure, energy) -> np.ndarray:
-    """Where some region's 2 |k| L passes the largest double, L its length from
-    :func:`region_lengths`, elementwise over ``energy`` (eps >= 0): twice the
-    phase that the steps, the barrier formula and the oracle take across it,
-    which overflows there.  Finite eps and u give |k| < 2^513 and every L is
-    about the span at most, so only a span from ``_WIDE`` up can overflow, and
-    only there is it taken."""
-    e = np.asarray(energy, dtype=float)
-    if s.span < _WIDE:
-        return np.zeros(e.shape, dtype=bool)
-    lengths = region_lengths(s)
-    with np.errstate(over="ignore"):
-        gaps = 2.0 * np.sqrt(e)[..., None] * lengths[1:-1:2]
-        barriers = 2.0 * np.sqrt(np.abs(e[..., None] - s.barrier_arrays[0])) * lengths[2:-1:2]
-        return ~(np.isfinite(gaps).all(axis=-1) & np.isfinite(barriers).all(axis=-1))
-
-
-def _finite_energy(energy) -> np.ndarray:
-    """``energy`` as a float array, or ValueError where it is not finite."""
-    e = np.asarray(energy, dtype=float)
-    bad = e[~np.isfinite(e)]
-    if bad.size:
-        raise ValueError(f"energy must be finite, got {bad[0]}")
-    return e
-
-
 def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
     """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch)."""
-    e = _finite_energy(energy)
+    e = np.asarray(energy, dtype=float)
     return WaveNumberSet(
         k_left=branch_sqrt(e - s.v_left),
         k_right=branch_sqrt(e - s.v_right),
@@ -335,29 +288,25 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
 
 def off_degenerate(s: LayeredStructure, energy, nudge: float) -> np.ndarray:
     """``energy`` with every point of :func:`degenerate_energies` moved to
-    energy + nudge where that sum is finite and differs from the energy, and
-    otherwise one ulp in the nudge's direction, or one ulp the other way where
-    that step would leave the finite doubles.  A zero nudge moves nothing.
-    Only the moved points are stepped, so an energy near the largest double
-    that stays put cannot overflow."""
+    energy + nudge, or one ulp in the nudge's direction where that sum rounds
+    back to the energy.  A zero nudge moves nothing."""
     e = np.array(energy, dtype=float)
     move = degenerate_energies(s, e) & (nudge != 0)
     d = e[move]
-    up = math.copysign(math.inf, nudge)
-    with np.errstate(over="ignore"):
-        moved, ulp, back = d + nudge, np.nextafter(d, up), np.nextafter(d, -up)
-    ulp = np.where(np.isfinite(ulp), ulp, back)
-    e[move] = np.where(np.isfinite(moved) & (moved != d), moved, ulp)
+    moved = d + nudge
+    e[move] = np.where(moved != d, moved, np.nextafter(d, math.copysign(math.inf, nudge)))
     return e
 
 
 def check_energy(s: LayeredStructure, energy) -> None:
     """Admit ``energy``, a float or an array, to a solve on ``s``, or raise, in this
-    order: ValueError for a non-finite eps, EvanescentGapError for eps < 0,
-    DegenerateWavenumberError where :func:`degenerate_energies` is set, with a
-    line of its own for a tiny energy where no k is 0, ArithmeticError for
-    eps <= V1 (no incident wave), and then what :func:`check_overflow` raises."""
-    e = _finite_energy(energy).ravel()
+    order: ValueError for an eps outside the domain (:func:`domain_error`),
+    EvanescentGapError for eps < 0, DegenerateWavenumberError where
+    :func:`degenerate_energies` is set, with a line of its own for a tiny energy
+    where no k is 0, and ArithmeticError for eps <= V1 (no incident wave)."""
+    e = np.asarray(energy, dtype=float).ravel()
+    if line := domain_error("energy", e):
+        raise ValueError(line)
     bad = e[e < 0]
     if bad.size:
         raise EvanescentGapError(
@@ -377,25 +326,3 @@ def check_energy(s: LayeredStructure, energy) -> None:
         raise ArithmeticError(
             f"energy {bad[0]} does not propagate in the left medium (V1 = {s.v_left})"
         )
-    check_overflow(s, e)
-
-
-def check_overflow(s: LayeredStructure, energy) -> None:
-    """The last two rules of :func:`check_energy`, for finite ``energy`` >= 0, a
-    float or an array: OverflowError where the barrier kernel overflows
-    (:func:`_kernel_overflows`), from eps of about 2^1023 - u/2 up, and then
-    where a region's phase does (:func:`_phase_overflows`)."""
-    e = np.asarray(energy, dtype=float).ravel()
-    bad = e[_kernel_overflows(s, e)]
-    if bad.size:
-        raise OverflowError(
-            f"energy {bad[0]} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
-            "pass the largest double in a barrier, where the barrier formula overflows"
-        )
-    bad = e[_phase_overflows(s, e)]
-    if bad.size:
-        raise OverflowError(
-            f"energy {bad[0]} makes 2 |k| L, twice the phase across a region of length L, "
-            "pass the largest double, where its plane waves overflow"
-        )
-

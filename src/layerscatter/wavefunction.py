@@ -12,7 +12,6 @@ it.  No linear system is solved on this path.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +21,7 @@ from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
 from .structure import (
     LayeredStructure,
     WaveNumberSet,
+    domain_error,
     region_lengths,
     region_origins,
     region_wavenumbers,
@@ -142,26 +142,17 @@ def grid_bounds(span: float, x_min: float | None = None, x_max: float | None = N
                 points: int | None = None) -> tuple[float, float]:
     """(x_min, x_max) of the sampling grid: a bound not given lies a quarter
     span beyond the structure's edge on its side.  A ValueError refuses a
-    non-finite bound, bounds whose distance overflows, an x_min above x_max
-    and an explicit count of ``points`` below 1 or above ``MAX_GRID_POINTS``,
-    naming only the options given and, where a default bound takes part, the
-    span or the default bound."""
+    bound outside the structure's domain (:func:`~layerscatter.structure.domain_error`),
+    an x_min above x_max and an explicit count of ``points`` below 1 or above
+    ``MAX_GRID_POINTS``, naming only the options given and, where a default
+    bound takes part, the default bound."""
     given = [(option, value) for option, value in (("--x-min", x_min), ("--x-max", x_max))
              if value is not None]
     for option, value in given:
-        if not math.isfinite(value):
-            raise ValueError(f"{option} must be finite, got {value}")
-    span = float(span)
+        if line := domain_error(option, value):
+            raise ValueError(line)
     x_min = -0.25 * span if x_min is None else float(x_min)
     x_max = 1.25 * span if x_max is None else float(x_max)
-    if not math.isfinite(x_max - x_min):
-        if len(given) == 2:
-            raise ValueError(
-                f"--x-min and --x-max must be a finite distance apart, got {x_min} and {x_max}")
-        bounds = (f"{given[0][0]} {float(given[0][1])} and the default bound" if given
-                  else "the default bounds")
-        raise ValueError(f"{bounds}, a quarter span beyond the structure, are not a finite "
-                         f"distance apart at span {span}")
     if x_min > x_max:  # equal bounds are a grid of one point
         low, high = (f"{option} {x}" if option in dict(given) else f"the default bound {x}"
                      for option, x in (("--x-min", x_min), ("--x-max", x_max)))
@@ -181,44 +172,25 @@ def default_grid(
     """Sampling grid: 40 points per shortest wavelength, at least 1000,
     between the bounds of :func:`grid_bounds`, which checks them and
     ``points``.  A ValueError refuses a default count above
-    ``MAX_GRID_POINTS`` before anything is allocated, and an OverflowError a
-    grid whose first or last point has a phase k (x - o) past the largest
-    double (:func:`_phase_overflows_at`), where psi's plane waves overflow;
-    each names only the bounds given, the others as default bounds."""
+    ``MAX_GRID_POINTS`` before anything is allocated, naming only the
+    bounds given, the others as default bounds."""
     given = (x_min is not None, x_max is not None)
     x_min, x_max = grid_bounds(sol.structure.span, x_min, x_max, points)
-    names = [f"{option} {x}" if was_given else f"the default bound {x}"
-             for option, x, was_given in (("--x-min", x_min, given[0]),
-                                          ("--x-max", x_max, given[1]))]
     if points is None:
         k_max = np.abs(sol.regions[1].real).max()
         points = 1000
         if k_max > 0:
             wavelength = 2.0 * np.pi / k_max
-            needed = np.ceil(40.0 * (x_max - x_min) / wavelength)  # inf past the largest double
+            needed = np.ceil(40.0 * (x_max - x_min) / wavelength)
             if needed > MAX_GRID_POINTS:
-                raise ValueError(f"{names[0]} to {names[1]} needs more than "
+                low, high = (f"{option} {x}" if was_given else f"the default bound {x}"
+                             for option, x, was_given in (("--x-min", x_min, given[0]),
+                                                          ("--x-max", x_max, given[1])))
+                raise ValueError(f"{low} to {high} needs more than "
                                  f"{MAX_GRID_POINTS} points at 40 per wavelength: narrow "
                                  "them or set --grid-points")
             points = max(1000, int(needed))
-    grid = np.linspace(x_min, x_max, points)
-    for name, x in zip(names, grid[[0, -1]]):
-        if _phase_overflows_at(sol, x):
-            raise OverflowError(f"energy {sol.energy} makes the phase k (x - o) of psi's plane "
-                                f"waves pass the largest double at {name}")
-    return grid
-
-
-def _phase_overflows_at(sol: ScatteringSolution, x: float) -> bool:
-    """Whether k (x - o+) or k (x - o-) of x's region, as :func:`_psi_dpsi`
-    takes them, passes the largest double.  Within the structure every phase
-    is below |k| L, which the energy rule keeps finite, so only the media,
-    which reach the grid's ends, can pass it."""
-    points, k, _, _, op, om = sol.regions
-    region = np.searchsorted(points, x, side="right")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = abs(k[region]) * np.abs(x - np.array([op[region], om[region]]))
-    return not np.isfinite(phases).all()
+    return np.linspace(x_min, x_max, points)
 
 
 def sample_density(sol: ScatteringSolution, grid) -> np.ndarray:

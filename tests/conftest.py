@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layerscatter import Barrier, LayeredStructure
-from layerscatter.structure import EDGE_ULPS
+from layerscatter.structure import DOMAIN, EDGE_ULPS
 from layerscatter.wavefunction import _psi_dpsi
 
 
@@ -46,17 +46,27 @@ def reference_validate(v_left, v_right, span, barriers):
     sequence of :class:`Barrier`; an empty list means the document is valid.
     """
     problems = []
-    if not (math.isfinite(v_left) and math.isfinite(v_right)):
-        problems.append(f"v_left and v_right must be finite, got {v_left} and {v_right}")
-    if not (span > 0 and math.isfinite(span)):
-        problems.append(f"span must be a positive finite real, got {span}")
+
+    def outside(name, value):
+        """Append the domain's line for ``value`` if it lies outside; whether it did."""
+        if abs(value) <= DOMAIN:
+            return False
+        problems.append(f"{name} must lie in [-1e+150, 1e+150], got {float(value)}")
+        return True
+
+    for name, value in (("v_left", v_left), ("v_right", v_right), ("span", span)):
+        outside(name, value)
+    if not span > 0:
+        problems.append(f"span must be positive, got {span}")
+    edges = True
     for i, b in enumerate(barriers, start=1):
-        if not (b.width > 0 and math.isfinite(b.width)):
+        outside(f"barrier {i}: height", b.height)
+        edges &= not outside(f"barrier {i}: width", b.width)
+        edges &= not outside(f"barrier {i}: center", b.center)
+        if not b.width > 0:
             problems.append(f"barrier {i}: width must be positive, got {b.width}")
-        if not (math.isfinite(b.center) and math.isfinite(b.height)):
-            problems.append(f"barrier {i}: center and height must be finite")
-    if barriers and all(math.isfinite(b.width) and math.isfinite(b.center) for b in barriers):
-        slack = EDGE_ULPS * math.ulp(span) if math.isfinite(span) else 0.0
+    if barriers and edges:
+        slack = EDGE_ULPS * math.ulp(span)
         if barriers[0].left_edge < -slack:
             problems.append(f"barrier 1 starts before the left medium edge "
                             f"(left edge {barriers[0].left_edge} < 0)")

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -44,7 +45,6 @@ from layerscatter.cli import (
     parse_structure,
 )
 from layerscatter.scenarios import SCENARIOS, build_scenario
-from layerscatter.structure import check_energy
 
 from conftest import reference_psi, serialize_structure
 
@@ -352,8 +352,6 @@ class TestSweepCommand:
     ("1:2", "--energy-range must be MIN:MAX:STEPS"),
     ("2:1:10", "--energy-range needs MAX > MIN and STEPS >= 2"),
     ("1:2:1", "--energy-range needs MAX > MIN and STEPS >= 2"),
-    ("1:inf:5", "--energy-range needs finite MIN and MAX"),
-    ("nan:2:5", "--energy-range needs finite MIN and MAX"),
 ])
 @pytest.mark.parametrize("command", [
     ["sweep", "--scenario", "periodic"],
@@ -577,164 +575,348 @@ def test_energy_above_the_tiny_bound_solves(capsys, tmp_path):
     assert stdout.startswith("max relative discrepancy")
 
 
-HUGE_LINE = ("error: energy {} makes k_n^2 + k0^2 or k_n^2 - k0^2 (about 2 eps - u and -u) "
-             "pass the largest double in a barrier, where the barrier formula overflows")
-LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
+def barrier_json(span, height, width, center):
+    return json.dumps({"v_left": 0, "v_right": 0, "span": span,
+                       "barriers": [{"height": height, "width": width, "center": center}]})
+
+
+def document(span, barriers, v_left=0, v_right=0):
+    return json.dumps({"v_left": v_left, "v_right": v_right, "span": span, "barriers": [
+        {"height": h, "width": w, "center": c} for h, w, c in barriers]})
+
+
+def outside(name, value, prefix="error"):
+    """The refusal line of a value outside the domain [-1e150, 1e150]."""
+    return f"{prefix}: {name} must lie in [-1e+150, 1e+150], got {value}"
+
+
 DBL_MAX = np.finfo(float).max.item()
-PHASE_LINE = ("error: energy {} makes 2 |k| L, twice the phase across a region of length L, "
-              "pass the largest double, where its plane waves overflow")
+LATTICE = ["--barrier-height", "3", "--barrier-width", "1"]
 DBL_MAX_HEIGHT = ["--barrier-height", "1.7976931348623157e308", "--barrier-width", "1",
                   "--period", "2"]
+PERIODIC = ["--scenario", "periodic"]
+# A gap, or a barrier, far longer than the domain
+S_WIDE = barrier_json(1.7e308, 3, 1, 1.5)
+S_WIDEBAR = barrier_json(1.6e308, 3, 1.5e308, 8e307)
+# where psi's phase k (x - o) passed the largest double at eps = 4.6
+SAMPLER_LIMIT = DBL_MAX / math.sqrt(4.6)
 
 
-@pytest.mark.parametrize("argv, code, line", [
-    (["sweep", "--scenario", "periodic", "--energy-range", "8.98e307:8.995e307:4"],
-     3, HUGE_LINE.format("8.990000000000001e+307")),
-    (["wavefunction", "--scenario", "periodic", "--energy", "1e308", "--grid-points", "5"],
-     3, HUGE_LINE.format("1e+308")),
-    (["oracle-check", "--scenario", "periodic", "--energy", "1e308"],
-     3, HUGE_LINE.format("1e+308")),
-    (["bands", *LATTICE, "--period", "2", "--energy-range", "0:1e308:30"],
-     3, HUGE_LINE.format("9.310344827586206e+307")),
-    (["bands", *LATTICE, "--period", "inf", "--energy-range", "0:12:30"],
-     2, "error: period must be finite, got inf"),
-    (["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
-     3, PHASE_LINE.format("3.3103455517241382")),
-    # under a height of the largest double the formula overflows at scattered
-    # energies below e_max, where these exited 0 with RuntimeWarnings
-    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1e307:30"],
-     3, HUGE_LINE.format("1.7241379310344826e+306")),
-    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "1e300:1e301:3000"],
-     3, HUGE_LINE.format("2.683561187062354e+300")),
-    # an interval midpoint is judged as the grid points are: this one
-    # overflowed with a RuntimeWarning and exit 0
-    (["bands", *DBL_MAX_HEIGHT, "--energy-range",
-      "5.481887415507686e+301:9.357216995498906e+301:2"],
-     3, HUGE_LINE.format("7.419552205503296e+301")),
-    (["bands", *DBL_MAX_HEIGHT, "--energy-range", "0:1.7976931348623157e308:30"],
-     2, "error: need e_max below the largest double, got 1.7976931348623157e+308: the "
-        "grid's arithmetic and the nudge off k = 0 go past it"),
-    # a lattice's last centre past the largest double, which named an inf span
-    (["sweep", "--scenario", "periodic", "--scenario-params", "period=1e308,count=3",
-      "--energy-range", "1:2:3"],
-     2, "error: scenario periodic: need the last centre first_center + (count - 1) period "
-        "and the span finite, got first_center 5e+307, period 1e+308 and count 3"),
-    # a sweep up to the largest double, whose grid and nudge warned of overflow
-    # before the line, and a range past it, which ended in an energy of nan
-    (["sweep", "--scenario", "periodic", "--energy-range", "0:1.7976931348623157e308:30"],
-     3, HUGE_LINE.format("9.29841276652922e+307")),
-    (["sweep", "--scenario", "periodic", "--energy-range=-1e308:1.7e308:5"],
-     2, "error: --energy-range needs MAX - MIN finite, got -1e+308 and 1.7e+308"),
-    # a barrier so wide that 2 |k| L overflows, where band_scan warned of
-    # overflow and wrote cos_beta inf with exit 0: the energy rule's phase rule
-    (["bands", "--barrier-height", "3", "--barrier-width", "1.5e308", "--period", "1.6e308",
-      "--energy-range", "0:5:3"], 3, PHASE_LINE.format("1e-06")),
-    (["bands", "--barrier-height", "3", "--barrier-width", "1e308", "--period", "1.6e308",
-      "--energy-range", "0:5:3"], 3, PHASE_LINE.format("1e-06")),
-    # a sample so far out that k (x - o) overflows, which printed numpy's bare
-    # "overflow encountered in multiply"
-    (["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--grid-points", "5",
-      "--x-min", "0", "--x-max", "1e308"],
-     3, "error: energy 4.6 makes the phase k (x - o) of psi's plane waves pass the largest "
-        "double at --x-max 1e+308"),
-    (["wavefunction", "--scenario", "periodic", "--energy", "4.6", "--grid-points", "5",
-      "--x-min=-1e308"],
-     3, "error: energy 4.6 makes the phase k (x - o) of psi's plane waves pass the largest "
-        "double at --x-min -1e+308"),
-], ids=["sweep", "wavefunction", "oracle-check", "bands-energy", "bands-inf", "bands-period",
-        "bands-inside", "bands-scattered", "bands-midpoint", "bands-largest-double",
-        "lattice-span", "sweep-largest-double", "sweep-range-overflows", "bands-barrier-1.5e308",
-        "bands-barrier-1e308", "wavefunction-far-x-max", "wavefunction-far-x-min"])
-def test_overflowing_inputs_are_refused(tmp_path, argv, code, line):
-    # where the barrier formula or a lattice's geometry would overflow, one
-    # error: line and the exit code, no numpy RuntimeWarning and no output;
-    # these used to lose flux silently, print psi = 0, or print warnings
+def refused(argv, lines, doc=None, *, id):
+    return pytest.param(argv, doc, lines, id=id)
+
+
+# Each input once refused by one of the per-formula overflow rules, or past
+# the largest double, and the inputs just outside the domain that stand for
+# them: exit 2, one line per value outside [-1e150, 1e150], in the order
+# validate_structure lists them (a structure's before the options').
+OUT_OF_DOMAIN = [
+    # energies, ranges and the nudge
+    refused(["sweep", *PERIODIC, "--energy-range", "8.98e307:8.995e307:4"],
+            [outside("--energy-range MIN", "8.98e+307")], id="sweep-huge-range"),
+    refused(["sweep", *PERIODIC, "--energy-range", "8.97e307:8.98e307:3"],
+            [outside("--energy-range MIN", "8.97e+307")], id="sweep-below-old-kernel-rule"),
+    refused(["sweep", *PERIODIC, "--energy-range", "1e-06:1e308:30"],
+            [outside("--energy-range MAX", "1e+308")], id="sweep-to-1e308"),
+    refused(["sweep", *PERIODIC, "--energy-range", "0:1.7976931348623157e308:30"],
+            [outside("--energy-range MAX", "1.7976931348623157e+308")],
+            id="sweep-largest-double"),
+    refused(["sweep", *PERIODIC, "--energy-range=-1e308:1.7e308:5"],
+            [outside("--energy-range MIN", "-1e+308")], id="sweep-range-overflows"),
+    refused(["sweep", *PERIODIC, "--energy-range", "1:1.0000000000000002e150:3"],
+            [outside("--energy-range MAX", "1.0000000000000002e+150")],
+            id="sweep-one-ulp-outside"),
+    refused(["sweep", *PERIODIC, "--energy-range", "1:inf:5"],
+            [outside("--energy-range MAX", "inf")], id="sweep-max-inf"),
+    refused(["sweep", *PERIODIC, "--energy-range", "nan:2:5"],
+            [outside("--energy-range MIN", "nan")], id="sweep-min-nan"),
+    refused(["bands", *LATTICE, "--period", "2", "--energy-range", "1:inf:5"],
+            [outside("--energy-range MAX", "inf")], id="bands-max-inf"),
+    refused(["bands", *LATTICE, "--period", "2", "--energy-range", "nan:2:5"],
+            [outside("--energy-range MIN", "nan")], id="bands-min-nan"),
+    refused(["bands", *LATTICE, "--period", "2", "--energy-range", "0:1e308:30"],
+            [outside("--energy-range MAX", "1e+308")], id="bands-to-1e308"),
+    refused(["sweep", *PERIODIC, "--energy-range", "1:2:3", "--nudge", "nan"],
+            [outside("--nudge", "nan")], id="nudge-nan"),
+    refused(["sweep", *PERIODIC, "--energy-range", "0:2:3", "--nudge=-inf"],
+            [outside("--nudge", "-inf")], id="nudge-inf"),
+    refused(["sweep", *PERIODIC, "--energy-range", "0:2:3", "--nudge", "1e151"],
+            [outside("--nudge", "1e+151")], id="nudge-outside"),
+    refused(["wavefunction", *PERIODIC, "--energy", "1e308", "--grid-points", "5"],
+            [outside("energy", "1e+308")], id="wavefunction-energy-1e308"),
+    refused(["wavefunction", *PERIODIC, "--energy", "8.98e307", "--grid-points", "5"],
+            [outside("energy", "8.98e+307")], id="wavefunction-below-old-kernel-rule"),
+    refused(["wavefunction", *PERIODIC, "--energy", "1e200", "--grid-points", "5"],
+            [outside("energy", "1e+200")], id="wavefunction-energy-1e200"),
+    refused(["oracle-check", *PERIODIC, "--energy", "1e308"],
+            [outside("energy", "1e+308")], id="oracle-check-energy-1e308"),
+    refused(["oracle-check", *PERIODIC, "--energy", "8.98e307"],
+            [outside("energy", "8.98e+307")], id="oracle-check-below-old-kernel-rule"),
+    # a degenerate grid point at the domain's edge that the nudge moves past
+    # it: by one ulp, as 1e150 + 1e-9 rounds back, or by the nudge itself
+    refused(["sweep", "--energy-range", "1:1e150:3"],
+            [outside("energy", "1.0000000000000002e+150")],
+            barrier_json(3, 1e150, 1, 1.5), id="nudged-one-ulp-past-the-domain"),
+    refused(["sweep", "--energy-range", "1:1e150:3", "--nudge", "1e150"],
+            [outside("energy", "2e+150")],
+            barrier_json(3, 1e150, 1, 1.5), id="nudged-past-the-domain"),
+    # lattices
+    refused(["bands", *LATTICE, "--period", "inf", "--energy-range", "0:12:30"],
+            [outside("period", "inf")], id="bands-period-inf"),
+    refused(["bands", *LATTICE, "--period", "1e308", "--energy-range", "0:12:30"],
+            [outside("period", "1e+308")], id="bands-period-1e308"),
+    refused(["bands", *LATTICE, "--period", "1e307", "--energy-range", "0:12:30"],
+            [outside("period", "1e+307")], id="bands-period-1e307"),
+    *(refused(["bands", *DBL_MAX_HEIGHT, "--energy-range", spec],
+              [outside("barrier height", "1.7976931348623157e+308")], id=f"bands-height-{name}")
+      for name, spec in (("inside", "0:1e307:30"), ("scattered", "1e300:1e301:3000"),
+                         ("midpoint", "5.481887415507686e+301:9.357216995498906e+301:2"),
+                         ("largest-double", "0:1.7976931348623157e308:30"))),
+    refused(["bands", "--barrier-height", "1e308", "--barrier-width", "1", "--period", "2",
+             "--energy-range", "0:1.2e308:30"],
+            [outside("barrier height", "1e+308")], id="bands-height-1e308"),
+    refused(["bands", "--barrier-height", "3", "--barrier-width", "1.5e308", "--period",
+             "1.6e308", "--energy-range", "0:5:3"],
+            [outside("barrier width", "1.5e+308")], id="bands-barrier-1.5e308"),
+    refused(["bands", "--barrier-height", "3", "--barrier-width", "1e308", "--period",
+             "1.6e308", "--energy-range", "0:5:3"],
+            [outside("barrier width", "1e+308")], id="bands-barrier-1e308"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "period=1e308,count=3",
+             "--energy-range", "1:2:3"],
+            [outside("scenario periodic: period", "1e+308")], id="lattice-span"),
+    refused(["sweep", *PERIODIC, "--scenario-params",
+             "barrier_width=1.5e308,period=1.6e308,count=1", "--energy-range", "1e-06:5:3"],
+            [outside("scenario periodic: barrier width", "1.5e+308")], id="lattice-wide-barrier"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "first_center=1.7e308",
+             "--energy-range", "1:2:3"],
+            [outside("scenario periodic: first_center", "1.7e+308")], id="lattice-first-center"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "first_center=nan",
+             "--energy-range", "1:2:3"],
+            [outside("scenario periodic: first_center", "nan")], id="lattice-first-center-nan"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "period=1e150,count=3",
+             "--energy-range", "1:2:3"],
+            [outside("span", "3e+150"), outside("barrier 2: center", "1.4999999999999999e+150"),
+             outside("barrier 3: center", "2.5e+150")], id="lattice-past-the-domain"),
+    # grid bounds
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--grid-points", "5",
+             "--x-min", "0", "--x-max", "1e308"],
+            [outside("--x-max", "1e+308")], id="wavefunction-far-x-max"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--grid-points", "5",
+             "--x-min=-1e308"],
+            [outside("--x-min", "-1e+308")], id="wavefunction-far-x-min"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--x-min=-1e308", "--x-max", "1e308"],
+            [outside("--x-min", "-1e+308")], id="wavefunction-range-overflows"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--x-min=-1e307", "--x-max", "1e307"],
+            [outside("--x-min", "-1e+307")], id="wavefunction-count-overflows"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--x-min=-inf"],
+            [outside("--x-min", "-inf")], id="wavefunction-x-min-inf"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--x-max", "inf"],
+            [outside("--x-max", "inf")], id="wavefunction-x-max-inf"),
+    refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--x-min", "nan"],
+            [outside("--x-min", "nan")], id="wavefunction-x-min-nan"),
+    refused(["wavefunction", *PERIODIC, "--scenario-params", "count=8", "--energy", "4.6",
+             "--grid-points", "5", "--x-min", "0", "--x-max", repr(SAMPLER_LIMIT)],
+            [outside("--x-max", repr(SAMPLER_LIMIT))], id="wavefunction-sampler-x-max"),
+    refused(["wavefunction", *PERIODIC, "--scenario-params", "count=8", "--energy", "4.6",
+             "--grid-points", "5", f"--x-min={-SAMPLER_LIMIT!r}", "--x-max", "0"],
+            [outside("--x-min", repr(-SAMPLER_LIMIT))], id="wavefunction-sampler-x-min"),
+    refused(["wavefunction", "--energy", "4.6", "--grid-points", "5"],
+            [outside("v_right", "-1e+300"), outside("span", "1e+160")],
+            document(1e160, [], v_right=-1e300), id="wavefunction-sampler-default-bound"),
+    # structures
+    refused(["sweep", "--energy-range", "4:5:3"], [outside("span", "1.7e+308")], S_WIDE,
+            id="sweep-wide-gap"),
+    refused(["sweep", "--energy-range", "4:5:3"],
+            [outside("span", "1.6e+308"), outside("barrier 1: width", "1.5e+308"),
+             outside("barrier 1: center", "8e+307")], S_WIDEBAR, id="sweep-wide-barrier"),
+    refused(["oracle-check", "--energy", "4.6"], [outside("span", "1.7e+308")], S_WIDE,
+            id="oracle-check-wide-gap"),
+    refused(["oracle-check", "--energy", "4.6"],
+            [outside("span", "1e+308"), outside("barrier 1: width", "4e+307"),
+             outside("barrier 1: center", "3e+307"), outside("barrier 2: width", "4e+307"),
+             outside("barrier 2: center", "7e+307")],
+            document(1e308, [(3, 4e307, 3e307), (-2, 4e307, 7e307)]),
+            id="oracle-check-two-wide-barriers"),
+    refused(["oracle-check", "--energy", "1e308"], [outside("v_left", "1e+308")],
+            document(4, [(0, 1, 1), (3, 0.5, 2.5)], v_left=1e308), id="oracle-check-high-v-left"),
+    refused(["oracle-check", "--energy", "8.99e307"], [outside("energy", "8.99e+307")],
+            document(4, [(0, 1, 1), (3, 0.5, 2.5)], v_left=1), id="oracle-check-energy-8.99e307"),
+    refused(["oracle-check", "--energy", "8e307"],
+            [outside("span", repr(np.nextafter(2.0 ** 508, 0.0).item())),
+             outside("barrier 1: height", "-1.7976931348623157e+308"),
+             outside("barrier 2: height", "1.7976931348623157e+308")],
+            document(np.nextafter(2.0 ** 508, 0.0).item(), [(-DBL_MAX, 1, 1), (DBL_MAX, 1, 3)]),
+            id="oracle-check-below-old-phase-gate"),
+    *(refused(["wavefunction", "--energy", "4.6", "--grid-points", "5", *options],
+              [outside("span", "1.7e+308")], S_WIDE, id=f"wavefunction-wide-gap-{name}")
+      for name, options in (("x-max-1e300", ["--x-min", "0", "--x-max", "1e300"]),
+                            ("default-bounds", []), ("x-min", ["--x-min=-1e308"]))),
+    refused(["sweep", "--energy-range", "1:1.7976931348623157e308:3"],
+            [outside("barrier 1: height", "1.7976931348623157e+308")],
+            barrier_json(3, DBL_MAX, 1, 1.5), id="sweep-height-largest-double"),
+    refused(["sweep", "--energy-range", "0.5:1e308:2", "--nudge", "1e308"],
+            [outside("barrier 1: height", "1e+308")], barrier_json(3, 1e308, 1, 1.5),
+            id="sweep-huge-nudge"),
+    *(refused(["validate"], [outside(*line, prefix="invalid") for line in lines],
+              document(span, barriers), id=f"validate-{name}")
+      for name, span, barriers, lines in (
+          ("left-of-zero", DBL_MAX, [(3, 1, -1e300)],
+           [("span", "1.7976931348623157e+308"), ("barrier 1: center", "-1e+300")]),
+          ("valid", DBL_MAX, [(3, 1, 1.5)], [("span", "1.7976931348623157e+308")]),
+          ("valid-below", 1.7976931348623155e308, [(3, 1, 1.5)],
+           [("span", "1.7976931348623155e+308")]),
+          ("far-right", DBL_MAX, [(3, 1, 1.5), (3, 1, 1.7976931348623155e308)],
+           [("span", "1.7976931348623157e+308"),
+            ("barrier 2: center", "1.7976931348623155e+308")]),
+          ("overlap", DBL_MAX, [(3, 1e308, 6e307), (3, 1e308, 1.1e308)],
+           [("span", "1.7976931348623157e+308"), ("barrier 1: width", "1e+308"),
+            ("barrier 1: center", "6e+307"), ("barrier 2: width", "1e+308"),
+            ("barrier 2: center", "1.1e+308")]),
+          ("edge-overflows", DBL_MAX, [(3, 1.7e308, 1.7e308)],
+           [("span", "1.7976931348623157e+308"), ("barrier 1: width", "1.7e+308"),
+            ("barrier 1: center", "1.7e+308")]),
+      )),
+]
+
+
+@pytest.mark.parametrize("argv, doc, lines", OUT_OF_DOMAIN)
+def test_input_outside_the_domain_is_refused(capsys, tmp_path, argv, doc, lines):
+    # exit 2 with one line per value outside the domain, the first where an
+    # option or argument takes one value, and nothing else: no stdout, no
+    # output file and no RuntimeWarning (pytest makes one an error)
+    source = []
+    if doc is not None:
+        source = ["--structure", str(tmp_path / "s.json")]
+        (tmp_path / "s.json").write_text(doc)
     out = tmp_path / "out.csv"
-    proc = run_fresh(*argv, *(["--out", str(out)] if argv[0] != "oracle-check" else []))
-    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (code, "", [line])
+    writes = argv[0] in ("sweep", "wavefunction", "bands")
+    code, stdout, err = run_cli(capsys, *argv, *source, *(["--out", str(out)] if writes else []))
+    assert (code, stdout, err.splitlines()) == (2, "", lines)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lattice, bands_range, params, sweep_range", [
-    (("3", "1", "2"), "0:1e308:30", "", "1e-06:1e308:30"),
-    (("3", "1.5e308", "1.6e308"), "0:5:3", "barrier_width=1.5e308,period=1.6e308,count=1",
-     "1e-06:5:3"),
-], ids=["kernel", "phase"])
-def test_bands_and_sweep_refuse_an_overflow_alike(lattice, bands_range, params, sweep_range):
-    # bands judges its energies by check_energy's overflow rules: on the
-    # same lattice and grid it exits 3 with sweep's line, where it exited 2
-    # with a line of its own
-    height, width, period = lattice
-    procs = [run_fresh("bands", "--barrier-height", height, "--barrier-width", width,
-                       "--period", period, "--energy-range", bands_range),
-             run_fresh("sweep", "--scenario", "periodic", "--scenario-params", params,
-                       "--energy-range", sweep_range)]
-    (code, line), other = [(p.returncode, p.stderr.splitlines()) for p in procs]
-    assert other == (code, line) and code == 3 and len(line) == 1
-    # the line check_energy gives one period at the energy it names
-    with pytest.raises(OverflowError) as ex:
-        check_energy(PeriodicLattice(*map(float, lattice)).cell, float(line[0].split()[2]))
-    assert line == [f"error: {ex.value}"]
+def test_input_outside_the_domain_is_refused_by_the_entry_point(tmp_path):
+    # the same three lines from a fresh interpreter, where numpy's warnings
+    # print as a user sees them
+    out = tmp_path / "out.csv"
+    proc = run_fresh("sweep", "--structure", "-", "--energy-range", "4:5:3", "--out", str(out),
+                     stdin=S_WIDEBAR)
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (
+        2, "", [outside("span", "1.6e+308"), outside("barrier 1: width", "1.5e+308"),
+                outside("barrier 1: center", "8e+307")])
+    assert not out.exists()
+
+
+B = 1e150  # the domain's edge
+CORNER_LAYOUTS = {  # (width, center) of one or two barriers, by span
+    3.0: [[(1.0, 1.5)], [(1.0, 0.75), (1.0, 2.25)]],
+    B: [[(1.0, 1.5)], [(B / 4, B / 2)], [(1.0, 1.5), (B / 4, 0.75 * B)],
+        [(B / 4, B / 4), (1.0, 0.75 * B)]],
+}
+
+
+def run_corner(capsys, tmp_path, *argv):
+    """(exit code, stdout, error lines, CSV rows or None) of one command run
+    in-process, asserting that it raised no warning of any kind."""
+    out = tmp_path / "corner.csv"
+    if out.exists():
+        out.unlink()
+    writes = argv[0] in ("sweep", "wavefunction", "bands")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, *(["--out", str(out)] if writes else [])])
+    assert caught == [], argv
+    captured = capsys.readouterr()
+    rows = None
+    if out.exists():
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+    return code, captured.out, captured.err.splitlines(), rows
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_domain_corners_solve_or_refuse_k_zero(capsys, tmp_path, case):
+    # Structures, energies, grid bounds, sweeps and lattices drawn from the
+    # domain's corners, each command through cli.main: exit 0, or exit 3 with
+    # the one line of a k = 0 energy; no warning; every CSV float finite but
+    # bands' +-inf cos_beta behind opaque barriers; T + R = 1 on every sweep.
+    # The one exit 2 is a grid point on a barrier height of +1e150, which the
+    # nudge moves past the domain.
+    rng = np.random.default_rng([31, case])
+    span = float(rng.choice([3.0, B]))
+    layout = CORNER_LAYOUTS[span][rng.integers(len(CORNER_LAYOUTS[span]))]
+    heights = rng.choice([3.0, B, -B], len(layout)).tolist()
+    doc = document(span, [(h, w, c) for h, (w, c) in zip(heights, layout)],
+                   v_left=float(rng.choice([0.0, -B])), v_right=float(rng.choice([0.0, B, -B])))
+    (tmp_path / "s.json").write_text(doc)
+    source = ["--structure", str(tmp_path / "s.json")]
+    energy = repr(float(rng.choice([3.3e-3, 4.6, 1e75, B])))
+
+    def judge(code, err):
+        assert code in (0, 3)
+        if code == 3:
+            assert len(err) == 1 and "makes k = 0" in err[0]
+        return code == 0
+
+    code, _, err, _ = run_corner(capsys, tmp_path, "oracle-check", *source, "--energy", energy)
+    judge(code, err)
+    for bounds in ([], ["--x-min=-1e150", "--x-max", "1e150"]):
+        code, stdout, err, rows = run_corner(capsys, tmp_path, "wavefunction", *source,
+                                             "--energy", energy, "--grid-points", "64", *bounds)
+        if judge(code, err):
+            assert stdout.startswith("T=") and np.isfinite(np.array(rows, float)).all()
+    for sweep in (["--energy-range", "1e-3:1e150:9"],
+                  ["--energy-range", "0:4.6:3", "--nudge", "1e150"]):
+        code, _, err, rows = run_corner(capsys, tmp_path, "sweep", *source, *sweep)
+        if sweep[1].endswith(":1e150:9") and B in heights:
+            assert (code, err) == (2, [outside("energy", "1.0000000000000002e+150")])
+        elif judge(code, err):
+            t_r = np.array(rows, float)
+            assert np.isfinite(t_r).all() and np.abs(t_r[:, 1] + t_r[:, 2] - 1.0).max() < 1e-9
+    width = float(rng.choice([1.0, B / 2]))
+    period = B if width > 1.0 else float(rng.choice([2.0, B]))
+    code, _, err, rows = run_corner(
+        capsys, tmp_path, "bands", f"--barrier-height={float(rng.choice([3.0, B, -B]))!r}",
+        "--barrier-width", repr(width), "--period", repr(period),
+        "--energy-range", f"0:{float(rng.choice([12.0, B]))!r}:31")
+    assert (code, err) == (0, [])
+    energies, cos_beta = np.array([row[:2] for row in rows], float).T
+    assert np.isfinite(energies).all() and not np.isnan(cos_beta).any()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--energy-range", "1:2:3", "--nudge", "nan"], "--nudge must be finite, got nan"),
-    (["sweep", "--energy-range", "0:2:3", "--nudge=-inf"], "--nudge must be finite, got -inf"),
     (["oracle-check", "--energy", "4.6", "--tolerance", "nan"],
      "--tolerance must be finite and at least 0, got nan"),
     (["oracle-check", "--energy", "4.6", "--tolerance=-1"],
      "--tolerance must be finite and at least 0, got -1.0"),
     (["oracle-check", "--energy", "4.6", "--relaxed-tolerance", "inf"],
      "--relaxed-tolerance must be finite and at least 0, got inf"),
-], ids=["nudge-nan", "nudge-inf", "tolerance-nan", "tolerance-negative", "relaxed-inf"])
-def test_numeric_options_refused_before_solving(tmp_path, argv, message):
-    # exit 2 with one line naming the option and no output; a nan nudge was
-    # ignored with no degenerate grid point and otherwise ended in an energy
-    # of nan, and a nan or negative tolerance exited 4 at a discrepancy of 7e-16
-    out = tmp_path / "out.csv"
-    proc = run_fresh(*argv, "--scenario", "periodic",
-                     *(["--out", str(out)] if argv[0] == "sweep" else []))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
-    assert not out.exists()
-
-
-def test_energy_below_the_overflow_solves(capsys, tmp_path):
-    # one step below the refused sweep's third row, every command solves
-    out = tmp_path / "out.csv"
-    code, _, err = run_cli(capsys, "sweep", "--scenario", "periodic", "--energy-range",
-                           "8.97e307:8.98e307:3", "--out", str(out))
-    assert (code, err) == (0, "")
-    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
-    assert np.isfinite(rows).all() and np.all(np.abs(rows[:, 1] + rows[:, 2] - 1.0) < 1e-12)
-    for argv in (["wavefunction", "--grid-points", "5", "--out", str(out)], ["oracle-check"]):
-        code, _, err = run_cli(capsys, *argv, "--scenario", "periodic", "--energy", "8.98e307")
-        assert (code, err) == (0, "")
+], ids=["tolerance-nan", "tolerance-negative", "relaxed-inf"])
+def test_numeric_options_refused_before_solving(capsys, argv, message):
+    # exit 2 with one line naming the option; a nan or negative tolerance
+    # exited 4 at a discrepancy of 7e-16
+    code, stdout, err = run_cli(capsys, *argv, "--scenario", "periodic")
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("options, message", [
-    (["--x-min=-1e308", "--x-max", "1e308"],
-     "--x-min and --x-max must be a finite distance apart, got -1e+308 and 1e+308"),
-    (["--x-min=-inf"], "--x-min must be finite, got -inf"),
-    (["--x-max", "inf"], "--x-max must be finite, got inf"),
-    (["--x-min", "nan"], "--x-min must be finite, got nan"),
     (["--grid-points", "0"], "--grid-points must be at least 1, got 0"),
     (["--grid-points=-3"], "--grid-points must be at least 1, got -3"),
     (["--grid-points", "10000001"], "--grid-points must be at most 10000000, got 10000001"),
     (["--grid-points", "2", "--x-min", "6", "--x-max", "5"], "--x-min 6.0 lies above --x-max 5.0"),
-], ids=["range-overflows", "x-min-inf", "x-max-inf", "x-min-nan", "no-points", "negative-points",
-        "too-many-points", "reversed-bounds"])
-def test_wavefunction_grid_refused_before_solving(tmp_path, options, message):
+], ids=["no-points", "negative-points", "too-many-points", "reversed-bounds"])
+def test_wavefunction_grid_refused_before_solving(capsys, tmp_path, options, message):
     # exit 2 with one line naming the option: no numpy RuntimeWarning, no
     # CSV of NaN rows or of a header alone
     out = tmp_path / "wf.csv"
-    proc = run_fresh("wavefunction", "--scenario", "periodic", "--energy", "4.6",
-                     *options, "--out", str(out))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    code, stdout, err = run_cli(capsys, "wavefunction", "--scenario", "periodic", "--energy",
+                                "4.6", *options, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["missing-structure", "directory-structure", "missing-out-dir"])
-def test_unreadable_or_unwritable_file_exits_2(tmp_path, case):
+def test_unreadable_or_unwritable_file_exits_2(capsys, tmp_path, case):
     # the OS's own message on one error: line, where an uncaught
     # FileNotFoundError or IsADirectoryError exited 1 with a traceback
     missing, out = tmp_path / "missing", tmp_path / "out.csv"
@@ -745,76 +927,15 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, case):
                             errno.ENOENT),
     }[case]
     error = OSError(code, os.strerror(code), str(path))
-    proc = run_fresh("sweep", *source, "--energy-range", "1:2:3", "--out", str(out))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+    result = run_cli(capsys, "sweep", *source, "--energy-range", "1:2:3", "--out", str(out))
+    assert result == (2, "", f"error: {error}\n")
     assert not out.exists()
-
-
-def barrier_json(span, height, width, center):
-    return json.dumps({"v_left": 0, "v_right": 0, "span": span,
-                       "barriers": [{"height": height, "width": width, "center": center}]})
-
-
-# A gap, or a barrier, so long that 2 |k| L passes the largest double
-S_WIDE = barrier_json(1.7e308, 3, 1, 1.5)
-S_WIDEBAR = barrier_json(1.6e308, 3, 1.5e308, 8e307)
-
-
-@pytest.mark.parametrize("structure, argv, energy", [
-    (S_WIDE, ["sweep", "--energy-range", "4:5:3"], "4.0"),
-    (S_WIDEBAR, ["sweep", "--energy-range", "4:5:3"], "4.0"),
-    (S_WIDE, ["oracle-check", "--energy", "4.6"], "4.6"),
-    (S_WIDE, ["wavefunction", "--energy", "4.6", "--grid-points", "5", "--x-min", "0",
-              "--x-max", "1e300"], "4.6"),
-], ids=["sweep-wide-gap", "sweep-wide-barrier", "oracle-check", "wavefunction"])
-def test_phase_overflow_is_refused(tmp_path, structure, argv, energy):
-    # exit 3 with the energy rule's one line; these printed numpy warnings and
-    # blamed a T of nan or a singular matching system
-    out = tmp_path / "out.csv"
-    proc = run_fresh(*argv, "--structure", "-",
-                     *(["--out", str(out)] if argv[0] != "oracle-check" else []), stdin=structure)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", PHASE_LINE.format(energy) + "\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("options, message", [
-    ([], "the default bounds"),
-    (["--x-min=-1e308"], "--x-min -1e+308 and the default bound"),
-], ids=["no-bounds", "x-min"])
-def test_wavefunction_default_bounds_that_overflow_name_the_span(tmp_path, options, message):
-    # 1.25 span overflows: exit 2 with one line naming the span and only the
-    # options given, where it blamed --x-min and --x-max, never set
-    out = tmp_path / "wf.csv"
-    proc = run_fresh("wavefunction", "--structure", "-", "--energy", "4.6", "--grid-points", "5",
-                     *options, "--out", str(out), stdin=S_WIDE)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"error: {message}, a quarter span beyond the structure, are not a finite "
-               "distance apart at span 1.7e+308\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("height, options", [
-    (1.7976931348623157e308, ["--energy-range", "1:1.7976931348623157e308:3"]),
-    (1e308, ["--energy-range", "0.5:1e308:2", "--nudge", "1e308"]),
-], ids=["largest-double", "huge-nudge"])
-def test_degenerate_point_near_the_largest_double_stays_finite(tmp_path, height, options):
-    # the last grid point sits on the barrier height and energy + nudge
-    # overflows or rounds back: it moves one ulp, never to inf, and the sweep
-    # exits 0 with no stderr (it exited 2 naming an energy of inf)
-    out = tmp_path / "sweep.csv"
-    proc = run_fresh("sweep", "--structure", "-", *options, "--out", str(out),
-                     stdin=barrier_json(3, height, 1, 1.5))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
-    assert rows[-1, 0] == height
-    assert np.isfinite(rows).all() and np.all(np.abs(rows[:, 1] + rows[:, 2] - 1.0) < 1e-9)
 
 
 @pytest.mark.parametrize("options, bounds", [
     (["--x-max", "1e9"], "the default bound -4.0 to --x-max 1000000000.0"),
     (["--x-max", "1e20"], "the default bound -4.0 to --x-max 1e+20"),
-    (["--x-min=-1e307", "--x-max", "1e307"], "--x-min -1e+307 to --x-max 1e+307"),
+    (["--x-min=-1e150", "--x-max", "1e150"], "--x-min -1e+150 to --x-max 1e+150"),
     (["--x-min=-1e9"], "--x-min -1000000000.0 to the default bound 20.0"),
     (["--energy", "1e12"], "the default bound -4.0 to the default bound 20.0"),
 ], ids=["1e9", "1e20", "count-overflows", "x-min", "no-bounds"])
@@ -1107,29 +1228,6 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, "validate", "--structure", str(f))
         assert code == 2
         assert "exceeds span" in err
-
-    @pytest.mark.parametrize("span, barriers, code, out, err", [
-        (DBL_MAX, [(3, 1, -1e300)], 2, "",
-         "invalid: barrier 1 starts before the left medium edge (left edge -1e+300 < 0)\n"),
-        (DBL_MAX, [(3, 1, 1.5)], 0, "valid: 1 barriers on span 1.7976931348623157e+308\n", ""),
-        (1.7976931348623155e308, [(3, 1, 1.5)], 0,
-         "valid: 1 barriers on span 1.7976931348623155e+308\n", ""),
-        (DBL_MAX, [(3, 1, 1.5), (3, 1, 1.7976931348623155e308)], 0,
-         "valid: 2 barriers on span 1.7976931348623157e+308\n", ""),
-        (DBL_MAX, [(3, 1e308, 6e307), (3, 1e308, 1.1e308)], 2, "",
-         "invalid: overlap between barriers 1 and 2\n"),
-        (DBL_MAX, [(3, 1.7e308, 1.7e308)], 2, "",
-         "invalid: barrier 1 exceeds span (right edge inf > 1.7976931348623157e+308)\n"),
-    ], ids=["left-of-zero", "valid", "valid-below", "far-right", "overlap", "edge-overflows"])
-    def test_spans_near_the_largest_double(self, monkeypatch, span, barriers, code, out, err):
-        # the edge slack is 8 ulps of the span, 2^974 at the largest double,
-        # where it was inf and let these pass with a RuntimeWarning; a right
-        # edge past the largest double is inf, outside the span
-        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
-        doc = json.dumps({"v_left": 0, "v_right": 0, "span": span, "barriers": [
-            {"height": h, "width": w, "center": c} for h, w, c in barriers]})
-        proc = run_fresh("validate", "--structure", "-", stdin=doc)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 class TestOracleCheckCommand:

@@ -10,6 +10,7 @@ from layerscatter import (
     DegenerateWavenumberError,
     EvanescentGapError,
     PeriodicLattice,
+    StructureError,
     all_barrier_amplitudes,
     band_scan,
     bloch_phase,
@@ -17,22 +18,11 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
-from layerscatter.structure import _phase_overflows, check_energy
 from layerscatter.periodic import EDGE_XTOL, _LEVELS, _bisect, _classify, _period
 
 from conftest import recurrence_prefixes
 
 LAT = PeriodicLattice(3.0, 1.0, 2.0)
-
-
-def assert_refused_as_check_energy(lat, energy, *scan):
-    """band_scan(lat, *scan) raises the OverflowError that check_energy raises
-    for one period of ``lat`` at ``energy``, message and all."""
-    with pytest.raises(OverflowError) as expected:
-        check_energy(lat.cell, energy)
-    with pytest.raises(OverflowError) as got:
-        band_scan(lat, *scan)
-    assert str(got.value) == str(expected.value)
 
 
 def recurrence_prefix(lat, energy, count):
@@ -366,69 +356,29 @@ class TestBandScan:
         table = band_scan(LAT, -1.0, 1.0, 101)
         assert table.energies[0] >= 1e-6
 
-    def test_refuses_a_range_where_the_formula_overflows(self):
-        # the barrier formula at e_max, as check_energy judges it, and the gap
-        # phase, whose 2 sqrt(eps) L on gap 1 is sqrt(e_max) (period - width)
-        # bit for bit: the scan raises check_energy's OverflowError at the
-        # energy it names; just below either it runs with no numpy warning
-        # (pytest makes one an error)
-        for e_max in 2.0 ** 1023 * (1.0 + np.arange(-4, 5) * 2.0 ** -52):
-            try:
-                check_energy(LAT.cell, e_max)
-            except OverflowError:
-                assert_refused_as_check_energy(LAT, e_max, 0.0, e_max, 30)
-            else:
-                assert np.isfinite(band_scan(LAT, 0.0, e_max, 30).cos_beta).all()
-        assert_refused_as_check_energy(LAT, 9.310344827586206e307, 0.0, 1e308, 30)
-        assert_refused_as_check_energy(PeriodicLattice(3.0, 1.0, 1e308), 3.3103455517241382,
-                                       0.0, 12.0, 30)
-        assert len(band_scan(PeriodicLattice(3.0, 1.0, 1e307), 0.0, 12.0, 30).energies) == 30
-        # under a 1e308-high barrier the formula holds up to 1.2e308, where the
-        # ends of an interval sum past the largest double; its midpoint does not
-        table = band_scan(PeriodicLattice(1e308, 1.0, 2.0), 0.0, 1.2e308, 30)
-        assert table.edges and all(lo < hi for lo, hi, _ in table.intervals)
+    @pytest.mark.parametrize("scan, message", [
+        ((2.0, 1.0, 11), "need e_min < e_max, and e_max above 1e-06"),
+        ((1.0, 2.0, 1), "need at least 2 grid points, got 1"),
+        # max(nan, ENERGY_FLOOR) keeps a NaN e_min, so the ends are checked first
+        ((math.nan, 12.0, 5), "e_min must lie in [-1e+150, 1e+150], got nan"),
+        ((0.0, math.nan, 5), "e_max must lie in [-1e+150, 1e+150], got nan"),
+        ((-1e200, 12.0, 5), "e_min must lie in [-1e+150, 1e+150], got -1e+200"),
+    ], ids=["reversed", "one-point", "nan-e-min", "nan-e-max", "e-min-outside"])
+    def test_bad_arguments(self, scan, message):
+        with pytest.raises(ValueError) as info:
+            band_scan(LAT, *scan)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
 
-    def test_refuses_energies_whose_phase_overflows(self):
-        # a 1.5e308-wide barrier keeps 2 |k| L finite only for |eps - 3| below
-        # about 0.36: a scan refuses the first grid energy that check_energy's
-        # phase rule refuses, and inside the window it scans with no warning
-        # (pytest makes a RuntimeWarning an error); it wrote cos_beta inf
-        lat = PeriodicLattice(3.0, 1.5e308, 1.6e308)
-        refused = 0
-        for hi in (3.1, 3.3, 3.35, 3.4, 3.5, 5.0):
-            grid = np.linspace(2.9, hi, 9)
-            bad = grid[_phase_overflows(lat.cell, grid)]
-            if bad.size:
-                refused += 1
-                assert_refused_as_check_energy(lat, bad[0], 2.9, hi, 9)
-            else:
-                check_energy(lat.cell, grid[grid != 3.0])
-                table = band_scan(lat, 2.9, hi, 9)
-                assert len(table.energies) + len(table.skipped) == 9
-        assert refused == 3
-        assert_refused_as_check_energy(lat, 1e-6, 0.0, 5.0, 3)
-
-    def test_every_energy_evaluated_passes_the_overflow_rule(self):
-        # under a height of the largest double the formula overflows at
-        # scattered energies; interval midpoints are judged as grid points
-        # are, so a scan returns or refuses with check_energy's error at the
-        # energy it names, and never warns (pytest makes a RuntimeWarning an error)
-        lat = PeriodicLattice(np.finfo(float).max, 1.0, 2.0)
-        refused = 0
-        for lo, hi in np.sort(np.random.default_rng(26).uniform(1e300, 1e302, (200, 2))):
-            try:
-                band_scan(lat, lo, hi, 2)
-            except OverflowError as ex:
-                assert "barrier formula overflows" in str(ex)
-                assert_refused_as_check_energy(lat, float(str(ex).split()[1]), lo, hi, 2)
-                refused += 1
-        assert 0 < refused < 200
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            band_scan(LAT, 2.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            band_scan(LAT, 1.0, 2.0, 1)
+    def test_scans_the_domain_edge(self):
+        # the Kronig-Penney lattice scaled to the domain's edge (kappa d = 3
+        # at eps = 0) scans with no numpy warning (pytest makes one an error):
+        # its two edges are Bloch edges, and the last grid point, at the
+        # barrier height 1e150, is skipped
+        lat = PeriodicLattice(1e150, 3e-75, 6e-75)
+        table = band_scan(lat, 0.0, 1e150, 30)
+        assert table.skipped == (1e150,) and len(table.edges) == 2
+        for e in table.edges:
+            assert abs(abs(half_trace(lat, e)) - 1.0) < 1e-6
 
 
 def _piecewise(x):
@@ -501,22 +451,26 @@ class TestLattice:
             PeriodicLattice(3.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             PeriodicLattice(3.0, 1.0, 2.0, count=0)
-        # a last centre or span past the largest double, refused before
-        # to_structure's np.arange(count) * period overflows
-        for kwargs in ({"period": 1e308, "count": 3}, {"period": 2.0, "first_center": 1.7e308},
-                       {"period": 2.0, "first_center": math.nan}):
-            with pytest.raises(ValueError, match=r"last centre first_center \+ \(count - 1\)"):
-                PeriodicLattice(3.0, 1.0, **kwargs)
 
-    def test_rejects_non_finite_parameters(self):
-        # one ValueError naming the parameter, before a structure is built from it
-        for i, name in enumerate(("barrier height", "barrier width", "period")):
-            for value in (math.inf, -math.inf, math.nan):
-                args = [3.0, 1.0, 2.0]
-                args[i] = value
+    def test_rejects_parameters_outside_the_domain(self):
+        # one ValueError naming the first parameter outside [-1e150, 1e150],
+        # before a structure is built from it
+        names = {"barrier_height": "barrier height", "barrier_width": "barrier width",
+                 "period": "period", "first_center": "first_center"}
+        for field, name in names.items():
+            for value, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                                 (np.nextafter(1e150, math.inf), "1.0000000000000002e+150"),
+                                 (-1e200, "-1e+200")):
+                kwargs = {"barrier_height": 3.0, "barrier_width": 1.0, "period": 2.0,
+                          "first_center": 1.0, field: value}
                 with pytest.raises(ValueError) as info:
-                    PeriodicLattice(*args)
-                assert str(info.value) == f"{name} must be finite, got {value}"
+                    PeriodicLattice(**kwargs)
+                assert str(info.value) == f"{name} must lie in [-1e+150, 1e+150], got {shown}"
+        # a cell at the domain's edge builds; a lattice whose span passes it is
+        # refused by the structure's own rule
+        assert PeriodicLattice(-1e150, 1e150, 1e150).to_structure().span == 1e150
+        with pytest.raises(StructureError, match=r"^span must lie in \[-1e\+150, 1e\+150\]"):
+            PeriodicLattice(3.0, 1.0, 1e150, count=3).to_structure()
 
     def test_decay_rate_positive_in_forbidden_band(self):
         assert decay_rate(LAT, 4.6) > 0
