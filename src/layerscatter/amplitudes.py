@@ -262,8 +262,8 @@ def embed_in_media(prefix, iface) -> EmbeddedAmplitudes:
 def scattering_amplitudes(s: LayeredStructure, energy):
     """(wavenumbers, outer steps, segment (t, r, r'), embedded T and R) at
     ``energy``, a float or an array: all a sweep reads."""
-    w = compute_wavenumbers(s, energy)
     check_energy(s, energy)
+    w = compute_wavenumbers(s, energy)
     iface = interface_amplitudes(w, s)
     amps = all_barrier_amplitudes(w, s)
     return w, iface, amps, embed_in_media(prefix_by_recurrence(amps), iface)

@@ -31,7 +31,7 @@ from .structure import (
     DegenerateWavenumberError,
     LayeredStructure,
     StructureError,
-    domain_error,
+    check_domain,
     mirror_structure,
     off_degenerate,
 )
@@ -325,9 +325,7 @@ def _energy_range(spec: str):
     if len(parts) != 3:
         raise ValueError("--energy-range must be MIN:MAX:STEPS")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    for name, value in (("MIN", lo), ("MAX", hi)):
-        if line := domain_error(f"--energy-range {name}", value):
-            raise ValueError(line)
+    check_domain(("--energy-range MIN", lo), ("--energy-range MAX", hi))
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
     return lo, hi, steps
@@ -359,8 +357,7 @@ def cmd_wavefunction(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = _load_structure(args)
-    if line := domain_error("--nudge", args.nudge):
-        raise ValueError(line)
+    check_domain(("--nudge", args.nudge))
     energies = np.linspace(*_energy_range(args.energy_range))
     w, _, _, emb = scattering_amplitudes(s, off_degenerate(s, energies, args.nudge))
     t = transmission_probability(emb, w)

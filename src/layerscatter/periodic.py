@@ -20,9 +20,9 @@ from .amplitudes import _factored_barrier
 from .structure import (
     LayeredStructure,
     branch_sqrt,
+    check_domain,
     check_energy,
     degenerate_energies,
-    domain_error,
     off_degenerate,
 )
 
@@ -42,7 +42,8 @@ class BandEdgeError(ArithmeticError):
 @dataclass(frozen=True)
 class PeriodicLattice:
     """count identical barriers of height/width at spacing period, the first
-    centred at first_center; all four lie in the structure's domain."""
+    centred at first_center; all four, and the :attr:`span` they make, lie in
+    the structure's domain."""
 
     barrier_height: float
     barrier_width: float
@@ -53,23 +54,27 @@ class PeriodicLattice:
     def __post_init__(self):
         if self.first_center is None:
             object.__setattr__(self, "first_center", self.period / 2.0)
-        for name, value in (("barrier height", self.barrier_height),
-                            ("barrier width", self.barrier_width), ("period", self.period),
-                            ("first_center", self.first_center)):
-            if line := domain_error(name, value):
-                raise ValueError(line)
+        check_domain(("barrier height", self.barrier_height),
+                     ("barrier width", self.barrier_width), ("period", self.period),
+                     ("first_center", self.first_center))
         if self.period < self.barrier_width:
             raise ValueError("period must be >= barrier width")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        check_domain(("span 2 first_center + (count - 1) period", self.span))
+
+    @property
+    def span(self) -> float:
+        """Span of :meth:`to_structure`: the last barrier's centre plus the
+        first barrier's centre."""
+        x1, width = self.first_center, self.barrier_width
+        return float(x1 + (self.count - 1) * self.period + width / 2.0 + (x1 - width / 2.0))
 
     def to_structure(self, v_left: float = 0.0, v_right: float = 0.0) -> LayeredStructure:
         """Explicit structure with symmetric (period-width)/2 outer margins."""
-        x1, width = self.first_center, self.barrier_width
-        centers = x1 + np.arange(operator.index(self.count)) * self.period
-        span = float(centers[-1] + width / 2.0 + (x1 - width / 2.0))
-        arrays = np.array(np.broadcast_arrays(self.barrier_height, width, centers))
-        return LayeredStructure(v_left, v_right, span, arrays)
+        centers = self.first_center + np.arange(operator.index(self.count)) * self.period
+        arrays = np.array(np.broadcast_arrays(self.barrier_height, self.barrier_width, centers))
+        return LayeredStructure(v_left, v_right, self.span, arrays)
 
     @cached_property
     def cell(self) -> LayeredStructure:
@@ -290,9 +295,7 @@ def band_scan(
     k = 0 and, on a cell with v_left = 0, propagating, and the domain leaves
     nothing to overflow, so they are not checked again.
     """
-    for name, value in (("e_min", e_min), ("e_max", e_max)):
-        if line := domain_error(name, value):
-            raise ValueError(line)
+    check_domain(("e_min", e_min), ("e_max", e_max))
     e_min = max(e_min, ENERGY_FLOOR)
     if e_min >= e_max:
         raise ValueError(f"need e_min < e_max, and e_max above {ENERGY_FLOOR}")

@@ -177,6 +177,14 @@ def domain_error(name: str, values) -> str | None:
     return f"{name} must lie in [{-DOMAIN}, {DOMAIN}], got {bad[0]}" if bad.size else None
 
 
+def check_domain(*named_values) -> None:
+    """Raise a ValueError with :func:`domain_error`'s line for the first of the
+    (name, values) pairs that has a value outside the domain."""
+    for name, values in named_values:
+        if line := domain_error(name, values):
+            raise ValueError(line)
+
+
 def validate_structure(s: LayeredStructure) -> LayeredStructure:
     """Check domain/ordering/extent constraints; return ``s`` unchanged if valid.
 
@@ -256,7 +264,8 @@ class WaveNumberSet:
 
 
 def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
-    """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch)."""
+    """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch).
+    ``energy`` is one that :func:`check_energy` admits: it is not checked here."""
     e = np.asarray(energy, dtype=float)
     return WaveNumberSet(
         k_left=branch_sqrt(e - s.v_left),
@@ -305,8 +314,7 @@ def check_energy(s: LayeredStructure, energy) -> None:
     :func:`degenerate_energies` is set, with a line of its own for a tiny energy
     where no k is 0, and ArithmeticError for eps <= V1 (no incident wave)."""
     e = np.asarray(energy, dtype=float).ravel()
-    if line := domain_error("energy", e):
-        raise ValueError(line)
+    check_domain(("energy", e))
     bad = e[e < 0]
     if bad.size:
         raise EvanescentGapError(

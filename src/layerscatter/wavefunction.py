@@ -21,7 +21,7 @@ from .amplitudes import EmbeddedAmplitudes, scattering_amplitudes
 from .structure import (
     LayeredStructure,
     WaveNumberSet,
-    domain_error,
+    check_domain,
     region_lengths,
     region_origins,
     region_wavenumbers,
@@ -148,9 +148,7 @@ def grid_bounds(span: float, x_min: float | None = None, x_max: float | None = N
     bound takes part, the default bound."""
     given = [(option, value) for option, value in (("--x-min", x_min), ("--x-max", x_max))
              if value is not None]
-    for option, value in given:
-        if line := domain_error(option, value):
-            raise ValueError(line)
+    check_domain(*given)
     x_min = -0.25 * span if x_min is None else float(x_min)
     x_max = 1.25 * span if x_max is None else float(x_max)
     if x_min > x_max:  # equal bounds are a grid of one point

@@ -648,6 +648,12 @@ OUT_OF_DOMAIN = [
             [outside("energy", "8.98e+307")], id="wavefunction-below-old-kernel-rule"),
     refused(["wavefunction", *PERIODIC, "--energy", "1e200", "--grid-points", "5"],
             [outside("energy", "1e+200")], id="wavefunction-energy-1e200"),
+    refused(["wavefunction", *PERIODIC, "--energy", "inf", "--grid-points", "5"],
+            [outside("energy", "inf")], id="wavefunction-energy-inf"),
+    refused(["wavefunction", *PERIODIC, "--energy=-inf", "--grid-points", "5"],
+            [outside("energy", "-inf")], id="wavefunction-energy-minus-inf"),
+    refused(["oracle-check", *PERIODIC, "--energy", "inf"],
+            [outside("energy", "inf")], id="oracle-check-energy-inf"),
     refused(["oracle-check", *PERIODIC, "--energy", "1e308"],
             [outside("energy", "1e+308")], id="oracle-check-energy-1e308"),
     refused(["oracle-check", *PERIODIC, "--energy", "8.98e307"],
@@ -695,8 +701,12 @@ OUT_OF_DOMAIN = [
             [outside("scenario periodic: first_center", "nan")], id="lattice-first-center-nan"),
     refused(["sweep", *PERIODIC, "--scenario-params", "period=1e150,count=3",
              "--energy-range", "1:2:3"],
-            [outside("span", "3e+150"), outside("barrier 2: center", "1.4999999999999999e+150"),
-             outside("barrier 3: center", "2.5e+150")], id="lattice-past-the-domain"),
+            [outside("scenario periodic: span 2 first_center + (count - 1) period", "3e+150")],
+            id="lattice-past-the-domain"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "first_center=1e150",
+             "--energy-range", "1:2:3"],
+            [outside("scenario periodic: span 2 first_center + (count - 1) period", "2e+150")],
+            id="lattice-first-center-past-the-domain"),
     # grid bounds
     refused(["wavefunction", *PERIODIC, "--energy", "4.6", "--grid-points", "5",
              "--x-min", "0", "--x-max", "1e308"],

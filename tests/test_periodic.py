@@ -10,7 +10,6 @@ from layerscatter import (
     DegenerateWavenumberError,
     EvanescentGapError,
     PeriodicLattice,
-    StructureError,
     all_barrier_amplitudes,
     band_scan,
     bloch_phase,
@@ -467,10 +466,15 @@ class TestLattice:
                     PeriodicLattice(**kwargs)
                 assert str(info.value) == f"{name} must lie in [-1e+150, 1e+150], got {shown}"
         # a cell at the domain's edge builds; a lattice whose span passes it is
-        # refused by the structure's own rule
+        # refused when it is made, naming the parameters that make the span
         assert PeriodicLattice(-1e150, 1e150, 1e150).to_structure().span == 1e150
-        with pytest.raises(StructureError, match=r"^span must lie in \[-1e\+150, 1e\+150\]"):
-            PeriodicLattice(3.0, 1.0, 1e150, count=3).to_structure()
+        for kwargs, shown in (({"period": 1e150, "count": 3}, "3e+150"),
+                              ({"period": 2.0, "first_center": 1e150}, "2e+150"),
+                              ({"period": 1e149, "count": 12, "first_center": 0.5}, "1.1e+150")):
+            with pytest.raises(ValueError) as info:
+                PeriodicLattice(3.0, 1.0, **kwargs)
+            assert str(info.value) == ("span 2 first_center + (count - 1) period "
+                                       f"must lie in [-1e+150, 1e+150], got {shown}")
 
     def test_decay_rate_positive_in_forbidden_band(self):
         assert decay_rate(LAT, 4.6) > 0

@@ -374,8 +374,10 @@ class TestOneEnergyRule:
     # Every entry point that solves refuses an energy with check_energy's own
     # exception type and line; a lattice's entry points with those of its cell.
     S = LayeredStructure(1.0, 0.0, 4.0, np.array([[0.0, 3.0], [1.0, 0.5], [1.0, 2.5]]))
-    ENERGIES = [math.nan, -1.0, 0.0, 3.0, 1e-310, 0.5, 1.0, 1e308]  # 3.0: a height; 1.0: V1
-    IDS = ["nan", "negative", "zero", "height", "tiny", "below-v1", "at-v1", "huge"]
+    # 3.0: a height; 1.0: V1
+    ENERGIES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 3.0, 1e-310, 0.5, 1.0, 1e308]
+    IDS = ["nan", "inf", "minus-inf", "negative", "zero", "height", "tiny", "below-v1",
+           "at-v1", "huge"]
 
     @staticmethod
     def assert_refused_as_the_rule(expect, call):
@@ -395,12 +397,14 @@ class TestOneEnergyRule:
 
     @pytest.mark.parametrize("lat, energy", [
         (PeriodicLattice(3.0, 1.0, 2.0), math.nan),
+        (PeriodicLattice(3.0, 1.0, 2.0), math.inf),
+        (PeriodicLattice(3.0, 1.0, 2.0), -math.inf),
         (PeriodicLattice(3.0, 1.0, 2.0), -1.0),
         (PeriodicLattice(3.0, 1.0, 2.0), 0.0),
         (PeriodicLattice(3.0, 1.0, 2.0), 3.0),
         (PeriodicLattice(0.0, 1.0, 2.0), 1e-310),
         (PeriodicLattice(3.0, 1.0, 2.0), 1e308),
-    ], ids=["nan", "negative", "zero", "height", "tiny", "huge"])
+    ], ids=["nan", "inf", "minus-inf", "negative", "zero", "height", "tiny", "huge"])
     @pytest.mark.parametrize("entry", [bloch_phase, lambda lat, e: closed_form_prefix(lat, e, 5)],
                              ids=["bloch_phase", "closed_form_prefix"])
     def test_lattice_entry_points(self, entry, lat, energy):
