@@ -25,7 +25,7 @@ from .amplitudes import (
     transmission_probability,
 )
 from .oracle import compare_with_pipeline
-from .periodic import PeriodicLattice, band_scan
+from .periodic import LABELS, PeriodicLattice, band_scan
 from .scenarios import SCENARIOS, build_scenario
 from .structure import (
     DegenerateWavenumberError,
@@ -35,7 +35,13 @@ from .structure import (
     mirror_structure,
     off_degenerate,
 )
-from .wavefunction import default_grid, grid_bounds, sample_density, solve_structure
+from .wavefunction import (
+    MAX_GRID_POINTS,
+    default_grid,
+    grid_bounds,
+    sample_density,
+    solve_structure,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -272,45 +278,57 @@ def _printf_cells(v: np.ndarray) -> np.ndarray:
     return np.where(text == ord(" "), 0, text)
 
 
-def _byte_block(table: np.ndarray) -> str:
+def _byte_block(table: np.ndarray, ends=None) -> str:
     """The rows of ``table`` as text: every value through one call of
     :func:`_float_cells`, row by row, as NUL-padded cells, whose NULs
     bytes.translate then drops in one pass, several times faster than a
-    numpy mask."""
+    numpy mask.  ``ends``, if given, is each row's line end as a NUL-padded
+    bytes array (numpy ``S``), spelled in place of the row's newline."""
     rows, width = table.shape
-    seps = np.tile([_COMMA] * (width - 1) + [_NEWLINE], rows)
-    return _float_cells(table.ravel(), seps).tobytes().translate(None, b"\0").decode("ascii")
+    last = _NEWLINE if ends is None else _NUL
+    seps = np.tile([_COMMA] * (width - 1) + [last], rows)
+    cells = _float_cells(table.ravel(), seps)
+    if ends is not None:
+        cells = np.concatenate((cells.reshape(rows, -1),
+                                ends.view(np.uint8).reshape(rows, -1)), axis=1)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_csv(path, header: str, table: np.ndarray, labels=None):
     """Write ``header`` and one line per row of ``table``, a (rows, k)
-    float64 array: each value ``%.17g``, then that row's str of ``labels``
-    if given.
+    float64 array: each value ``%.17g``, then, if ``labels`` is given as
+    (names, codes), that row's ``names[code]``, codes an int array.
 
     Rows are formatted CSV_BLOCK_ROWS at a time, which keeps each block's
     transients small.  A block of fewer than CSV_INTEGER_ROWS rows is one
-    ``%`` over its values.  A longer one is spelled as bytes
-    (:func:`_byte_block`): each value with 1e-6 < |x| < 1e17, fixed
-    notation from 1e-4 up and scientific below, from its 17 digits, one
-    int64 computed exactly with Dekker's product and an exact power of ten,
-    spelled four digits at a time from a table.  Zero, non-finite values,
-    the other scientific ones and any value whose decade np.log10 misjudged
-    keep ``%.17g``, so the bytes are ``%.17g``'s either way.  Each label is
-    then joined to its line's text.  Every block is formatted before the
-    file is opened, so a command that fails leaves no partial file.
+    ``%`` over its values, and each label is joined to its line.  A longer
+    one is spelled as bytes (:func:`_byte_block`): each value with
+    1e-6 < |x| < 1e17, fixed notation from 1e-4 up and scientific below,
+    from its 17 digits, one int64 computed exactly with Dekker's product and
+    an exact power of ten, spelled four digits at a time from a table.
+    Zero, non-finite values, the other scientific ones and any value whose
+    decade np.log10 misjudged keep ``%.17g``, so the bytes are ``%.17g``'s
+    either way.  There each row's line ends in ``,name\n``, NUL-padded to
+    the longest name's length and gathered by code, so a label costs no
+    Python string.  Every block is formatted before the file is opened, so a
+    command that fails leaves no partial file.
     """
     rows, width = table.shape
     line = ",".join(["%.17g"] * width) + "\n"
+    if labels is not None:
+        names, codes = labels
+        ends = np.array([f",{name}\n" for name in names], dtype="S")
     blocks = [header + "\n"]
     for start in range(0, rows, CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
         part = table[block]
         if len(part) >= CSV_INTEGER_ROWS:
-            text = _byte_block(part)
+            text = _byte_block(part, None if labels is None else ends[codes[block]])
         else:
             text = line * len(part) % tuple(part.ravel().tolist())
-        if labels is not None:
-            text = "\n".join(map(",".join, zip(text.split("\n"), labels[block]))) + "\n"
+            if labels is not None:
+                spelled = map(names.__getitem__, codes[block].tolist())
+                text = "\n".join(map(",".join, zip(text.split("\n"), spelled))) + "\n"
         blocks.append(text)
     if path in (None, "stdout", "-"):
         sys.stdout.writelines(blocks)
@@ -320,7 +338,8 @@ def _write_csv(path, header: str, table: np.ndarray, labels=None):
 
 
 def _energy_range(spec: str):
-    """(MIN, MAX, STEPS) from an ``--energy-range`` value."""
+    """(MIN, MAX, STEPS) from an ``--energy-range`` value, STEPS at most
+    ``MAX_GRID_POINTS``, refused before any grid is allocated."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("--energy-range must be MIN:MAX:STEPS")
@@ -328,6 +347,8 @@ def _energy_range(spec: str):
     check_domain(("--energy-range MIN", lo), ("--energy-range MAX", hi))
     if not (hi > lo and steps >= 2):
         raise ValueError("--energy-range needs MAX > MIN and STEPS >= 2")
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"--energy-range STEPS must be at most {MAX_GRID_POINTS}, got {steps}")
     return lo, hi, steps
 
 
@@ -370,7 +391,7 @@ def cmd_bands(args) -> int:
     lat = PeriodicLattice(args.barrier_height, args.barrier_width, args.period)
     table = band_scan(lat, *_energy_range(args.energy_range))
     _write_csv(args.out, "epsilon,cos_beta,band",
-               np.array((table.energies, table.cos_beta)).T, table.classification)
+               np.column_stack((table.energies, table.cos_beta)), (LABELS, table.codes))
     for e in table.edges:
         print(f"edge at epsilon={_fmt(e)}")
     for e in table.skipped:

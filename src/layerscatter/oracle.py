@@ -114,11 +114,13 @@ def assemble_matching_system(s: LayeredStructure, energy: float) -> MatchingSyst
     block[:-1, 0, 3] = -np.exp(-ik_r[:-1] * minus_left[1:-1])
     block[:, 1] = block[:, 0] * np.column_stack((ik_l, -ik_l, ik_r, -ik_r))
 
-    i = np.arange(ik_l.size)[:, None, None]
-    rows, cols = np.broadcast_arrays(2 * i + np.arange(2)[:, None], 2 * i - 1 + np.arange(4))
-    inside = (cols >= 0) & (cols < 2 * ik_l.size)
+    # entry (a, b) of interface i's block, A[2i + a, 2i - 1 + b], sits at
+    # band[_DIAG + 1 + a - b, 2i - 1 + b]: one strided row slice per (a, b)
     band = np.zeros((2 * KL + KU + 1, 2 * ik_l.size), dtype=complex)
-    band[_DIAG + rows[inside] - cols[inside], cols[inside]] = block[inside]
+    for b in range(4):
+        first, last = int(b == 0), ik_l.size - (b == 3)  # columns -1 and 4N + 4 are not A's
+        for a in range(2):
+            band[_DIAG + 1 + a - b, 2 * first - 1 + b:2 * last - 1 + b:2] = block[first:last, a, b]
     rhs = np.zeros(2 * ik_l.size, dtype=complex)
     rhs[:2] = -block[0, :, 0]
     return MatchingSystem(band=band, rhs=rhs)

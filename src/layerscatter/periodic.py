@@ -12,7 +12,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,7 +32,7 @@ ENERGY_FLOOR = 1e-6  # band scans start here: below 0 the gap wave is evanescent
 _LEVELS = 5  # halvings that one array evaluation of _bisect covers
 # 2^(_LEVELS - 1 - l) for each of the 2^l midpoints of level l, l = 0.._LEVELS - 1
 _LEVEL_SCALE = np.repeat(2.0 ** np.arange(_LEVELS - 1, -1, -1), 2 ** np.arange(_LEVELS))
-_LABELS = np.array(["forbidden", "allowed", "edge"], dtype=object)  # by _classify's code
+LABELS = ("forbidden", "allowed", "edge")  # the band label of each _classify code
 
 
 class BandEdgeError(ArithmeticError):
@@ -92,14 +92,33 @@ class BlochPhase:
 
 @dataclass(frozen=True)
 class BandTable:
-    """Band-scan result: samples, refined edges, and labeled intervals."""
+    """Band-scan result: samples with the :data:`LABELS` code of each,
+    refined edges, and the grid's skipped points.  ``classification`` and
+    ``intervals`` are built on first read, from these fields alone."""
 
+    lattice: PeriodicLattice
     energies: np.ndarray
     cos_beta: np.ndarray
-    classification: tuple
+    codes: np.ndarray  # _classify's code of each cos beta
     edges: tuple
-    intervals: tuple  # (lo, hi, "allowed"|"forbidden")
-    skipped: tuple    # grid energies skipped for k=0 degeneracy
+    skipped: tuple     # grid energies skipped for k=0 degeneracy
+    grid_ends: tuple   # the grid's first and last energy
+
+    @cached_property
+    def classification(self) -> tuple:
+        """The label of each sample, "allowed" | "forbidden" | "edge"."""
+        return tuple(map(LABELS.__getitem__, self.codes.tolist()))
+
+    @cached_property
+    def intervals(self) -> tuple:
+        """(lo, hi, "allowed"|"forbidden") between the grid's ends and the
+        edges, each labelled by cos beta at its midpoint."""
+        bounds = np.array([self.grid_ends[0], *self.edges, self.grid_ends[1]])
+        lo, hi = bounds[:-1], bounds[1:]
+        keep = hi - lo > 0
+        lo, hi = lo[keep], hi[keep]
+        codes = _classify(_scan_cos_beta(self.lattice, 0.5 * (lo + hi)))
+        return tuple(zip(lo.tolist(), hi.tolist(), map(LABELS.__getitem__, codes.tolist())))
 
 
 def _pieces(lat: PeriodicLattice, energy):
@@ -139,10 +158,18 @@ def _cos_beta(lat: PeriodicLattice, energy):
     return cos_beta
 
 
+def _scan_cos_beta(lat: PeriodicLattice, energy):
+    """:func:`_cos_beta` at each energy moved off k = 0, where it is
+    continuous: every energy a band scan evaluates."""
+    return _cos_beta(lat, off_degenerate(lat.cell, energy, 1e-12))
+
+
 def _classify(cos_beta):
-    """"edge", "allowed" or "forbidden" for each cos beta; NaN is forbidden."""
+    """The :data:`LABELS` code of each cos beta, an int array: 2 (edge) where
+    ||cos beta| - 1| < EDGE_TOL, else 1 (allowed) where |cos beta| <= 1, else
+    0 (forbidden); NaN is forbidden."""
     mag = np.abs(cos_beta)
-    return _LABELS[np.where(np.abs(mag - 1.0) < EDGE_TOL, 2, mag <= 1.0)]
+    return np.where(np.abs(mag - 1.0) < EDGE_TOL, 2, mag <= 1.0)
 
 
 def bloch_phase(lat: PeriodicLattice, energy: float) -> BlochPhase:
@@ -154,7 +181,7 @@ def bloch_phase(lat: PeriodicLattice, energy: float) -> BlochPhase:
     """
     check_energy(lat.cell, energy)
     c = float(_cos_beta(lat, energy))
-    label = str(_classify(c))
+    label = LABELS[_classify(c)]
     if label == "edge":
         beta = complex(0.0 if c > 0 else math.pi, 0.0)
     elif label == "allowed":
@@ -293,7 +320,9 @@ def band_scan(
     ``ENERGY_FLOOR``; e_min >= e_max and fewer than 2 points are refused
     too.  The scan's energies are then at or above ``ENERGY_FLOOR``, moved off
     k = 0 and, on a cell with v_left = 0, propagating, and the domain leaves
-    nothing to overflow, so they are not checked again.
+    nothing to overflow, so they are not checked again.  The table holds
+    each sample's :data:`LABELS` code; its labels and intervals are built
+    only when read.
     """
     check_domain(("e_min", e_min), ("e_max", e_max))
     e_min = max(e_min, ENERGY_FLOOR)
@@ -306,11 +335,9 @@ def band_scan(
     energies = grid[~degenerate]
 
     # Every point, grid, bisected or interval midpoint, lies at or above
-    # ENERGY_FLOOR and is moved off k = 0, where cos beta is continuous.
-    # Skipped grid points still bracket edges, so an edge next to one is not lost.
-    def cos_beta(e):
-        return _cos_beta(lat, off_degenerate(lat.cell, e, 1e-12))
-
+    # ENERGY_FLOOR.  Skipped grid points still bracket edges, so an edge
+    # next to one is not lost.
+    cos_beta = partial(_scan_cos_beta, lat)
     values = cos_beta(grid)
     f = np.abs(values) - 1.0
     # An edge at every grid zero of f, and one bisected inside every sign change.
@@ -334,18 +361,12 @@ def band_scan(
     if f[-1] == 0.0:
         edges.append(float(grid[-1]))
 
-    bounds = np.array([grid[0], *edges, grid[-1]])
-    lo, hi = bounds[:-1], bounds[1:]
-    keep = hi - lo > 0
-    lo, hi = lo[keep], hi[keep]
-    mid = 0.5 * (lo + hi)
-    labels = _classify(cos_beta(mid))
-
     return BandTable(
+        lattice=lat,
         energies=energies,
         cos_beta=values[~degenerate],
-        classification=tuple(_classify(values[~degenerate]).tolist()),
+        codes=_classify(values[~degenerate]),
         edges=tuple(edges),
-        intervals=tuple(zip(lo.tolist(), hi.tolist(), labels.tolist())),
         skipped=tuple(grid[degenerate].tolist()),
+        grid_ends=(float(grid[0]), float(grid[-1])),
     )

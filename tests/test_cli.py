@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -44,6 +45,7 @@ from layerscatter.cli import (
     main,
     parse_structure,
 )
+from layerscatter.periodic import LABELS
 from layerscatter.scenarios import SCENARIOS, build_scenario
 
 from conftest import reference_psi, serialize_structure
@@ -352,16 +354,30 @@ class TestSweepCommand:
     ("1:2", "--energy-range must be MIN:MAX:STEPS"),
     ("2:1:10", "--energy-range needs MAX > MIN and STEPS >= 2"),
     ("1:2:1", "--energy-range needs MAX > MIN and STEPS >= 2"),
+    ("2.5:12:10000001", "--energy-range STEPS must be at most 10000000, got 10000001"),
+    ("2.5:12:1000000000", "--energy-range STEPS must be at most 10000000, got 1000000000"),
 ])
 @pytest.mark.parametrize("command", [
     ["sweep", "--scenario", "periodic"],
     ["bands", "--barrier-height", "3", "--barrier-width", "1", "--period", "2"],
 ])
-def test_bad_energy_range_exits_2(capsys, command, spec, message):
-    code, out, err = run_cli(capsys, *command, "--energy-range", spec)
+def test_bad_energy_range_exits_2(monkeypatch, capsys, command, spec, message):
+    # refused before any grid is allocated: np.linspace would fail the test,
+    # and the whole run stays under 1 MB
+    def no_grid(*args, **kwargs):
+        raise AssertionError("an energy grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *command, "--energy-range", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+    assert peak < 2 ** 20
 
 
 def assert_total_reflection(path):
@@ -1332,31 +1348,31 @@ FORMAT_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014
                  1.7976931348623157e308, 3.0, 0.1, 1e16, 1e-5, np.float64(-1 / 3)]
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1025, 1535, 1537, 3073, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [1, 199, 200, 1023, 1025, 1535, 1536, 1537, 3073, 4095, 4096,
+                               4097, 8193])
 @pytest.mark.parametrize("floats, labels", [
     (4, False),  # wavefunction
     (3, False),  # sweep
     (2, True),   # bands
 ], ids=["wavefunction", "sweep", "bands"])
 def test_write_csv_matches_per_value_format(capsys, tmp_path, n, floats, labels):
-    # rows cross the 1536-row blocks; each column cycles the values at its own offset
+    # rows cross the 1536-row blocks; each column cycles the values at its own
+    # offset, and the labels cycle all three names of periodic.LABELS
     cycle = np.array(FORMAT_VALUES)
     columns = [cycle[(np.arange(n) + 5 * j) % len(cycle)] for j in range(floats)]
-    names = np.array(["allowed", "forbidden", "edge"])[np.arange(n) % 3] if labels else None
+    codes = np.arange(n) % len(LABELS)
     expected = ["h\n"] + [
         ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
-        for row in zip(*(c.tolist() for c in columns), *([names.tolist()] if labels else []))]
+        for row in zip(*(c.tolist() for c in columns),
+                       *([[LABELS[c] for c in codes.tolist()]] if labels else []))]
     out = tmp_path / "t.csv"
-    # rows stacked as sample_density stacks them, and a transposed stack of
-    # columns as sweep and bands hand them over
-    _write_csv(str(out), "h", np.column_stack(columns), names)
-    _write_csv("stdout", "h", np.array(columns).T, names)
+    # rows stacked as sample_density and bands stack them, and a transposed
+    # stack of columns as sweep hands them over
+    _write_csv(str(out), "h", np.column_stack(columns), (LABELS, codes) if labels else None)
+    _write_csv("stdout", "h", np.array(columns).T, (LABELS, codes) if labels else None)
     # lists of lines: pytest reports the first differing line, not a text diff
     assert out.read_text().splitlines(keepends=True) == expected
     assert capsys.readouterr().out.splitlines(keepends=True) == expected
-    if labels:  # ``bands`` hands its labels over as a tuple of str
-        _write_csv("stdout", "h", np.array(columns).T, tuple(names.tolist()))
-        assert capsys.readouterr().out.splitlines(keepends=True) == expected
 
 
 def _ulps_around(x: float, n: int = 4) -> np.ndarray:
@@ -1394,7 +1410,8 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
     # one of many blocks ending in a partial one
     values = _hard_format_values(np.random.default_rng(20))
     assert values.size >= 10 ** 6
-    sizes = [CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1]
+    sizes = [CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+             CSV_BLOCK_ROWS + 1]
     formats = [(4, False), (3, False), (2, True)]
     out = tmp_path / "t.csv"
     for i, (floats, labels) in enumerate(formats):
@@ -1404,10 +1421,10 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
         bounds = [0, *np.cumsum([n * floats for n in sizes]), share.size]
         for start, stop in zip(bounds[:-1], bounds[1:]):
             table = share[start:stop].reshape(-1, floats)
-            names = (tuple(["allowed", "forbidden", "edge"][r % 3] for r in range(len(table)))
-                     if labels else None)
-            _write_csv(str(out), "h", table, names)
+            codes = np.arange(len(table)) % len(LABELS)
+            _write_csv(str(out), "h", table, (LABELS, codes) if labels else None)
             # each row by its own %, one %.17g conversion per value
+            names = [LABELS[c] for c in codes.tolist()]
             rows = zip(*table.T.tolist(), *([names] if labels else []))
             expected = ["h", *map(row_format.__mod__, rows), ""]
             got = out.read_text().split("\n")
@@ -1420,7 +1437,7 @@ def test_write_csv_spells_bytes_from_the_crossover(monkeypatch, capsys):
     blocks = []
     real = layerscatter.cli._byte_block
     monkeypatch.setattr(layerscatter.cli, "_byte_block",
-                        lambda table: blocks.append(len(table)) or real(table))
+                        lambda table, ends=None: blocks.append(len(table)) or real(table, ends))
     for n in (CSV_INTEGER_ROWS - 1, CSV_INTEGER_ROWS, CSV_BLOCK_ROWS + CSV_INTEGER_ROWS - 1):
         x = np.linspace(0.5, 3.0, n)
         _write_csv("stdout", "h", np.column_stack((x, x * x)))

@@ -17,7 +17,7 @@ from layerscatter import (
     compute_wavenumbers,
     decay_rate,
 )
-from layerscatter.periodic import EDGE_XTOL, _LEVELS, _bisect, _classify, _period
+from layerscatter.periodic import EDGE_XTOL, LABELS, _LEVELS, _bisect, _classify, _period
 
 from conftest import recurrence_prefixes
 
@@ -245,6 +245,14 @@ class TestBandScan:
         assert table.energies.tolist() == [1.0, 1.5, 2.0, 2.5, 3.5, 4.0, 4.5, 5.0]
         assert len(table.classification) == len(table.cos_beta) == 8
 
+    def test_labels_and_intervals_are_built_on_first_read(self):
+        table = band_scan(LAT, 0.01, 8.0, 800)
+        assert not {"classification", "intervals"} & vars(table).keys()
+        assert table.classification == tuple(LABELS[c] for c in table.codes.tolist())
+        assert table.intervals is table.intervals
+        for lo, hi, label in table.intervals:
+            assert label == bloch_phase(LAT, 0.5 * (lo + hi)).classification
+
     @pytest.mark.parametrize("lat", [LAT, PeriodicLattice(7.5, 0.4, 1.3),
                                       PeriodicLattice(1.0, 1.9, 2.0)])
     def test_matches_transfer_matrix_trace(self, lat):
@@ -338,9 +346,9 @@ class TestBandScan:
         assert len(table.edges) == 2 and all(e > 1e6 for e in table.edges)
 
     def test_nan_is_labelled_forbidden(self):
-        labels = _classify(np.array([math.nan, 0.5, 1.0, -1.0 + 1e-13, 2.0, -math.inf]))
-        assert labels.tolist() == ["forbidden", "allowed", "edge", "edge", "forbidden",
-                                   "forbidden"]
+        codes = _classify(np.array([math.nan, 0.5, 1.0, -1.0 + 1e-13, 2.0, -math.inf]))
+        assert [LABELS[c] for c in codes.tolist()] == ["forbidden", "allowed", "edge", "edge",
+                                                       "forbidden", "forbidden"]
 
     def test_band_narrower_than_edge_tolerance_is_not_reported(self):
         # cos beta flips from +inf to -inf between two grid points of the
