@@ -9,16 +9,19 @@ The single-barrier formula lives in ``_factored_barrier`` alone: the sweep
 and the scalar solve (a batch of one) reach it through
 :func:`all_barrier_amplitudes`, and the band scan and the closed form of
 ``periodic`` take one period's half trace and r/t from it directly.
+Before the tree, the work runs per (energy, distinct barrier), the barrier
+kinds of :attr:`~layerscatter.structure.LayeredStructure.kinds`, one table
+per structure: :func:`compute_wavenumbers` takes the barriers' square roots
+and :func:`check_energy` its k = 0 test per kind, and
 :func:`all_barrier_amplitudes` takes real cos and sin, e^{-2m}, e^{-m} and the
-complex 1/c once per (energy, distinct (height, width)) and the one complex
-exponential, the gap phase, once per (energy, distinct gap length), then
-gathers them to the segments: a lattice of identical, evenly spaced barriers
-runs the formula once per energy, however long it is.  The
-chain is composed by joining adjacent segments pairwise, level by level,
-so a chain of N barriers costs ceil(log2 N) array steps and every
-intermediate amplitude keeps modulus <= 1 (the stable S-matrix
-composition of Ko and Inkson, Phys. Rev. B 38, 9945 (1988), as a
-reduction tree in the sense of Blelloch, CMU-CS-90-190 (1990)).
+complex 1/c once per (energy, kind) and the one complex exponential, the gap
+phase, once per (energy, distinct gap length), then gathers them to the
+segments: a lattice of identical, evenly spaced barriers runs the formula
+once per energy, however long it is.  The chain is composed by joining
+adjacent segments pairwise, level by level, so a chain of N barriers costs
+ceil(log2 N) array steps and every intermediate amplitude keeps modulus <= 1
+(the stable S-matrix composition of Ko and Inkson, Phys. Rev. B 38, 9945
+(1988), as a reduction tree in the sense of Blelloch, CMU-CS-90-190 (1990)).
 
 The stages assume an energy that :func:`check_energy` has admitted, which
 :func:`scattering_amplitudes` checks once; they check nothing themselves.
@@ -51,6 +54,8 @@ from .structure import (
     EvanescentGapError,  # re-exported
     LayeredStructure,
     WaveNumberSet,
+    _distinct,
+    _spread,
     check_energy,
     compute_wavenumbers,
     region_lengths,
@@ -102,58 +107,35 @@ def _factored_barrier(k0, kn, width):
     return m, c, minus * sn
 
 
-def _distinct(*keys):
-    """(first, inverse) of the distinct entries of the equal-length 1-D
-    ``keys``, taken together: ``first`` indexes one entry of each distinct value
-    and ``key[first][inverse]`` gives back every ``key``.  None where no value
-    repeats.  One ``lexsort`` and one pass comparing sorted neighbours."""
-    order = np.lexsort(keys)
-    new = np.zeros(order.size, dtype=bool)  # where a sorted entry starts a value
-    new[:1] = True
-    for key in keys:
-        sorted_key = key[order]
-        new[1:] |= sorted_key[1:] != sorted_key[:-1]
-    if new.all():
-        return None
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _spread(x, distinct):
-    """``x``, whose last axis runs over the distinct entries of :func:`_distinct`,
-    spread back over every entry, C-ordered; ``x`` itself where none repeats."""
-    return x if distinct is None else np.take(x, distinct[1], axis=-1)
-
-
 def all_barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure):
     """(t, r, r') of every segment, gap n and then barrier n, over a zero
     background, arrays whose last axis is the barrier.  The gaps are those of
     :func:`region_lengths`, the oracle's and the barrier coefficients' too.
 
     t_b = e^{-m}/c and r_b = i B s/c come from :func:`_factored_barrier` once per
-    distinct (height, width) and the gap phase e^{i k0 g}, the one complex
-    exponential, once per distinct gap length; ``np.take`` spreads both back to
-    the segments, so each segment gets the bits its own evaluation would give.
+    barrier kind of ``s.kinds``, a distinct (height, width), and the gap phase
+    e^{i k0 g}, the one complex exponential, once per distinct gap length;
+    ``np.take`` spreads both back to the segments, so each segment gets the
+    bits its own evaluation would give.
     A thick barrier's t_b underflows to 0.
     """
-    heights, widths, _ = s.barrier_arrays
+    widths = s.barrier_arrays[1]
     gaps = region_lengths(s)[1:-2:2]
     k0 = np.asarray(w.k_gap).real[..., None]
     kn = w.k_barrier
-    barriers, distinct_gaps = _distinct(widths, heights), _distinct(gaps)
-    if barriers:
-        kn, widths = np.take(kn, barriers[0], axis=-1), widths[barriers[0]]
+    kinds, distinct_gaps = s.kinds, _distinct(gaps)
+    if kinds:
+        kn, widths = np.take(kn, kinds[0], axis=-1), widths[kinds[0]]
     if distinct_gaps:
         gaps = gaps[distinct_gaps[0]]
     m, c, bs = _factored_barrier(k0, kn, widths)
     inv_c = 1.0 / c
-    rb = _spread(inv_c * (1j * bs), barriers)
+    rb = _spread(inv_c * (1j * bs), kinds)
     ph = _spread(np.exp(1j * (k0 * gaps)), distinct_gaps)
     # The products keep the per-segment formula's operands in its order: numpy's
     # complex product is not bitwise commutative, and numpy may compute into,
     # and so swap in, a large temporary operand.
-    return ph * _spread(np.exp(-m) * inv_c, barriers), ph * ph * rb, rb
+    return ph * _spread(np.exp(-m) * inv_c, kinds), ph * ph * rb, rb
 
 
 def barrier_amplitudes(w: WaveNumberSet, s: LayeredStructure, n: int):

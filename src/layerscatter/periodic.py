@@ -72,8 +72,10 @@ class PeriodicLattice:
 
     def to_structure(self, v_left: float = 0.0, v_right: float = 0.0) -> LayeredStructure:
         """Explicit structure with symmetric (period-width)/2 outer margins."""
-        centers = self.first_center + np.arange(operator.index(self.count)) * self.period
-        arrays = np.array(np.broadcast_arrays(self.barrier_height, self.barrier_width, centers))
+        count = operator.index(self.count)
+        arrays = np.empty((3, count))
+        arrays[0], arrays[1] = self.barrier_height, self.barrier_width
+        arrays[2] = self.first_center + np.arange(count) * self.period
         return LayeredStructure(v_left, v_right, self.span, arrays)
 
     @cached_property

@@ -16,6 +16,7 @@ import numpy as np
 
 from .periodic import PeriodicLattice
 from .structure import LayeredStructure
+from .wavefunction import MAX_GRID_POINTS
 
 
 def _chain(count: int, height, width, gap, media) -> LayeredStructure:
@@ -100,6 +101,9 @@ SCENARIO_ENERGIES = {
 
 
 def build_scenario(name: str, **params) -> LayeredStructure:
+    """The scenario ``name`` built with ``params``.  A ``count`` above
+    ``MAX_GRID_POINTS``, the bound of every grid, is refused with a ValueError
+    before anything is allocated."""
     # The integer parameters, given as an integral float (count=8.0), are that int.
     params.update({k: int(v) for k, v in params.items() if k in ("count", "m")
                    and isinstance(v, float) and v.is_integer()})
@@ -109,4 +113,7 @@ def build_scenario(name: str, **params) -> LayeredStructure:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
         ) from None
+    count = params.get("count")
+    if isinstance(count, (int, float)) and count > MAX_GRID_POINTS:
+        raise ValueError(f"count must be at most {MAX_GRID_POINTS}, got {count}")
     return factory(**params)

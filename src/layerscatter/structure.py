@@ -2,6 +2,13 @@
 
 All quantities are in scaled units where the stationary equation reads
 -psi'' + u(x) psi = eps * psi, so potentials carry units of 1/length^2.
+
+Each structure keeps one table of its barrier kinds, the distinct (height,
+width) pairs (:attr:`LayeredStructure.kinds`).  The wavenumbers
+(:func:`compute_wavenumbers`) and the k = 0 test (:func:`degenerate_energies`)
+run per (energy, distinct barrier), as the barrier formula does, and are
+spread to every barrier after: a lattice of N identical barriers takes one
+square root per energy, not N.
 """
 from __future__ import annotations
 
@@ -83,6 +90,7 @@ class LayeredStructure:
     takes that array or a sequence of :class:`Barrier`; ``barriers`` is
     derived from the array.  Construction runs :func:`validate_structure`,
     so every structure that exists is valid.  Structures compare by value.
+    ``kinds`` groups the barriers by (height, width), built on first read.
     """
 
     v_left: float
@@ -120,12 +128,56 @@ class LayeredStructure:
         """The barriers as :class:`Barrier` objects, left to right."""
         return tuple(Barrier(*hwc) for hwc in zip(*self.barrier_arrays.tolist()))
 
+    @cached_property
+    def kinds(self):
+        """(first, inverse) of the distinct (height, width) barriers, by
+        :func:`_distinct`: ``first`` indexes one barrier of each kind and
+        ``inverse`` gives each barrier's kind, so ``heights[first][inverse]``
+        gives back ``heights``; None where no two barriers share both.  The
+        wavenumbers, the k = 0 test and the barrier formula run once per kind."""
+        heights, widths, _ = self.barrier_arrays
+        return _distinct(widths, heights)
+
     def interface_points(self) -> np.ndarray:
         """All 2N+2 matching points: 0, each barrier edge, span.  Point i is
         the right end of region i of :func:`region_wavenumbers`."""
         _, widths, centers = self.barrier_arrays
-        edges = np.column_stack((centers - widths / 2.0, centers + widths / 2.0))
-        return np.concatenate(([0.0], edges.ravel(), [self.span]))
+        x = np.empty(2 * widths.size + 2)
+        x[0], x[-1] = 0.0, self.span
+        half = widths / 2.0
+        np.subtract(centers, half, out=x[1:-1:2])
+        np.add(centers, half, out=x[2:-1:2])
+        return x
+
+
+def _distinct(*keys):
+    """(first, inverse) of the distinct entries of the equal-length 1-D
+    ``keys``, taken together: ``first`` indexes one entry of each distinct value
+    and ``key[first][inverse]`` gives back every ``key``.  None where no value
+    repeats.  One ``lexsort`` and one pass comparing sorted neighbours."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)  # where a sorted entry starts a value
+    new[:1] = True
+    for key in keys:
+        sorted_key = key[order]
+        new[1:] |= sorted_key[1:] != sorted_key[:-1]
+    if new.all():
+        return None
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _spread(x, distinct):
+    """``x``, whose last axis runs over the distinct entries of :func:`_distinct`,
+    spread back over every entry, C-ordered; ``x`` itself where none repeats."""
+    return x if distinct is None else np.take(x, distinct[1], axis=-1)
+
+
+def _kind_heights(s: LayeredStructure) -> np.ndarray:
+    """The height of each of ``s``'s barrier kinds (:attr:`LayeredStructure.kinds`)."""
+    heights = s.barrier_arrays[0]
+    return heights if s.kinds is None else heights[s.kinds[0]]
 
 
 def region_wavenumbers(w: WaveNumberSet) -> np.ndarray:
@@ -171,10 +223,19 @@ def region_origins(s: LayeredStructure) -> np.ndarray:
 
 def domain_error(name: str, values) -> str | None:
     """The line that refuses the first of ``values``, a float or an array,
-    outside [-DOMAIN, DOMAIN], NaN and +-inf included; None if all lie in it."""
-    v = np.asarray(values, dtype=float).ravel()
-    bad = v[~(np.abs(v) <= DOMAIN)]
-    return f"{name} must lie in [{-DOMAIN}, {DOMAIN}], got {bad[0]}" if bad.size else None
+    outside [-DOMAIN, DOMAIN], NaN and +-inf included; None if all lie in it.
+    A Python or numpy float is answered without building an array."""
+    if isinstance(values, float):
+        if abs(values) <= DOMAIN:
+            return None
+        bad = np.float64(values)  # spelled as an array's entry is
+    else:
+        v = np.asarray(values, dtype=float).ravel()
+        outside = v[~(np.abs(v) <= DOMAIN)]
+        if not outside.size:
+            return None
+        bad = outside[0]
+    return f"{name} must lie in [{-DOMAIN}, {DOMAIN}], got {bad}"
 
 
 def check_domain(*named_values) -> None:
@@ -265,13 +326,15 @@ class WaveNumberSet:
 
 def compute_wavenumbers(s: LayeredStructure, energy) -> WaveNumberSet:
     """Wavenumbers of every region at ``energy``, a float or an array (Im >= 0 branch).
+    The barriers' roots are taken once per (energy, barrier kind) of
+    :attr:`LayeredStructure.kinds` and spread to every barrier by one ``np.take``.
     ``energy`` is one that :func:`check_energy` admits: it is not checked here."""
     e = np.asarray(energy, dtype=float)
     return WaveNumberSet(
         k_left=branch_sqrt(e - s.v_left),
         k_right=branch_sqrt(e - s.v_right),
         k_gap=branch_sqrt(e),
-        k_barrier=branch_sqrt(e[..., None] - s.barrier_arrays[0]),
+        k_barrier=_spread(branch_sqrt(e[..., None] - _kind_heights(s)), s.kinds),
     )
 
 
@@ -281,9 +344,11 @@ def degenerate_energies(s: LayeredStructure, energy) -> np.ndarray:
     coincide, so the plane-wave pieces are degenerate.  Also where k0 |k_n| <=
     0.5/DBL_MAX in a barrier, so that the barrier kernel's 1/(2 k_n k0) passes the
     largest double.  As |eps - u| >= ulp(eps)/2 wherever they differ, only
-    energies in (0, TINY_ENERGY) can reach that, and only they are checked."""
+    energies in (0, TINY_ENERGY) can reach that, and only they are checked.
+    Each energy is compared with the height of each barrier kind
+    (:attr:`LayeredStructure.kinds`), not with every barrier."""
     e = np.asarray(energy, dtype=float)
-    heights = s.barrier_arrays[0]
+    heights = _kind_heights(s)
     bad = (e[..., None] == heights).any(axis=-1)
     if e.min(initial=TINY_ENERGY) >= TINY_ENERGY:  # no eps = 0 and no tiny eps
         return bad

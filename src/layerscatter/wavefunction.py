@@ -30,7 +30,7 @@ from .structure import (
 # The most samples a grid may hold.  Its 4 float64 columns are 320 MB, but
 # `wavefunction --scenario periodic --energy 5.3` peaks at 1167 MB RSS at
 # 10**7 points (getrusage of its process), as its CSV text is held until the
-# file opens
+# file opens.  It also bounds a scenario's count (``scenarios.build_scenario``)
 MAX_GRID_POINTS = 10**7
 
 

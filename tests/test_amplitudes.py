@@ -24,9 +24,14 @@ from layerscatter import (
     reflection_probability,
     transmission_probability,
 )
-from layerscatter import amplitudes
+from layerscatter import amplitudes, structure
 from layerscatter.amplitudes import _factored_barrier, _inverse_matrix, scattering_amplitudes
-from layerscatter.structure import degenerate_energies, mirror_structure
+from layerscatter.structure import (
+    TINY_ENERGY,
+    branch_sqrt,
+    degenerate_energies,
+    mirror_structure,
+)
 
 from conftest import random_structure, recurrence_prefixes, reference_prefix, reference_psi
 
@@ -122,6 +127,22 @@ def per_segment_amplitudes(w, s):
     return ph * (np.exp(-m) * inv_c), ph * ph * rb, rb
 
 
+def per_barrier_wavenumbers(s, energy):
+    """k of every barrier, the square root taken on every (energy, barrier) pair."""
+    return branch_sqrt(np.asarray(energy, dtype=float)[..., None] - s.barrier_arrays[0])
+
+
+def per_barrier_degenerate(s, energy):
+    """degenerate_energies with every energy compared with every barrier."""
+    e = np.asarray(energy, dtype=float)
+    heights = s.barrier_arrays[0]
+    bad = (e[..., None] == heights).any(axis=-1) | (e == 0.0)
+    et = e[..., None]
+    k0_kn = np.sqrt(np.abs(et)) * np.sqrt(np.abs(et - heights))
+    tiny = (e > 0.0) & (e < TINY_ENERGY)
+    return bad | (tiny & (k0_kn <= 0.5 / np.finfo(float).max).any(axis=-1))
+
+
 def _lattice(count=64):
     return PeriodicLattice(3.0, 1.0, 2.0, count).to_structure()
 
@@ -169,6 +190,22 @@ class TestDistinctBarriersAndGaps:
             assert np.array_equal(x, y)
             assert x.flags.c_contiguous
 
+    @pytest.mark.parametrize("name", list(DISTINCT_CASES))
+    @pytest.mark.parametrize("energy", [
+        np.array([[0.7, 2.9, 3.1], [4.6, 5.2, 9.4]]), 4.6,
+        # k = 0 in the gaps and in the lattice's or superlattice's barriers, and tiny
+        np.array([[0.0, 1e-310, 3.0], [5.0, 3.5, 1e-300]]),
+    ], ids=["mixed-array", "scalar", "degenerate"])
+    def test_wavenumbers_and_k0_test_equal_per_barrier(self, name, energy):
+        # taken per barrier kind and spread, they equal the per-barrier formulas
+        s = DISTINCT_CASES[name]
+        k = compute_wavenumbers(s, energy).k_barrier
+        assert k.shape == np.shape(energy) + (s.n_barriers,)
+        assert np.array_equal(k, per_barrier_wavenumbers(s, energy))
+        got = degenerate_energies(s, energy)
+        assert np.shape(got) == np.shape(energy)
+        assert np.array_equal(got, per_barrier_degenerate(s, energy))
+
     def test_bitwise_equal_on_a_long_chain_and_a_wide_grid(self):
         # arrays past numpy's temporary-reuse size, which changes the order of
         # the complex products' operands, and the T and R the tree makes of them
@@ -190,15 +227,22 @@ class TestDistinctBarriersAndGaps:
         (DISTINCT_CASES["random-chain"], DISTINCT_CASES["random-chain"].n_barriers),
     ], ids=["lattice-2000", "superlattice", "one-height-changed", "random-chain"])
     def test_formula_runs_once_per_distinct_barrier(self, monkeypatch, s, distinct):
-        shapes = []
+        # and so do the barriers' square roots, the one 2-D branch_sqrt
+        shapes, roots = [], []
 
         def recording(k0, kn, width):
             shapes.append(np.shape(kn))
             return _factored_barrier(k0, kn, width)
 
+        def recording_sqrt(x):
+            roots.append(np.shape(x))
+            return branch_sqrt(x)
+
         monkeypatch.setattr(amplitudes, "_factored_barrier", recording)
+        monkeypatch.setattr(structure, "branch_sqrt", recording_sqrt)
         all_barrier_amplitudes(compute_wavenumbers(s, np.array([2.0, 4.6, 6.1, 7.3])), s)
         assert shapes == [(4, distinct)]
+        assert [shape for shape in roots if len(shape) == 2] == [(4, distinct)]
 
 
 class TestPrefixSequences:

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import dataclasses
 import errno
@@ -47,6 +48,7 @@ from layerscatter.cli import (
 )
 from layerscatter.periodic import LABELS
 from layerscatter.scenarios import SCENARIOS, build_scenario
+from layerscatter.wavefunction import MAX_GRID_POINTS
 
 from conftest import reference_psi, serialize_structure
 
@@ -831,6 +833,73 @@ def test_input_outside_the_domain_is_refused_by_the_entry_point(tmp_path):
         2, "", [outside("span", "1.6e+308"), outside("barrier 1: width", "1.5e+308"),
                 outside("barrier 1: center", "8e+307")])
     assert not out.exists()
+
+
+def past_the_bound(kind, count, prefix="error"):
+    """The refusal line of a scenario count above MAX_GRID_POINTS."""
+    return f"{prefix}: scenario {kind}: count must be at most 10000000, got {count}"
+
+
+def generator(kind, count):
+    return json.dumps({"generator": {"kind": kind, "params": {"count": count}}})
+
+
+# A scenario count above the grid bound: exit 2 with one line, the count
+# refused before a barrier array is built, by either route to build_scenario
+COUNT_PAST_THE_BOUND = [
+    refused(["sweep", *PERIODIC, "--scenario-params", "count=1e12", "--energy-range", "4:5:3"],
+            [past_the_bound("periodic", 10 ** 12)], id="sweep-periodic"),
+    refused(["validate", *PERIODIC, "--scenario-params", "count=1e12"],
+            [past_the_bound("periodic", 10 ** 12, "invalid")], id="validate-periodic"),
+    refused(["validate", "--scenario", "graded-linear", "--scenario-params", "count=1e9"],
+            [past_the_bound("graded-linear", 10 ** 9, "invalid")], id="validate-graded-linear"),
+    refused(["sweep", *PERIODIC, "--scenario-params", "count=10000001", "--energy-range", "4:5:3"],
+            [past_the_bound("periodic", 10 ** 7 + 1)], id="sweep-one-past"),
+    refused(["sweep", "--energy-range", "4:5:3"], [past_the_bound("periodic", 10 ** 12)],
+            generator("periodic", 1e12), id="sweep-generator"),
+    refused(["validate"], [past_the_bound("modulated-sin", 10 ** 12, "invalid")],
+            generator("modulated-sin", 10 ** 12), id="validate-generator"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, lines", COUNT_PAST_THE_BOUND)
+def test_scenario_count_past_the_grid_bound_is_refused(monkeypatch, capsys, tmp_path,
+                                                      argv, doc, lines):
+    # refused before anything is allocated: np.arange would fail the test, and
+    # the whole run stays under 1 MB
+    def no_barriers(*args, **kwargs):
+        raise AssertionError("an array of barriers was allocated")
+
+    source = []
+    if doc is not None:
+        source = ["--structure", str(tmp_path / "s.json")]
+        (tmp_path / "s.json").write_text(doc)
+    out = tmp_path / "out.csv"
+    writes = argv[0] == "sweep"
+    monkeypatch.setattr(np, "arange", no_barriers)
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli(capsys, *argv, *source,
+                                    *(["--out", str(out)] if writes else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout, err.splitlines()) == (2, "", lines)
+    assert not out.exists()
+    assert peak < 2 ** 20
+
+
+def test_scenario_count_bound_is_the_grid_bound(monkeypatch):
+    # build_scenario passes a count of MAX_GRID_POINTS on and refuses the next;
+    # a PeriodicLattice itself takes any count, as its closed form allocates nothing
+    counts = []
+    monkeypatch.setitem(SCENARIOS, "periodic", lambda count: counts.append(count))
+    build_scenario("periodic", count=float(MAX_GRID_POINTS))
+    with pytest.raises(ValueError, match="count must be at most 10000000, got 10000001"):
+        build_scenario("periodic", count=MAX_GRID_POINTS + 1)
+    assert counts == [MAX_GRID_POINTS]
+    lat = PeriodicLattice(3.0, 1.0, 2.0, 10 ** 12)
+    assert all(cmath.isfinite(z) for z in closed_form_prefix(lat, 4.9, 10 ** 12))
 
 
 B = 1e150  # the domain's edge

@@ -32,6 +32,7 @@ from layerscatter.structure import (
     EvanescentGapError,
     check_energy,
     degenerate_energies,
+    domain_error,
     off_degenerate,
     region_wavenumbers,
 )
@@ -439,3 +440,15 @@ class TestOneEnergyRule:
         check_energy(self.S, DOMAIN)
         with pytest.raises(EvanescentGapError):
             check_energy(self.S, -DOMAIN)
+
+    @pytest.mark.parametrize("value, shown", [
+        (1.5, None), (-0.0, None), (1e150, None), (-1e150, None),
+        (1e151, "1e+151"), (-1e151, "-1e+151"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (math.nan, "nan"),
+    ])
+    def test_scalar_outside_the_domain_names_the_domain(self, value, shown):
+        # a Python or numpy float takes domain_error's scalar path, a 0-d array
+        # and a one-element list its array path: the same line, or None, either way
+        want = None if shown is None else f"x must lie in [-1e+150, 1e+150], got {shown}"
+        for given in (float(value), np.float64(value), np.array(value), [value]):
+            assert domain_error("x", given) == want
